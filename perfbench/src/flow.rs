@@ -44,11 +44,13 @@ pub struct Table1Config {
 }
 
 impl Table1Config {
-    /// The `table1` Core X column: 1/32 scale, seed 42, 2048 patterns,
-    /// 31 observation points, 100 chains.
+    /// The `table1` Core X column at 1/96 scale (2 clock domains), seed
+    /// 42, 2048 patterns, 31 observation points, 100 chains. A third of
+    /// the size of `table1`'s 1/32, so a run holds several iterations;
+    /// top-up dominates the flow.
     pub fn core_x() -> Self {
         Table1Config {
-            profile: CoreProfile::core_x().scaled(32),
+            profile: CoreProfile::core_x().scaled(96),
             netlist_seed: 42,
             seed: 42,
             prpg_seed: StumpsConfig::default().seed,
@@ -58,11 +60,13 @@ impl Table1Config {
         }
     }
 
-    /// The Core Y column at 1/96 scale (7.9K gates, 8 clock domains),
-    /// seed 43, 2048 patterns, 31 observation points, 106 chains.
+    /// The Core Y column at 1/192 scale (8 clock domains), seed 43, 2048
+    /// patterns, 31 observation points, 106 chains. Half the size of
+    /// `table1`'s 1/96, so a run holds several iterations; top-up still
+    /// dominates the flow.
     pub fn core_y() -> Self {
         Table1Config {
-            profile: CoreProfile::core_y().scaled(96),
+            profile: CoreProfile::core_y().scaled(192),
             netlist_seed: 43,
             seed: 43,
             prpg_seed: StumpsConfig::default().seed,

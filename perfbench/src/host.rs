@@ -28,6 +28,11 @@ pub fn peak_rss_mb() -> f64 {
         .map_or(0.0, |kb| kb / 1024.0)
 }
 
+/// Smallest of `values`; 0 for an empty slice.
+pub fn fastest(values: &[f64]) -> f64 {
+    values.iter().copied().reduce(f64::min).unwrap_or(0.0)
+}
+
 /// Median of `values` (mean of the middle pair for an even count); 0 for
 /// an empty slice.
 pub fn median(values: &[f64]) -> f64 {
@@ -58,6 +63,8 @@ mod tests {
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
         assert_eq!(quantile(&[1.0, 2.0, 3.0, 4.0, 5.0], 0.9), 4.6);
         assert_eq!(median(&[]), 0.0);
+        assert_eq!(fastest(&[3.0, 1.0, 2.0]), 1.0);
+        assert_eq!(fastest(&[]), 0.0);
     }
 
     #[test]

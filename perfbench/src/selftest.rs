@@ -33,11 +33,12 @@ pub struct SelftestConfig {
 }
 
 impl SelftestConfig {
-    /// Core Y at 1/96 scale (seed 43, as in `table1`), 106 chains, the
-    /// paper's 20480-pattern budget.
+    /// Core Y at 1/192 scale (seed 43, as in `table1`), 106 chains, the
+    /// paper's 20480-pattern budget: the `table1-y` workload's core, half
+    /// the size of `table1`'s 1/96, so a run holds several iterations.
     pub fn core_y() -> Self {
         SelftestConfig {
-            profile: CoreProfile::core_y().scaled(96),
+            profile: CoreProfile::core_y().scaled(192),
             netlist_seed: 43,
             prpg_seed: StumpsConfig::default().seed,
             chains: 106,
