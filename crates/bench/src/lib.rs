@@ -24,9 +24,9 @@
 use lbist_atpg::TopUpAtpg;
 use lbist_core::{CheckpointSpec, RunControl, StumpsArchitecture, StumpsConfig};
 use lbist_cores::{CoreProfile, CpuCoreGenerator};
-use lbist_dft::{prepare_core, PrepConfig, TpiMethod};
+use lbist_dft::{prepare_core, BistReadyCore, PrepConfig, TpiMethod};
 use lbist_exec::CancelToken;
-use lbist_fault::{FaultUniverse, StuckAtSim};
+use lbist_fault::{CoverageReport, Fault, FaultUniverse, StuckAtSim};
 use lbist_sim::CompiledCircuit;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -88,18 +88,34 @@ pub struct Table1Column {
     pub fc2: f64,
 }
 
-/// Runs the full Table 1 measurement pipeline for one profile.
-///
-/// `random_patterns` is the PRPG budget (the paper used 20K);
-/// `obs_budget` the test point budget (paper: 1K, "Obv-Only").
-pub fn run_table1_flow(
+/// A core after the Table 1 flow's random phase: the state top-up ATPG
+/// starts from.
+#[derive(Debug)]
+pub struct RandomPhase {
+    /// The DFT-prepared core, re-stitched to the paper's chain count.
+    pub core: BistReadyCore,
+    /// The compiled core.
+    pub cc: CompiledCircuit,
+    /// The STUMPS architecture the random patterns came through.
+    pub arch: StumpsArchitecture,
+    /// Coverage after the random phase (over all collapsed faults).
+    pub fc1: CoverageReport,
+    /// Random patterns applied (whole 64-pattern batches).
+    pub patterns: usize,
+    /// The faults the random phase left undetected: top-up's targets.
+    pub survivors: Vec<Fault>,
+}
+
+/// Runs the Table 1 pipeline up to and including the random phase:
+/// generate → X-bound/wrap → fault-sim-guided TPI → stitch/compile →
+/// PRPG random phase. Arguments as for [`run_table1_flow`].
+pub fn run_random_phase(
     profile: &CoreProfile,
     seed: u64,
     random_patterns: usize,
     obs_budget: usize,
     target_chains: usize,
-) -> Table1Column {
-    let t0 = Instant::now();
+) -> RandomPhase {
     let netlist = CpuCoreGenerator::new(profile.clone(), seed).generate();
     let mut core = prepare_core(
         &netlist,
@@ -127,8 +143,7 @@ pub fn run_table1_flow(
     }
 
     // Random phase with genuine PRPG patterns through the architecture.
-    let stumps = StumpsConfig::default();
-    let mut arch = StumpsArchitecture::build(&core, &stumps);
+    let mut arch = StumpsArchitecture::build(&core, &StumpsConfig::default());
     let mut frame = cc.new_frame();
     let batches = random_patterns.div_ceil(64);
     for _ in 0..batches {
@@ -136,9 +151,26 @@ pub fn run_table1_flow(
         sim.run_batch(&mut frame, 64);
     }
     let fc1 = sim.coverage();
+    let survivors = sim.undetected();
+    RandomPhase { core, cc, arch, fc1, patterns: batches * 64, survivors }
+}
+
+/// Runs the full Table 1 measurement pipeline for one profile.
+///
+/// `random_patterns` is the PRPG budget (the paper used 20K);
+/// `obs_budget` the test point budget (paper: 1K, "Obv-Only").
+pub fn run_table1_flow(
+    profile: &CoreProfile,
+    seed: u64,
+    random_patterns: usize,
+    obs_budget: usize,
+    target_chains: usize,
+) -> Table1Column {
+    let t0 = Instant::now();
+    let RandomPhase { core, cc, arch, fc1, patterns, survivors } =
+        run_random_phase(profile, seed, random_patterns, obs_budget, target_chains);
 
     // Top-up ATPG.
-    let survivors = sim.undetected();
     let mut atpg = TopUpAtpg::new(&cc, StuckAtSim::observe_all_captures(&cc));
     atpg.pin(core.test_mode(), true);
     // The same CLI budget steers speculative PODEM generation (reports
@@ -166,10 +198,10 @@ pub fn run_table1_flow(
         chains: core.chains.num_chains(),
         max_chain: core.chains.max_chain_length(),
         domains: core.netlist.num_domains(),
-        prpgs: (arch.domains().len(), stumps.prpg_length),
+        prpgs: (arch.domains().len(), StumpsConfig::default().prpg_length),
         misr_widths: arch.misr_widths(),
         test_points: core.observation_cells.len(),
-        random_patterns: batches * 64,
+        random_patterns: patterns,
         fc1: fc1.percent(),
         cpu_time,
         overhead: overhead.percent(),
