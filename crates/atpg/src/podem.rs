@@ -1,7 +1,7 @@
 //! The PODEM test generation algorithm.
 
 use crate::pattern::TestCube;
-use crate::values::{controlling_value, eval_logic, inverts};
+use crate::values::{controlling_value, eval_with, inverts};
 use lbist_fault::Fault;
 use lbist_netlist::{GateKind, NodeId};
 use lbist_sim::{CompiledCircuit, Logic};
@@ -25,21 +25,42 @@ pub enum AtpgOutcome {
 /// forward event-driven over a `(good, faulty)` ternary pair per node,
 /// and the search backtracks on conflicts (fault not excitable, empty
 /// D-frontier, or no X-path to an observed node).
+///
+/// A decision costs only its implications: gates evaluate in place over
+/// their fanin slice, the event queue is reused, and the nodes carrying
+/// a fault effect are kept current as values change, so no search step
+/// rescans the undo trail.
 #[derive(Debug)]
 pub struct Podem<'a> {
     cc: &'a CompiledCircuit,
     observed: Vec<bool>,
     assignable: Vec<bool>,
+    /// Constant gates in schedule order: they imply their values at the
+    /// start of every search.
+    constants: Vec<NodeId>,
     backtrack_limit: usize,
     good: Vec<Logic>,
     faulty: Vec<Logic>,
     /// Undo trail: (node, old good, old faulty).
     trail: Vec<(NodeId, Logic, Logic)>,
+    /// Per node, the trail index of its first entry ([`OFF_TRAIL`] when
+    /// it has none).
+    first_entry: Vec<u32>,
+    /// Nodes on the trail that carry a fault effect (D or D̄), in order
+    /// of their first trail entry: the order a scan of the trail would
+    /// find them in. `set_value` and `undo_to` keep it current.
+    effects: Vec<NodeId>,
+    /// Implication event queue (FIFO) and X-path stack, reused by every
+    /// call.
+    queue: Vec<NodeId>,
+    /// Decisions of the current search, oldest first.
+    decisions: Vec<Decision>,
+    /// Backtracks of the current (or most recent) search.
+    backtracks: usize,
     /// The fault currently being targeted (its transform is applied during
     /// node evaluation).
     target: Option<Target>,
-    /// Epoch-stamped scratch marks shared by `d_nodes` and the X-path BFS
-    /// (avoids per-call allocation in the search's hot loop).
+    /// Epoch-stamped scratch marks for the X-path search.
     scratch_stamp: Vec<u32>,
     scratch_epoch: u32,
     /// Per-node hop distance to the nearest observed node (u32::MAX when
@@ -48,11 +69,33 @@ pub struct Podem<'a> {
     obs_distance: Vec<u32>,
 }
 
+/// [`Podem::first_entry`] of a node the trail does not hold.
+const OFF_TRAIL: u32 = u32::MAX;
+
 /// The active fault target.
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Target {
-    fault: Fault,
-    stuck: bool,
+    site: NodeId,
+    /// Input pin of a branch fault; `None` for a stem fault.
+    pin: Option<usize>,
+    stuck: Logic,
+}
+
+/// One decision on a pseudo-primary input.
+#[derive(Clone, Copy, Debug)]
+struct Decision {
+    pi: NodeId,
+    value: bool,
+    /// Whether this is already the second value tried.
+    flipped: bool,
+    /// Trail length before the decision: undoing it restores this.
+    mark: usize,
+}
+
+/// Whether a `(good, faulty)` pair carries a fault effect.
+#[inline]
+fn is_effect(g: Logic, f: Logic) -> bool {
+    !g.is_x() && !f.is_x() && g != f
 }
 
 impl<'a> Podem<'a> {
@@ -89,12 +132,24 @@ impl<'a> Podem<'a> {
                 }
             }
         }
+        let constants = cc
+            .schedule()
+            .iter()
+            .copied()
+            .filter(|&id| matches!(cc.kind(id), GateKind::Const0 | GateKind::Const1))
+            .collect();
         Podem {
             good: vec![Logic::X; cc.num_nodes()],
             faulty: vec![Logic::X; cc.num_nodes()],
             trail: Vec::new(),
+            first_entry: vec![OFF_TRAIL; cc.num_nodes()],
+            effects: Vec::new(),
+            queue: Vec::new(),
+            decisions: Vec::new(),
+            backtracks: 0,
             observed: obs,
             assignable,
+            constants,
             backtrack_limit: 512,
             target: None,
             scratch_stamp: vec![0u32; cc.num_nodes()],
@@ -109,6 +164,12 @@ impl<'a> Podem<'a> {
         self.backtrack_limit = limit.max(1);
     }
 
+    /// Backtracks the most recent [`Podem::generate`] call took (one past
+    /// the limit when it aborted).
+    pub fn backtracks(&self) -> usize {
+        self.backtracks
+    }
+
     /// Attempts to generate a test for `fault`.
     ///
     /// # Panics
@@ -117,155 +178,58 @@ impl<'a> Podem<'a> {
     pub fn generate(&mut self, fault: &Fault) -> AtpgOutcome {
         assert!(fault.kind.is_stuck_at(), "PODEM targets stuck-at faults");
         self.reset();
-        self.install_target(fault);
+        self.target = Some(Target {
+            site: fault.node,
+            pin: fault.pin.map(usize::from),
+            stuck: Logic::from_bool(fault.kind.faulty_value()),
+        });
+        let cc = self.cc;
         // X-sources are zero-bounded in test mode; treat them as constant 0
         // (the bounding AND makes this exact when test_mode=1, which the
         // session guarantees).
-        for x in self.cc.xsources().to_vec() {
+        for &x in cc.xsources() {
             self.good[x.index()] = Logic::Zero;
             self.faulty[x.index()] = Logic::Zero;
         }
         // Constants participate in implication from the start.
-        for id in self.cc.schedule().to_vec() {
-            let k = self.cc.kind(id);
-            if matches!(k, GateKind::Const0 | GateKind::Const1) {
-                let v = if k == GateKind::Const1 { Logic::One } else { Logic::Zero };
-                self.good[id.index()] = v;
-                self.faulty[id.index()] = v;
-                self.imply_from(id);
-            }
+        for k in 0..self.constants.len() {
+            let id = self.constants[k];
+            let v = if cc.kind(id) == GateKind::Const1 { Logic::One } else { Logic::Zero };
+            self.good[id.index()] = v;
+            self.faulty[id.index()] = v;
+            self.imply_from(id);
         }
-        for x in self.cc.xsources().to_vec() {
+        for &x in cc.xsources() {
             self.imply_from(x);
         }
-        self.trail.clear(); // initial implications are permanent for this run
-
-        // Decision stack: (pi, value, flipped_already).
-        let mut stack: Vec<(NodeId, bool, bool)> = Vec::new();
-        let mut trail_marks: Vec<usize> = Vec::new();
-        let mut backtracks = 0usize;
+        // Initial implications are permanent for this run.
+        self.forget_trail();
 
         loop {
-            // Re-imply everything from scratch cheaply: implication is
-            // incremental via the trail, so here we only check status.
-            let status = self.status(fault);
-            match status {
+            match self.status(fault) {
                 Status::Detected => {
                     let mut cube = TestCube::new();
-                    for &(pi, v, _) in &stack {
-                        cube.assign(pi, v);
+                    for d in &self.decisions {
+                        cube.assign(d.pi, d.value);
                     }
                     return AtpgOutcome::Test(cube);
                 }
-                Status::Conflict => {
-                    // Backtrack.
-                    loop {
-                        match stack.pop() {
-                            None => return AtpgOutcome::Untestable,
-                            Some((pi, v, flipped)) => {
-                                let mark = trail_marks.pop().expect("marks track stack");
-                                self.undo_to(mark);
-                                backtracks += 1;
-                                if backtracks > self.backtrack_limit {
-                                    return AtpgOutcome::Aborted;
-                                }
-                                if !flipped {
-                                    let mark = self.trail.len();
-                                    if self.assign(pi, !v) {
-                                        stack.push((pi, !v, true));
-                                        trail_marks.push(mark);
-                                        break;
-                                    }
-                                    self.undo_to(mark);
-                                }
-                            }
-                        }
+                // Backtrack until a flipped decision sticks.
+                Status::Conflict => loop {
+                    match self.backtrack() {
+                        Ok(true) => break,
+                        Ok(false) => {}
+                        Err(outcome) => return outcome,
                     }
-                }
+                },
                 Status::Undecided => {
-                    let Some((obj_node, obj_val)) = self.objective(fault) else {
-                        // No objective although undecided: treat as conflict.
-                        let mark = trail_marks.last().copied().unwrap_or(0);
-                        let _ = mark;
-                        // Force the conflict path by popping a decision.
-                        if stack.is_empty() {
-                            return AtpgOutcome::Untestable;
-                        }
-                        // Reuse the conflict handling on the next loop turn:
-                        // mark the situation by backtracking once here.
-                        let (pi, v, flipped) = stack.pop().expect("nonempty");
-                        let mark = trail_marks.pop().expect("marks");
-                        self.undo_to(mark);
-                        backtracks += 1;
-                        if backtracks > self.backtrack_limit {
-                            return AtpgOutcome::Aborted;
-                        }
-                        if !flipped {
-                            let mark = self.trail.len();
-                            if self.assign(pi, !v) {
-                                stack.push((pi, !v, true));
-                                trail_marks.push(mark);
-                            } else {
-                                self.undo_to(mark);
-                            }
-                        }
-                        continue;
-                    };
-                    let Some((pi, pi_val)) = self.backtrace(obj_node, obj_val) else {
-                        // Objective unreachable from any free PI: conflict.
-                        if stack.is_empty() {
-                            return AtpgOutcome::Untestable;
-                        }
-                        let (pi, v, flipped) = stack.pop().expect("nonempty");
-                        let mark = trail_marks.pop().expect("marks");
-                        self.undo_to(mark);
-                        backtracks += 1;
-                        if backtracks > self.backtrack_limit {
-                            return AtpgOutcome::Aborted;
-                        }
-                        if !flipped {
-                            let mark = self.trail.len();
-                            if self.assign(pi, !v) {
-                                stack.push((pi, !v, true));
-                                trail_marks.push(mark);
-                            } else {
-                                self.undo_to(mark);
-                            }
-                        }
-                        continue;
-                    };
-                    let mark = self.trail.len();
-                    if self.assign(pi, pi_val) {
-                        stack.push((pi, pi_val, false));
-                        trail_marks.push(mark);
-                    } else {
-                        // Immediate conflict from this assignment: try the
-                        // other value as a decision.
-                        self.undo_to(mark);
-                        let mark = self.trail.len();
-                        if self.assign(pi, !pi_val) {
-                            stack.push((pi, !pi_val, true));
-                            trail_marks.push(mark);
-                        } else {
-                            self.undo_to(mark);
-                            if stack.is_empty() {
-                                return AtpgOutcome::Untestable;
-                            }
-                            backtracks += 1;
-                            if backtracks > self.backtrack_limit {
-                                return AtpgOutcome::Aborted;
-                            }
-                            let (pi2, v2, flipped) = stack.pop().expect("nonempty");
-                            let mark2 = trail_marks.pop().expect("marks");
-                            self.undo_to(mark2);
-                            if !flipped {
-                                let mark3 = self.trail.len();
-                                if self.assign(pi2, !v2) {
-                                    stack.push((pi2, !v2, true));
-                                    trail_marks.push(mark3);
-                                } else {
-                                    self.undo_to(mark3);
-                                }
+                    match self.objective(fault).and_then(|(n, v)| self.backtrace(n, v)) {
+                        Some((pi, value)) => self.decide(pi, value, false),
+                        // No objective, or none reachable from a free PI:
+                        // a conflict, backtracked one step at a time.
+                        None => {
+                            if let Err(outcome) = self.backtrack() {
+                                return outcome;
                             }
                         }
                     }
@@ -274,108 +238,162 @@ impl<'a> Podem<'a> {
         }
     }
 
+    /// One backtrack step: undoes the newest decision, counts the
+    /// backtrack and, unless that decision was already flipped, assigns
+    /// its other value. `Ok(true)` when a flip was made, `Ok(false)` when
+    /// the popped decision had been flipped before; `Err` ends the search
+    /// (`Untestable` with no decision left, `Aborted` past the limit).
+    fn backtrack(&mut self) -> Result<bool, AtpgOutcome> {
+        let Some(d) = self.decisions.pop() else {
+            return Err(AtpgOutcome::Untestable);
+        };
+        self.undo_to(d.mark);
+        self.backtracks += 1;
+        if self.backtracks > self.backtrack_limit {
+            return Err(AtpgOutcome::Aborted);
+        }
+        if !d.flipped {
+            self.decide(d.pi, !d.value, true);
+        }
+        Ok(!d.flipped)
+    }
+
+    /// Assigns a pseudo-PI, runs forward implication, and records the
+    /// decision.
+    fn decide(&mut self, pi: NodeId, value: bool, flipped: bool) {
+        debug_assert!(self.assignable[pi.index()]);
+        let mark = self.trail.len();
+        let v = Logic::from_bool(value);
+        self.set_value(pi, v, v);
+        self.imply_from(pi);
+        self.decisions.push(Decision { pi, value, flipped, mark });
+    }
+
     fn reset(&mut self) {
+        self.forget_trail();
         self.good.fill(Logic::X);
         self.faulty.fill(Logic::X);
+        self.decisions.clear();
+        self.backtracks = 0;
+    }
+
+    /// Makes the current values permanent: they leave the trail, and with
+    /// it the fault-effect list.
+    fn forget_trail(&mut self) {
+        for &(n, _, _) in &self.trail {
+            self.first_entry[n.index()] = OFF_TRAIL;
+        }
         self.trail.clear();
+        self.effects.clear();
     }
 
     fn set_value(&mut self, node: NodeId, g: Logic, f: Logic) {
-        self.trail.push((node, self.good[node.index()], self.faulty[node.index()]));
-        self.good[node.index()] = g;
-        self.faulty[node.index()] = f;
+        let i = node.index();
+        let was_effect =
+            self.first_entry[i] != OFF_TRAIL && is_effect(self.good[i], self.faulty[i]);
+        if self.first_entry[i] == OFF_TRAIL {
+            self.first_entry[i] = self.trail.len() as u32;
+        }
+        self.trail.push((node, self.good[i], self.faulty[i]));
+        self.good[i] = g;
+        self.faulty[i] = f;
+        let is_now = is_effect(g, f);
+        if is_now != was_effect {
+            self.toggle_effect(node, is_now);
+        }
     }
 
     fn undo_to(&mut self, mark: usize) {
         while self.trail.len() > mark {
             let (node, g, f) = self.trail.pop().expect("len checked");
-            self.good[node.index()] = g;
-            self.faulty[node.index()] = f;
+            let i = node.index();
+            let was_effect = is_effect(self.good[i], self.faulty[i]);
+            let stays = self.first_entry[i] != self.trail.len() as u32;
+            self.good[i] = g;
+            self.faulty[i] = f;
+            let is_now = stays && is_effect(g, f);
+            if is_now != was_effect {
+                self.toggle_effect(node, is_now);
+            }
+            if !stays {
+                self.first_entry[i] = OFF_TRAIL;
+            }
         }
     }
 
-    /// Assigns a PI and runs forward implication. Returns `false` on an
-    /// immediate excitation conflict (site good value forced equal to the
-    /// stuck value). The caller must `undo_to` its mark on `false`.
-    fn assign(&mut self, pi: NodeId, value: bool) -> bool {
-        debug_assert!(self.assignable[pi.index()]);
-        let v = Logic::from_bool(value);
-        self.set_value(pi, v, v);
-        self.imply_from(pi)
+    /// Inserts `node` into (or removes it from) the fault-effect list at
+    /// its first-trail-entry position.
+    fn toggle_effect(&mut self, node: NodeId, insert: bool) {
+        let first = &self.first_entry;
+        let key = first[node.index()];
+        let at = match self.effects.last() {
+            // Nearly every change lands at the newest end.
+            Some(&last) if first[last.index()] < key => self.effects.len(),
+            Some(&last) if last == node => self.effects.len() - 1,
+            _ => self.effects.partition_point(|n| first[n.index()] < key),
+        };
+        if insert {
+            self.effects.insert(at, node);
+        } else {
+            debug_assert_eq!(self.effects[at], node);
+            self.effects.remove(at);
+        }
+    }
+
+    /// The fault site when it carries an effect without a trail entry
+    /// (set by the permanent initial implications): it counts after every
+    /// trail-held effect.
+    fn off_trail_site_effect(&self, site: NodeId) -> Option<NodeId> {
+        let i = site.index();
+        (self.first_entry[i] == OFF_TRAIL && is_effect(self.good[i], self.faulty[i]))
+            .then_some(site)
     }
 
     /// Event-driven forward implication from `start`. The fault transform
-    /// of the current target is applied by [`Podem::generate`]'s status
-    /// checks instead of being burned in here; faulty values diverge at
-    /// the site via `site_transform`.
-    fn imply_from(&mut self, start: NodeId) -> bool {
-        let mut queue: Vec<NodeId> = self.cc.fanouts(start).to_vec();
-        let mut qi = 0;
-        while qi < queue.len() {
-            let node = queue[qi];
-            qi += 1;
-            if self.cc.kind(node) == GateKind::Dff {
+    /// of the current target is applied in `eval_node`, so faulty values
+    /// diverge at the site.
+    fn imply_from(&mut self, start: NodeId) {
+        let cc = self.cc;
+        let mut queue = std::mem::take(&mut self.queue);
+        queue.clear();
+        queue.extend_from_slice(cc.fanouts(start));
+        let mut next = 0;
+        while let Some(&node) = queue.get(next) {
+            next += 1;
+            if cc.kind(node) == GateKind::Dff {
                 continue;
             }
             let (g, f) = self.eval_node(node);
             if g != self.good[node.index()] || f != self.faulty[node.index()] {
                 self.set_value(node, g, f);
-                for &succ in self.cc.fanouts(node) {
-                    queue.push(succ);
-                }
+                queue.extend_from_slice(cc.fanouts(node));
             }
         }
-        true
+        self.queue = queue;
     }
 
     /// Evaluates a node's (good, faulty) pair, applying the current fault
-    /// transform (set in `generate` via `self.target`).
+    /// transform at the fault site only.
+    #[inline]
     fn eval_node(&self, node: NodeId) -> (Logic, Logic) {
         let kind = self.cc.kind(node);
-        let fi = self.cc.fanins(node);
-        let mut gv = Vec::with_capacity(fi.len());
-        let mut fv = Vec::with_capacity(fi.len());
-        for &f in fi {
-            gv.push(self.good[f.index()]);
-            fv.push(self.faulty[f.index()]);
-        }
-        if let Some(t) = &self.target {
-            if let (Some(pin), true) = (t.fault.pin, t.fault.node == node) {
-                fv[pin as usize] = Logic::from_bool(t.stuck);
-            }
-        }
-        let g = eval_logic(kind, &gv);
-        let mut f = eval_logic(kind, &fv);
-        if let Some(t) = &self.target {
-            if t.fault.pin.is_none() && t.fault.node == node {
-                f = Logic::from_bool(t.stuck);
-            }
-        }
+        let fanins = self.cc.fanins(node);
+        let n = fanins.len();
+        let g = eval_with(kind, n, |k| self.good[fanins[k].index()]);
+        let f = match self.target {
+            Some(t) if t.site == node => match t.pin {
+                Some(pin) => eval_with(kind, n, |k| {
+                    if k == pin {
+                        t.stuck
+                    } else {
+                        self.faulty[fanins[k].index()]
+                    }
+                }),
+                None => t.stuck,
+            },
+            _ => eval_with(kind, n, |k| self.faulty[fanins[k].index()]),
+        };
         (g, f)
-    }
-
-    /// Nodes that may currently carry a fault effect: everything the trail
-    /// touched (values only change through `set_value`) plus the site.
-    fn d_nodes(&mut self, site: NodeId) -> Vec<NodeId> {
-        self.bump_epoch();
-        let epoch = self.scratch_epoch;
-        let mut out = Vec::new();
-        for &(n, _, _) in &self.trail {
-            if self.scratch_stamp[n.index()] != epoch {
-                self.scratch_stamp[n.index()] = epoch;
-                let (g, f) = (self.good[n.index()], self.faulty[n.index()]);
-                if !g.is_x() && !f.is_x() && g != f {
-                    out.push(n);
-                }
-            }
-        }
-        if self.scratch_stamp[site.index()] != epoch {
-            let (g, f) = (self.good[site.index()], self.faulty[site.index()]);
-            if !g.is_x() && !f.is_x() && g != f {
-                out.push(site);
-            }
-        }
-        out
     }
 
     fn bump_epoch(&mut self) {
@@ -402,12 +420,10 @@ impl<'a> Podem<'a> {
                 self.imply_from(site);
             }
         }
-        // Detection: only changed nodes can carry a D; scan the trail.
-        let d_nodes = self.d_nodes(site);
-        for &n in &d_nodes {
-            if self.observed[n.index()] {
-                return Status::Detected;
-            }
+        // Detection: only changed nodes (and the site) can carry a D.
+        let site_effect = self.off_trail_site_effect(site);
+        if self.effects.iter().chain(&site_effect).any(|n| self.observed[n.index()]) {
+            return Status::Detected;
         }
 
         // Excitation still open?
@@ -425,28 +441,33 @@ impl<'a> Podem<'a> {
             return Status::Conflict;
         }
 
-        // X-path check: one multi-source BFS from every live D node (or
-        // the still-unexcited site) toward an observed node.
-        let sources = if d_nodes.is_empty() { vec![site] } else { d_nodes };
-        if self.x_path_to_observed(&sources) {
+        if self.x_path_to_observed(site, site_effect) {
             Status::Undecided
         } else {
             Status::Conflict
         }
     }
 
-    /// Multi-source BFS forward through not-yet-blocked logic toward any
-    /// observed node.
-    fn x_path_to_observed(&mut self, from: &[NodeId]) -> bool {
+    /// Multi-source DFS forward through not-yet-blocked logic toward any
+    /// observed node, from every live fault effect (or the still-unexcited
+    /// site).
+    fn x_path_to_observed(&mut self, site: NodeId, site_effect: Option<NodeId>) -> bool {
         self.bump_epoch();
         let epoch = self.scratch_epoch;
-        let mut queue = from.to_vec();
-        for n in &queue {
+        let mut stack = std::mem::take(&mut self.queue);
+        stack.clear();
+        stack.extend(self.effects.iter().chain(&site_effect));
+        if stack.is_empty() {
+            stack.push(site);
+        }
+        for n in &stack {
             self.scratch_stamp[n.index()] = epoch;
         }
-        while let Some(n) = queue.pop() {
+        let mut found = false;
+        while let Some(n) = stack.pop() {
             if self.observed[n.index()] {
-                return true;
+                found = true;
+                break;
             }
             for &succ in self.cc.fanouts(n) {
                 if self.scratch_stamp[succ.index()] == epoch || self.cc.kind(succ) == GateKind::Dff
@@ -462,14 +483,15 @@ impl<'a> Podem<'a> {
                     continue;
                 }
                 self.scratch_stamp[succ.index()] = epoch;
-                queue.push(succ);
+                stack.push(succ);
             }
         }
-        false
+        self.queue = stack;
+        found
     }
 
     /// PODEM objective: excite first, then extend a D-frontier gate.
-    fn objective(&mut self, fault: &Fault) -> Option<(NodeId, bool)> {
+    fn objective(&self, fault: &Fault) -> Option<(NodeId, bool)> {
         let stuck = fault.kind.faulty_value();
         match fault.pin {
             None => {
@@ -506,8 +528,9 @@ impl<'a> Podem<'a> {
         // Only readers of changed (D-carrying) nodes qualify; among the
         // candidates, extend the gate closest to an observed node (the
         // classic distance-to-PO guidance).
+        let site_effect = self.off_trail_site_effect(fault.node);
         let mut best: Option<(u32, NodeId, bool)> = None;
-        for d_node in self.d_nodes(fault.node) {
+        for &d_node in self.effects.iter().chain(&site_effect) {
             for &reader in self.cc.fanouts(d_node) {
                 let i = reader.index();
                 if !(self.good[i].is_x() || self.faulty[i].is_x()) {
@@ -527,7 +550,7 @@ impl<'a> Podem<'a> {
                 let mut x_input = None;
                 for &f in self.cc.fanins(reader) {
                     let (g, fv) = (self.good[f.index()], self.faulty[f.index()]);
-                    if !g.is_x() && !fv.is_x() && g != fv {
+                    if is_effect(g, fv) {
                         has_d = true;
                     } else if g.is_x() && x_input.is_none() {
                         x_input = Some(f);
@@ -618,13 +641,6 @@ enum Status {
     Detected,
     Conflict,
     Undecided,
-}
-
-impl<'a> Podem<'a> {
-    /// Installs the fault transform used by `eval_node`.
-    fn install_target(&mut self, fault: &Fault) {
-        self.target = Some(Target { fault: *fault, stuck: fault.kind.faulty_value() });
-    }
 }
 
 #[cfg(test)]

@@ -25,21 +25,54 @@ use lbist_sim::Logic;
 /// assert_eq!(eval_logic(GateKind::And, &[Logic::Zero, Logic::X]), Logic::Zero);
 /// ```
 pub fn eval_logic(kind: GateKind, fanins: &[Logic]) -> Logic {
+    eval_with(kind, fanins.len(), |pin| fanins[pin])
+}
+
+/// [`eval_logic`] over `n` fanin values read through `value(pin)`, so
+/// PODEM evaluates straight from its value arrays without gathering the
+/// fanins first.
+#[inline]
+pub(crate) fn eval_with(kind: GateKind, n: usize, value: impl Fn(usize) -> Logic) -> Logic {
+    // AND/OR family: `dominant` as soon as one input carries it, else X
+    // if any input is unknown, else the other value.
+    let dominated = |dominant: Logic| {
+        let mut out = !dominant;
+        for pin in 0..n {
+            match value(pin) {
+                v if v == dominant => return dominant,
+                Logic::X => out = Logic::X,
+                _ => {}
+            }
+        }
+        out
+    };
+    // XOR family: X as soon as one input is unknown, else the parity.
+    let parity = || {
+        let mut odd = false;
+        for pin in 0..n {
+            match value(pin).to_bool() {
+                Some(b) => odd ^= b,
+                None => return Logic::X,
+            }
+        }
+        Logic::from_bool(odd)
+    };
     match kind {
-        GateKind::Buf | GateKind::Output => fanins[0],
-        GateKind::Not => !fanins[0],
-        GateKind::And => fanins.iter().fold(Logic::One, |acc, &v| acc & v),
-        GateKind::Nand => !fanins.iter().fold(Logic::One, |acc, &v| acc & v),
-        GateKind::Or => fanins.iter().fold(Logic::Zero, |acc, &v| acc | v),
-        GateKind::Nor => !fanins.iter().fold(Logic::Zero, |acc, &v| acc | v),
-        GateKind::Xor => fanins.iter().fold(Logic::Zero, |acc, &v| acc ^ v),
-        GateKind::Xnor => !fanins.iter().fold(Logic::Zero, |acc, &v| acc ^ v),
-        GateKind::Mux2 => match fanins[0] {
-            Logic::Zero => fanins[1],
-            Logic::One => fanins[2],
+        GateKind::Buf | GateKind::Output => value(0),
+        GateKind::Not => !value(0),
+        GateKind::And => dominated(Logic::Zero),
+        GateKind::Nand => !dominated(Logic::Zero),
+        GateKind::Or => dominated(Logic::One),
+        GateKind::Nor => !dominated(Logic::One),
+        GateKind::Xor => parity(),
+        GateKind::Xnor => !parity(),
+        GateKind::Mux2 => match value(0) {
+            Logic::Zero => value(1),
+            Logic::One => value(2),
             Logic::X => {
-                if fanins[1] == fanins[2] && !fanins[1].is_x() {
-                    fanins[1]
+                let (a, b) = (value(1), value(2));
+                if a == b && !a.is_x() {
+                    a
                 } else {
                     Logic::X
                 }
@@ -92,6 +125,27 @@ mod tests {
                         eval_gate(kind, &[if a { !0u64 } else { 0 }, if b { !0u64 } else { 0 }]);
                     assert_eq!(scalar.to_bool(), Some(wide & 1 == 1), "{kind} {a} {b}");
                 }
+            }
+        }
+    }
+
+    /// The early-exit folds agree with the plain ternary folds of the
+    /// `Logic` operators on every input combination up to three pins.
+    #[test]
+    fn early_exit_folds_match_the_logic_operators() {
+        let all = [Logic::Zero, Logic::One, Logic::X];
+        for n in 1..=3u32 {
+            for code in 0..3usize.pow(n) {
+                let ins: Vec<Logic> = (0..n).map(|k| all[code / 3usize.pow(k) % 3]).collect();
+                let and = ins.iter().fold(Logic::One, |acc, &v| acc & v);
+                let or = ins.iter().fold(Logic::Zero, |acc, &v| acc | v);
+                let xor = ins.iter().fold(Logic::Zero, |acc, &v| acc ^ v);
+                assert_eq!(eval_logic(GateKind::And, &ins), and, "{ins:?}");
+                assert_eq!(eval_logic(GateKind::Nand, &ins), !and, "{ins:?}");
+                assert_eq!(eval_logic(GateKind::Or, &ins), or, "{ins:?}");
+                assert_eq!(eval_logic(GateKind::Nor, &ins), !or, "{ins:?}");
+                assert_eq!(eval_logic(GateKind::Xor, &ins), xor, "{ins:?}");
+                assert_eq!(eval_logic(GateKind::Xnor, &ins), !xor, "{ins:?}");
             }
         }
     }
