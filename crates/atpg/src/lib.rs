@@ -54,5 +54,5 @@ mod values;
 pub use compact::{compact_cubes, compacted_count, compatible, cube_of, merge};
 pub use pattern::{Pattern, TestCube};
 pub use podem::{AtpgOutcome, Podem};
-pub use topup::{TopUpAtpg, TopUpReport};
+pub use topup::{PassStats, TopUpAtpg, TopUpReport};
 pub use values::eval_logic;

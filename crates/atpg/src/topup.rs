@@ -8,9 +8,14 @@ use lbist_sim::CompiledCircuit;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Result of a top-up ATPG run — the numbers behind Table 1's
 /// "# of Top-Up Patterns" and "Fault Coverage 2" rows.
+///
+/// The four target counts partition the targets:
+/// `faults_detected + untestable + aborted + unconfirmed` is the number
+/// of targets, and detection takes precedence over any PODEM verdict.
 #[derive(Clone, Debug)]
 pub struct TopUpReport {
     /// The generated patterns, in generation order.
@@ -23,28 +28,68 @@ pub struct TopUpReport {
     /// Faults from the target list detected by the patterns (dynamic
     /// compaction credits patterns with every fault they catch).
     pub faults_detected: usize,
-    /// Faults proven untestable (excluded from coverage in the usual
-    /// "testable fault coverage" convention — reported separately here).
+    /// Undetected faults proven untestable (excluded from coverage in the
+    /// usual "testable fault coverage" convention — reported separately
+    /// here).
     pub untestable: usize,
-    /// Faults abandoned at the backtrack limit.
+    /// Undetected faults abandoned at the final backtrack limit.
     pub aborted: usize,
+    /// Undetected faults PODEM resolved with a cube: the fault simulator
+    /// does not credit the pattern filled from it.
+    pub unconfirmed: usize,
+    /// PODEM outcome counts of each abort-limited pass, in pass order.
+    pub passes: Vec<PassStats>,
+    /// Backtracks per [`Podem::generate`] whose outcome the run used, as
+    /// a log2 histogram: entry 0 counts searches without a backtrack,
+    /// entry `i ≥ 1` those with `2^(i-1) ..= 2^i - 1` backtracks (the
+    /// `lbist-obs` bucket convention).
+    pub backtracks: Vec<u64>,
 }
 
 impl fmt::Display for TopUpReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} top-up patterns, +{} faults, {} untestable, {} aborted",
+            "{} top-up patterns, +{} faults, {} untestable, {} aborted, {} unconfirmed",
             self.patterns.len(),
             self.faults_detected,
             self.untestable,
-            self.aborted
+            self.aborted,
+            self.unconfirmed
         )
     }
 }
 
-/// Minimum PODEM targets per worker shard before another pool worker is
-/// engaged: below this, shard dispatch overhead rivals the search work.
+/// PODEM outcomes of one abort-limited top-up pass. Every count is the
+/// same at every thread budget, and
+/// `candidates == tests + untestable + aborted + discarded`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct PassStats {
+    /// Backtrack limit of the pass.
+    pub limit: usize,
+    /// Targets live at the pass start: no PODEM verdict, not detected.
+    pub candidates: usize,
+    /// Candidates PODEM resolved with a test cube.
+    pub tests: usize,
+    /// Candidates PODEM proved untestable.
+    pub untestable: usize,
+    /// Candidates that hit the backtrack limit.
+    pub aborted: usize,
+    /// Candidates a pattern of this pass detected before the serial
+    /// replay reached them. The replay discards their speculative
+    /// outcomes; a serial run never computes them.
+    pub discarded: usize,
+}
+
+/// PODEM's final verdict on a target.
+#[derive(Clone, Copy, Debug)]
+enum Verdict {
+    Cube,
+    Untestable,
+}
+
+/// Minimum PODEM targets per engaged worker before another pool worker
+/// joins: below this, dispatch overhead rivals the search work.
 /// Explicit [`TopUpAtpg::set_threads`] budgets are honoured exactly.
 const MIN_SHARD_TARGETS: usize = 4;
 
@@ -57,14 +102,16 @@ const MIN_SHARD_TARGETS: usize = 4;
 /// backtrack limit, fault) — [`Podem::generate`] resets all search
 /// state per call — so each pass **speculatively generates the
 /// outcomes of every live target in parallel** on the `lbist-exec`
-/// pool (one `Podem` engine per worker shard), then a serial replay
-/// walks the targets in order applying the exact skip rules, random
-/// fill and 64-pattern flush batching of the serial algorithm. The
-/// replay consumes precomputed outcomes where they exist and generates
-/// on demand where they don't, so parallel and serial runs produce
-/// **byte-identical** [`TopUpReport`]s (patterns, cubes and counts —
-/// enforced by test). Speculation only costs work for targets an
-/// earlier pattern of the same pass happens to catch.
+/// pool: one `Podem` engine per worker pulls the next target from a
+/// shared counter, and outcomes are stored by target index. A serial
+/// replay then walks the targets in order applying the exact skip
+/// rules, random fill and 64-pattern flush batching of the serial
+/// algorithm. The replay consumes precomputed outcomes where they exist
+/// and generates on demand where they don't, so parallel and serial
+/// runs produce **byte-identical** [`TopUpReport`]s (patterns, cubes,
+/// counts and statistics — enforced by test). Speculation only costs
+/// work for targets an earlier pattern of the same pass happens to
+/// catch.
 ///
 /// # Example
 ///
@@ -156,8 +203,8 @@ impl<'a> TopUpAtpg<'a> {
         let mut sim = StuckAtSim::new(self.cc, targets.to_vec(), self.observed.clone());
         let mut patterns: Vec<Pattern> = Vec::new();
         let mut cubes: Vec<TestCube> = Vec::new();
-        let mut untestable = 0usize;
-        let mut aborted = 0usize;
+        let mut passes: Vec<PassStats> = Vec::new();
+        let mut backtracks: Vec<u64> = Vec::new();
         // Batch pending patterns and grade them 64 at a time.
         let mut pending: Vec<Pattern> = Vec::new();
 
@@ -177,69 +224,47 @@ impl<'a> TopUpAtpg<'a> {
         // Abort-limited scheduling: a cheap low-backtrack pass clears the
         // easy faults fast; only its aborts get the full budget.
         let mut podem = Podem::new(self.cc, self.observed.clone());
-        let mut resolved = vec![false; targets.len()];
+        // PODEM's verdict per target; `None` while it has none (never
+        // tried, or aborted).
+        let mut verdict: Vec<Option<Verdict>> = vec![None; targets.len()];
         let limits: Vec<usize> = if self.backtrack_limit > 24 {
             vec![24, self.backtrack_limit]
         } else {
             vec![self.backtrack_limit]
         };
-        let n_passes = limits.len();
-        for (pass, limit) in limits.into_iter().enumerate() {
-            let last = pass + 1 == n_passes;
+        for limit in limits {
             podem.set_backtrack_limit(limit);
-
-            // Speculative parallel generation: every target still live at
-            // pass start (unresolved and undetected as of the last flush)
-            // gets its outcome computed up front on the pool, sharded
-            // with one PODEM engine per worker. Outcomes are pure per
-            // fault, so the serial replay below consumes them in target
-            // order with identical results.
+            // Every target still live at pass start: no verdict yet and
+            // undetected as of the last flush.
             let candidates: Vec<u32> = (0..targets.len() as u32)
-                .filter(|&i| !resolved[i as usize] && sim.detections()[i as usize] == 0)
+                .filter(|&i| verdict[i as usize].is_none() && sim.detections()[i as usize] == 0)
                 .collect();
-            let min_shard = if self.threads_auto { Some(MIN_SHARD_TARGETS) } else { None };
-            let workers = lbist_exec::worker_budget(self.threads, candidates.len(), min_shard);
-            let mut outcome_of: Vec<Option<AtpgOutcome>> = vec![None; targets.len()];
-            if workers > 1 {
-                let mut shard_out: Vec<Option<AtpgOutcome>> = vec![None; candidates.len()];
-                let cc = self.cc;
-                let observed: &[NodeId] = &self.observed;
-                // One PODEM engine per worker, built fresh per pass (the
-                // backtrack limit changes between passes).
-                let mut engines: Vec<Podem> = Vec::new();
-                lbist_exec::parallel_chunks_with_scratch(
-                    &candidates,
-                    &mut shard_out,
-                    workers,
-                    &mut engines,
-                    || {
-                        let mut engine = Podem::new(cc, observed.to_vec());
-                        engine.set_backtrack_limit(limit);
-                        engine
-                    },
-                    |idx_shard, out_shard, engine| {
-                        for (&t, slot) in idx_shard.iter().zip(out_shard.iter_mut()) {
-                            *slot = Some(engine.generate(&targets[t as usize]));
-                        }
-                    },
-                );
-                for (&t, out) in candidates.iter().zip(shard_out) {
-                    outcome_of[t as usize] = out;
-                }
-            }
+            let mut stats =
+                PassStats { limit, candidates: candidates.len(), ..PassStats::default() };
+            let mut outcome_of = self.speculate(targets, &candidates, limit);
 
-            for (idx, fault) in targets.iter().enumerate() {
-                // Skip verdicts already reached and faults a previous
-                // top-up pattern already caught.
-                if resolved[idx] || sim.detections()[idx] > 0 {
+            for &t in &candidates {
+                let idx = t as usize;
+                // Skip faults a previous top-up pattern already caught.
+                if sim.detections()[idx] > 0 {
+                    stats.discarded += 1;
                     continue;
                 }
                 // Precomputed outcome when the parallel pass made one,
                 // on-demand generation otherwise (the serial path).
-                let outcome = outcome_of[idx].take().unwrap_or_else(|| podem.generate(fault));
+                let (outcome, tries) = outcome_of[idx].take().unwrap_or_else(|| {
+                    let outcome = podem.generate(&targets[idx]);
+                    (outcome, podem.backtracks())
+                });
+                let bucket = (usize::BITS - tries.leading_zeros()) as usize;
+                if backtracks.len() <= bucket {
+                    backtracks.resize(bucket + 1, 0);
+                }
+                backtracks[bucket] += 1;
                 match outcome {
                     AtpgOutcome::Test(mut cube) => {
-                        resolved[idx] = true;
+                        verdict[idx] = Some(Verdict::Cube);
+                        stats.tests += 1;
                         for &(node, value) in &self.pinned {
                             cube.assign(node, value);
                         }
@@ -251,26 +276,77 @@ impl<'a> TopUpAtpg<'a> {
                         }
                     }
                     AtpgOutcome::Untestable => {
-                        resolved[idx] = true;
-                        untestable += 1;
+                        verdict[idx] = Some(Verdict::Untestable);
+                        stats.untestable += 1;
                     }
-                    AtpgOutcome::Aborted => {
-                        if last {
-                            aborted += 1;
-                        }
-                    }
+                    AtpgOutcome::Aborted => stats.aborted += 1,
                 }
             }
             flush(&mut pending, &mut sim, &mut patterns);
+            passes.push(stats);
         }
 
-        TopUpReport {
+        // Detection takes precedence; an undetected target without a
+        // verdict aborted in the last pass.
+        let mut report = TopUpReport {
             patterns,
             cubes,
-            faults_detected: sim.detections().iter().filter(|&&d| d > 0).count(),
-            untestable,
-            aborted,
+            faults_detected: 0,
+            untestable: 0,
+            aborted: 0,
+            unconfirmed: 0,
+            passes,
+            backtracks,
+        };
+        for (&detections, v) in sim.detections().iter().zip(&verdict) {
+            let count = match (detections > 0, v) {
+                (true, _) => &mut report.faults_detected,
+                (false, Some(Verdict::Untestable)) => &mut report.untestable,
+                (false, Some(Verdict::Cube)) => &mut report.unconfirmed,
+                (false, None) => &mut report.aborted,
+            };
+            *count += 1;
         }
+        report
+    }
+
+    /// Speculative parallel generation: the outcome and backtrack count
+    /// of every candidate, stored by target index. One engine per worker
+    /// pulls the next candidate from a shared counter, so a run of slow
+    /// aborts never leaves a worker idle. All `None` when one worker
+    /// would do: the replay then generates on demand.
+    fn speculate(
+        &self,
+        targets: &[Fault],
+        candidates: &[u32],
+        limit: usize,
+    ) -> Vec<Option<(AtpgOutcome, usize)>> {
+        let mut outcome_of = vec![None; targets.len()];
+        let min_shard = if self.threads_auto { Some(MIN_SHARD_TARGETS) } else { None };
+        let workers = lbist_exec::worker_budget(self.threads, candidates.len(), min_shard);
+        if workers <= 1 {
+            return outcome_of;
+        }
+        let next = AtomicUsize::new(0);
+        let mut pulled: Vec<Vec<(u32, AtpgOutcome, usize)>> = vec![Vec::new(); workers];
+        lbist_exec::scope(|s| {
+            for out in &mut pulled {
+                let next = &next;
+                s.spawn(move |_| {
+                    // Built fresh per pass: the backtrack limit changes.
+                    let mut engine = Podem::new(self.cc, self.observed.clone());
+                    engine.set_backtrack_limit(limit);
+                    while let Some(&t) = candidates.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let outcome = engine.generate(&targets[t as usize]);
+                        out.push((t, outcome, engine.backtracks()));
+                    }
+                });
+            }
+        });
+        for (t, outcome, tries) in pulled.into_iter().flatten() {
+            outcome_of[t as usize] = Some((outcome, tries));
+        }
+        outcome_of
     }
 }
 
@@ -396,6 +472,9 @@ mod tests {
             assert_eq!(parallel.faults_detected, serial.faults_detected);
             assert_eq!(parallel.untestable, serial.untestable);
             assert_eq!(parallel.aborted, serial.aborted);
+            assert_eq!(parallel.unconfirmed, serial.unconfirmed);
+            assert_eq!(parallel.passes, serial.passes, "{threads}-thread pass stats differ");
+            assert_eq!(parallel.backtracks, serial.backtracks);
         }
     }
 

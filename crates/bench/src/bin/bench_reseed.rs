@@ -27,13 +27,17 @@
 //! ```
 //!
 //! `--metrics-out PATH` writes a snapshot of the process-global metrics
-//! registry (worker-pool and resilient-dispatch counters accumulated by
-//! the sharded grading underneath both tails) after the run — JSON by
-//! default, Prometheus text exposition for a `.prom`/`.txt` extension.
+//! registry after the run — JSON by default, Prometheus text exposition
+//! for a `.prom`/`.txt` extension. It holds the worker-pool and
+//! resilient-dispatch counters of the sharded grading underneath both
+//! tails, and both variants' top-up PODEM statistics: per pass `p`,
+//! the gauge `atpg.pass{p}.limit` and the counters
+//! `atpg.pass{p}.{candidates,tests,untestable,aborted,discarded}`, plus
+//! the backtracks-per-search histogram `atpg.podem.backtracks`.
 //! Telemetry never steers the run: the JSON `"digest"` is identical
 //! with and without the flag.
 
-use lbist_atpg::{Pattern, TopUpAtpg};
+use lbist_atpg::{Pattern, TopUpAtpg, TopUpReport};
 use lbist_bench::{
     arg_value, cli_metrics_out, cli_thread_budget, fill_frame_from_prpg, fill_lane_from_prpg,
     outcome_digest, write_metrics_snapshot,
@@ -119,6 +123,7 @@ fn run_flow(
     let mut atpg = TopUpAtpg::new(cc, observed);
     atpg.pin(core.test_mode(), true).set_backtrack_limit(cfg.backtrack);
     let report = atpg.run(&survivors, cfg.gen_seed ^ 0xA7B6);
+    record_podem_stats(&report);
 
     // ---- Baseline tail: every cube as a stored, fully specified
     // pattern, applied with the session's held primary inputs (pads low,
@@ -257,6 +262,34 @@ fn run_flow(
         first_fit_seed_bits,
         undetected_base,
         undetected_seed,
+    }
+}
+
+/// Adds a top-up run's PODEM statistics to the process-global registry.
+fn record_podem_stats(report: &TopUpReport) {
+    let registry = lbist_obs::global();
+    for (p, pass) in report.passes.iter().enumerate() {
+        let name = |field: &str| format!("atpg.pass{}.{field}", p + 1);
+        registry.gauge(&name("limit")).set(pass.limit as i64);
+        for (field, count) in [
+            ("candidates", pass.candidates),
+            ("tests", pass.tests),
+            ("untestable", pass.untestable),
+            ("aborted", pass.aborted),
+            ("discarded", pass.discarded),
+        ] {
+            registry.counter(&name(field)).add(count as u64);
+        }
+    }
+    // The registry buckets by the same log2 rule, so recording each
+    // bucket's lowest value carries the counts over exactly (the
+    // histogram's sum becomes a lower bound).
+    let histogram = registry.histogram("atpg.podem.backtracks");
+    for (bucket, &searches) in report.backtracks.iter().enumerate() {
+        let lowest = if bucket == 0 { 0 } else { 1u64 << (bucket - 1) };
+        for _ in 0..searches {
+            histogram.record(lowest);
+        }
     }
 }
 

@@ -100,6 +100,9 @@ fn print_core(name: &str, paper: &PaperColumn, ours: &Table1Column) {
     row("Overhead", paper.overhead, format!("{:.1}%", ours.overhead));
     row("# of Top-Up Patterns", paper.topup, ours.top_up_patterns.to_string());
     row("Fault Coverage 2", paper.fc2, format!("{:.2}%", ours.fc2));
+    // Not in the paper: where the top-up targets no pattern detects went.
+    row("Untestable / Aborted", "-", format!("{} / {}", ours.untestable, ours.aborted));
+    row("Unconfirmed Cubes", "-", ours.unconfirmed.to_string());
     println!();
 }
 

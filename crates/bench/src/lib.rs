@@ -86,6 +86,12 @@ pub struct Table1Column {
     pub top_up_patterns: usize,
     /// Coverage including top-up patterns (percent of testable faults).
     pub fc2: f64,
+    /// Top-up targets PODEM proved untestable (and no pattern detects).
+    pub untestable: usize,
+    /// Top-up targets abandoned at the backtrack limit (and undetected).
+    pub aborted: usize,
+    /// Top-up targets PODEM resolved with a cube that no pattern detects.
+    pub unconfirmed: usize,
 }
 
 /// A core after the Table 1 flow's random phase: the state top-up ATPG
@@ -207,6 +213,9 @@ pub fn run_table1_flow(
         overhead: overhead.percent(),
         top_up_patterns: report.patterns.len(),
         fc2,
+        untestable: report.untestable,
+        aborted: report.aborted,
+        unconfirmed: report.unconfirmed,
     }
 }
 

@@ -77,10 +77,38 @@ fn top_up_search_is_pinned_on_a_generated_core() {
     assert_eq!(phase.survivors.len(), 316);
     assert_eq!(outcomes_digest(&phase), OUTCOMES_DIGEST, "a serial PODEM outcome moved");
 
+    let mut first: Option<TopUpReport> = None;
     for threads in [1, 2, 3] {
         let mut atpg = TopUpAtpg::new(&phase.cc, StuckAtSim::observe_all_captures(&phase.cc));
         atpg.pin(phase.core.test_mode(), true).set_backtrack_limit(LIMIT).set_threads(threads);
         let report = atpg.run(&phase.survivors, 43 ^ 0xA7B6);
         assert_eq!(report_digest(&report), REPORT_DIGEST, "{threads}-thread top-up report moved");
+
+        // The target counts partition the survivors, and each pass's
+        // outcome counts partition its candidates.
+        let counted =
+            report.faults_detected + report.untestable + report.aborted + report.unconfirmed;
+        assert_eq!(counted, phase.survivors.len(), "{report}");
+        assert_eq!(report.passes.iter().map(|p| p.limit).collect::<Vec<_>>(), [24, LIMIT]);
+        for pass in &report.passes {
+            assert_eq!(
+                pass.tests + pass.untestable + pass.aborted + pass.discarded,
+                pass.candidates,
+                "{pass:?}"
+            );
+        }
+        let searched: usize =
+            report.passes.iter().map(|p| p.tests + p.untestable + p.aborted).sum();
+        assert_eq!(report.backtracks.iter().sum::<u64>(), searched as u64);
+
+        // Statistics and counts are the same at every thread budget.
+        match &first {
+            None => first = Some(report),
+            Some(one) => {
+                assert_eq!(report.passes, one.passes, "{threads}-thread pass stats moved");
+                assert_eq!(report.backtracks, one.backtracks);
+                assert_eq!(report.to_string(), one.to_string());
+            }
+        }
     }
 }
