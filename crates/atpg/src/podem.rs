@@ -326,12 +326,7 @@ impl<'a> Podem<'a> {
     fn toggle_effect(&mut self, node: NodeId, insert: bool) {
         let first = &self.first_entry;
         let key = first[node.index()];
-        let at = match self.effects.last() {
-            // Nearly every change lands at the newest end.
-            Some(&last) if first[last.index()] < key => self.effects.len(),
-            Some(&last) if last == node => self.effects.len() - 1,
-            _ => self.effects.partition_point(|n| first[n.index()] < key),
-        };
+        let at = self.effects.partition_point(|n| first[n.index()] < key);
         if insert {
             self.effects.insert(at, node);
         } else {

@@ -91,7 +91,7 @@ enum Verdict {
 /// Minimum PODEM targets per engaged worker before another pool worker
 /// joins: below this, dispatch overhead rivals the search work.
 /// Explicit [`TopUpAtpg::set_threads`] budgets are honoured exactly.
-const MIN_SHARD_TARGETS: usize = 4;
+const MIN_TARGETS_PER_WORKER: usize = 4;
 
 /// Top-up ATPG: PODEM per surviving fault with dynamic compaction by fault
 /// dropping.
@@ -145,7 +145,7 @@ pub struct TopUpAtpg<'a> {
     /// Worker budget for speculative generation (1 = fully serial).
     threads: usize,
     /// `true` until [`TopUpAtpg::set_threads`]: auto mode also respects
-    /// [`MIN_SHARD_TARGETS`].
+    /// [`MIN_TARGETS_PER_WORKER`].
     threads_auto: bool,
 }
 
@@ -322,7 +322,7 @@ impl<'a> TopUpAtpg<'a> {
         limit: usize,
     ) -> Vec<Option<(AtpgOutcome, usize)>> {
         let mut outcome_of = vec![None; targets.len()];
-        let min_shard = if self.threads_auto { Some(MIN_SHARD_TARGETS) } else { None };
+        let min_shard = if self.threads_auto { Some(MIN_TARGETS_PER_WORKER) } else { None };
         let workers = lbist_exec::worker_budget(self.threads, candidates.len(), min_shard);
         if workers <= 1 {
             return outcome_of;
