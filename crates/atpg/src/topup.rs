@@ -322,8 +322,8 @@ impl<'a> TopUpAtpg<'a> {
         limit: usize,
     ) -> Vec<Option<(AtpgOutcome, usize)>> {
         let mut outcome_of = vec![None; targets.len()];
-        let min_shard = if self.threads_auto { Some(MIN_TARGETS_PER_WORKER) } else { None };
-        let workers = lbist_exec::worker_budget(self.threads, candidates.len(), min_shard);
+        let min_per_worker = if self.threads_auto { Some(MIN_TARGETS_PER_WORKER) } else { None };
+        let workers = lbist_exec::worker_budget(self.threads, candidates.len(), min_per_worker);
         if workers <= 1 {
             return outcome_of;
         }
