@@ -29,7 +29,8 @@ pub enum AtpgOutcome {
 /// A decision costs only its implications: gates evaluate in place over
 /// their fanin slice, the event queue is reused, and the nodes carrying
 /// a fault effect are kept current as values change, so no search step
-/// rescans the undo trail.
+/// rescans the undo trail. Implication also stays inside the target's
+/// region (see [`Region`]): the only nodes the search ever reads.
 #[derive(Debug)]
 pub struct Podem<'a> {
     cc: &'a CompiledCircuit,
@@ -60,6 +61,9 @@ pub struct Podem<'a> {
     /// The fault currently being targeted (its transform is applied during
     /// node evaluation).
     target: Option<Target>,
+    /// Per node, how implication treats it for the current target;
+    /// rebuilt by every [`Podem::generate`].
+    region: Vec<Region>,
     /// Epoch-stamped scratch marks for the X-path search.
     scratch_stamp: Vec<u32>,
     scratch_epoch: u32,
@@ -71,6 +75,26 @@ pub struct Podem<'a> {
 
 /// [`Podem::first_entry`] of a node the trail does not hold.
 const OFF_TRAIL: u32 = u32::MAX;
+
+/// Where a node lies relative to the current target's region: the
+/// site's fanout cone through combinational logic, plus the transitive
+/// fanin of that cone and of a branch fault's pin source (stopping at
+/// inputs and flip-flops).
+///
+/// Objectives, backtrace, the X-path check and the detection test read
+/// only region nodes, and every fanin of a region gate is in the region.
+/// So implication skips the nodes outside it without moving a single
+/// region event, and outside the cone the faulty value always equals
+/// the good one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Region {
+    /// Read by nothing the search does: implication skips it.
+    Outside,
+    /// In the region, outside the cone: only the good value evaluates.
+    Fanin,
+    /// In the site's fanout cone: good and faulty values evaluate.
+    Cone,
+}
 
 /// The active fault target.
 #[derive(Clone, Copy, Debug)]
@@ -152,6 +176,7 @@ impl<'a> Podem<'a> {
             constants,
             backtrack_limit: 512,
             target: None,
+            region: vec![Region::Outside; cc.num_nodes()],
             scratch_stamp: vec![0u32; cc.num_nodes()],
             scratch_epoch: 0,
             obs_distance,
@@ -178,11 +203,13 @@ impl<'a> Podem<'a> {
     pub fn generate(&mut self, fault: &Fault) -> AtpgOutcome {
         assert!(fault.kind.is_stuck_at(), "PODEM targets stuck-at faults");
         self.reset();
-        self.target = Some(Target {
+        let target = Target {
             site: fault.node,
             pin: fault.pin.map(usize::from),
             stuck: Logic::from_bool(fault.kind.faulty_value()),
-        });
+        };
+        self.target = Some(target);
+        self.mark_region(target);
         let cc = self.cc;
         // X-sources are zero-bounded in test mode; treat them as constant 0
         // (the bounding AND makes this exact when test_mode=1, which the
@@ -344,9 +371,52 @@ impl<'a> Podem<'a> {
             .then_some(site)
     }
 
-    /// Event-driven forward implication from `start`. The fault transform
-    /// of the current target is applied in `eval_node`, so faulty values
-    /// diverge at the site.
+    /// Marks `target`'s [`Region`]: the site's fanout cone, then the
+    /// transitive fanin of the cone and of the pin source.
+    fn mark_region(&mut self, target: Target) {
+        let cc = self.cc;
+        self.region.fill(Region::Outside);
+        let mut list = std::mem::take(&mut self.queue);
+        list.clear();
+        self.region[target.site.index()] = Region::Cone;
+        list.push(target.site);
+        let mut next = 0;
+        while let Some(&n) = list.get(next) {
+            next += 1;
+            for &succ in cc.fanouts(n) {
+                if self.region[succ.index()] == Region::Outside && cc.kind(succ) != GateKind::Dff {
+                    self.region[succ.index()] = Region::Cone;
+                    list.push(succ);
+                }
+            }
+        }
+        // The list holds the cone; extend it with the fanin closure.
+        if let Some(pin) = target.pin {
+            let src = cc.fanins(target.site)[pin];
+            if self.region[src.index()] == Region::Outside {
+                self.region[src.index()] = Region::Fanin;
+                list.push(src);
+            }
+        }
+        next = 0;
+        while let Some(&n) = list.get(next) {
+            next += 1;
+            if cc.kind(n) == GateKind::Dff {
+                continue;
+            }
+            for &f in cc.fanins(n) {
+                if self.region[f.index()] == Region::Outside {
+                    self.region[f.index()] = Region::Fanin;
+                    list.push(f);
+                }
+            }
+        }
+        self.queue = list;
+    }
+
+    /// Event-driven forward implication from `start`, within the target's
+    /// region. The fault transform of the current target is applied in
+    /// `eval_node`, so faulty values diverge at the site.
     fn imply_from(&mut self, start: NodeId) {
         let cc = self.cc;
         let mut queue = std::mem::take(&mut self.queue);
@@ -355,16 +425,29 @@ impl<'a> Podem<'a> {
         let mut next = 0;
         while let Some(&node) = queue.get(next) {
             next += 1;
-            if cc.kind(node) == GateKind::Dff {
+            let region = self.region[node.index()];
+            if region == Region::Outside || cc.kind(node) == GateKind::Dff {
                 continue;
             }
-            let (g, f) = self.eval_node(node);
+            let (g, f) = if region == Region::Cone {
+                self.eval_node(node)
+            } else {
+                let g = self.eval_good(node);
+                (g, g)
+            };
             if g != self.good[node.index()] || f != self.faulty[node.index()] {
                 self.set_value(node, g, f);
                 queue.extend_from_slice(cc.fanouts(node));
             }
         }
         self.queue = queue;
+    }
+
+    /// Evaluates a node's good value.
+    #[inline]
+    fn eval_good(&self, node: NodeId) -> Logic {
+        let fanins = self.cc.fanins(node);
+        eval_with(self.cc.kind(node), fanins.len(), |k| self.good[fanins[k].index()])
     }
 
     /// Evaluates a node's (good, faulty) pair, applying the current fault
@@ -374,7 +457,7 @@ impl<'a> Podem<'a> {
         let kind = self.cc.kind(node);
         let fanins = self.cc.fanins(node);
         let n = fanins.len();
-        let g = eval_with(kind, n, |k| self.good[fanins[k].index()]);
+        let g = self.eval_good(node);
         let f = match self.target {
             Some(t) if t.site == node => match t.pin {
                 Some(pin) => eval_with(kind, n, |k| {
@@ -736,6 +819,25 @@ mod tests {
             }
             other => panic!("expected test, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn d_pin_fault_source_is_implied_outside_the_flop_cone() {
+        // The flop's Q cone never reads the AND driving its D pin: only
+        // the pin source puts that AND in the target's region. Left out,
+        // the excitation objective never sees a value and the search
+        // walks all 2^12 input assignments.
+        let mut nl = Netlist::new("dpin");
+        let ins: Vec<NodeId> = (0..12).map(|i| nl.add_input(&format!("i{i}"))).collect();
+        let g = nl.add_gate(GateKind::And, &ins);
+        let ff = nl.add_dff(g, DomainId::new(0));
+        let y = nl.add_gate(GateKind::Not, &[ff]);
+        nl.add_output("y", y);
+        let cc = CompiledCircuit::compile(&nl).unwrap();
+        let mut podem = Podem::new(&cc, observed(&cc));
+        podem.set_backtrack_limit(64);
+        let outcome = podem.generate(&Fault::branch(ff, 0, FaultKind::StuckAt0));
+        assert_ne!(outcome, AtpgOutcome::Aborted, "{} backtracks", podem.backtracks());
     }
 
     #[test]
