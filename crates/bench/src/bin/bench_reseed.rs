@@ -39,8 +39,8 @@
 
 use lbist_atpg::{Pattern, TopUpAtpg, TopUpReport};
 use lbist_bench::{
-    arg_value, cli_metrics_out, cli_thread_budget, fill_frame_from_prpg, fill_lane_from_prpg,
-    outcome_digest, write_metrics_snapshot,
+    arg_positive, arg_value_strict, cli_metrics_out, cli_thread_budget, fill_frame_from_prpg,
+    fill_lane_from_prpg, outcome_digest, write_metrics_snapshot,
 };
 use lbist_core::{StumpsArchitecture, StumpsConfig};
 use lbist_cores::{CoreProfile, CpuCoreGenerator};
@@ -365,14 +365,16 @@ fn json_variant(r: &FlowResult) -> String {
 }
 
 fn main() {
-    let scale: usize = arg_value("--scale").unwrap_or(300);
-    let random_patterns: usize = arg_value::<usize>("--random").unwrap_or(1024).div_ceil(64) * 64;
-    let chains: usize = arg_value("--chains").unwrap_or(16);
-    let gen_seed: u64 = arg_value("--seed").unwrap_or(7);
+    let scale = arg_positive("--scale").unwrap_or(300);
+    let random_patterns: usize =
+        arg_value_strict::<usize>("--random").unwrap_or(1024).div_ceil(64) * 64;
+    let chains = arg_positive("--chains").unwrap_or(16);
+    let gen_seed: u64 = arg_value_strict("--seed").unwrap_or(7);
     // PRPG length: 19 is the paper's everywhere.
-    let prpg_length: usize = arg_value("--prpg").unwrap_or(19);
-    let backtrack: usize = arg_value("--backtrack").unwrap_or(4096);
-    let out_path: String = arg_value("--out").unwrap_or_else(|| "BENCH_reseed.json".to_string());
+    let prpg_length = arg_positive("--prpg").unwrap_or(19);
+    let backtrack: usize = arg_value_strict("--backtrack").unwrap_or(4096);
+    let out_path: String =
+        arg_value_strict("--out").unwrap_or_else(|| "BENCH_reseed.json".to_string());
     let metrics_out = cli_metrics_out();
     let threads = cli_thread_budget();
 

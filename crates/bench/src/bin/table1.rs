@@ -14,7 +14,9 @@
 //! patterns/time than Core X, per-domain PRPG/MISR pairs sized as in the
 //! paper (19-bit PRPGs, compactor-less MISRs as wide as the chain count).
 
-use lbist_bench::{arg_flag, arg_value, format_misr_widths, run_table1_flow, Table1Column};
+use lbist_bench::{
+    arg_flag, arg_positive, arg_value_strict, format_misr_widths, run_table1_flow, Table1Column,
+};
 use lbist_cores::CoreProfile;
 
 struct PaperColumn {
@@ -108,16 +110,17 @@ fn print_core(name: &str, paper: &PaperColumn, ours: &Table1Column) {
 
 fn main() {
     let full = arg_flag("--full");
-    let scale_override: Option<usize> = arg_value("--scale");
+    let scale_override = arg_positive("--scale");
     let (scale_x, scale_y) = if full {
         (1, 1)
     } else {
         let s = scale_override.unwrap_or(32);
         (s, s.max(48))
     };
-    let patterns: usize = arg_value("--patterns").unwrap_or(if full { 20_000 } else { 2_048 });
+    let patterns: usize =
+        arg_value_strict("--patterns").unwrap_or(if full { 20_000 } else { 2_048 });
     let obs_budget: usize =
-        arg_value("--obs").unwrap_or(if full { 1_000 } else { 1_000 / scale_x.max(8) });
+        arg_value_strict("--obs").unwrap_or(if full { 1_000 } else { 1_000 / scale_x.max(8) });
 
     println!("=== Table 1 reproduction ===");
     println!(

@@ -264,6 +264,16 @@ pub fn arg_value_strict<T: std::str::FromStr>(name: &str) -> Option<T> {
     }
 }
 
+/// Like [`arg_value_strict`], for a count that must be positive: `0` is a
+/// usage error too.
+pub fn arg_positive(name: &str) -> Option<usize> {
+    let n = arg_value_strict::<usize>(name)?;
+    if n == 0 {
+        usage_error(&format!("`{name}` expects a positive integer, got `0`"));
+    }
+    Some(n)
+}
+
 /// The shared fault-sim threading knobs every experiment binary honours:
 /// `--serial` pins grading to one thread (the determinism escape hatch),
 /// `--threads N` sets an explicit worker budget, and absent both the
