@@ -30,7 +30,8 @@ pub enum AtpgOutcome {
 /// their fanin slice, the event queue is reused, and the nodes carrying
 /// a fault effect are kept current as values change, so no search step
 /// rescans the undo trail. Implication also stays inside the target's
-/// region (see [`Region`]): the only nodes the search ever reads.
+/// region: the site's fanout cone and its transitive fanin, the only
+/// nodes the search ever reads.
 #[derive(Debug)]
 pub struct Podem<'a> {
     cc: &'a CompiledCircuit,
