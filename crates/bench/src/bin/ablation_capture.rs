@@ -10,7 +10,7 @@
 //! cargo run --release -p lbist-bench --bin ablation_capture
 //! ```
 
-use lbist_bench::{arg_value, cli_thread_budget};
+use lbist_bench::{arg_positive, cli_thread_budget};
 use lbist_cores::{CoreProfile, CpuCoreGenerator};
 use lbist_dft::{prepare_core, PrepConfig, TpiMethod};
 use lbist_fault::{CaptureWindow, FaultUniverse, TransitionSim};
@@ -19,8 +19,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 fn main() {
-    let scale: usize = arg_value("--scale").unwrap_or(200);
-    let batches: usize = arg_value("--batches").unwrap_or(12);
+    let scale = arg_positive("--scale").unwrap_or(200);
+    let batches = arg_positive("--batches").unwrap_or(12);
     let profile = CoreProfile::core_x().scaled(scale);
     println!("=== A2: capture scheme vs transition-fault coverage ({profile}) ===\n");
     let netlist = CpuCoreGenerator::new(profile, 9).generate();

@@ -9,16 +9,16 @@
 //! cargo run --release -p lbist-bench --bin ablation_phase
 //! ```
 
-use lbist_bench::{arg_value, cli_thread_budget, fill_frame_from_prpg};
-use lbist_core::{StumpsArchitecture, StumpsConfig};
+use lbist_bench::{arg_positive, cli_thread_budget};
+use lbist_core::{fill_frame_from_prpg, StumpsArchitecture, StumpsConfig};
 use lbist_cores::{CoreProfile, CpuCoreGenerator};
 use lbist_dft::{prepare_core, PrepConfig, TpiMethod};
 use lbist_fault::{FaultUniverse, StuckAtSim};
 use lbist_sim::CompiledCircuit;
 
 fn main() {
-    let scale: usize = arg_value("--scale").unwrap_or(100);
-    let batches: usize = arg_value("--batches").unwrap_or(16);
+    let scale = arg_positive("--scale").unwrap_or(100);
+    let batches = arg_positive("--batches").unwrap_or(16);
     let profile = CoreProfile::core_x().scaled(scale);
     println!("=== A4: phase shifter ablation ({profile}) ===\n");
     let netlist = CpuCoreGenerator::new(profile, 11).generate();

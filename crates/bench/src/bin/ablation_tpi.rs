@@ -8,7 +8,7 @@
 //! cargo run --release -p lbist-bench --bin ablation_tpi
 //! ```
 
-use lbist_bench::{arg_value, cli_thread_budget};
+use lbist_bench::{arg_positive, cli_thread_budget};
 use lbist_cores::{CoreProfile, CpuCoreGenerator};
 use lbist_dft::{prepare_core, PrepConfig, TpiMethod};
 use lbist_fault::{FaultUniverse, StuckAtSim};
@@ -49,8 +49,8 @@ fn coverage_with(
 }
 
 fn main() {
-    let scale: usize = arg_value("--scale").unwrap_or(100);
-    let patterns: usize = arg_value("--patterns").unwrap_or(1024);
+    let scale = arg_positive("--scale").unwrap_or(100);
+    let patterns = arg_positive("--patterns").unwrap_or(1024);
     let profile = CoreProfile::core_x().scaled(scale);
     println!("=== A1: test point insertion method ({profile}, {patterns} random patterns) ===\n");
     let netlist = CpuCoreGenerator::new(profile, 42).generate();

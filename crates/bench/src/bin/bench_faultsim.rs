@@ -50,12 +50,13 @@
 //! resumed run is diffable against an uninterrupted reference.
 
 use lbist_bench::{
-    arg_value, cli_metrics_out, cli_run_control, cli_thread_budget, fill_frame_from_prpg,
-    fill_frames_from_prpg_wide, outcome_digest, write_metrics_snapshot, INTERRUPTED_EXIT_CODE,
+    arg_positive, arg_value_strict, cli_metrics_out, cli_run_control, cli_thread_budget,
+    write_metrics_snapshot, INTERRUPTED_EXIT_CODE,
 };
 use lbist_core::{
-    ControlledGradingOutcome, GradingMetrics, RunControl, RunStatus, StumpsArchitecture,
-    StumpsConfig, WideGradingOutcome, WideGradingSession,
+    fill_frame_from_prpg, fill_frames_from_prpg_wide, outcome_digest, ControlledGradingOutcome,
+    GradingMetrics, RunControl, RunStatus, StumpsArchitecture, StumpsConfig, WideGradingOutcome,
+    WideGradingSession,
 };
 use lbist_exec::{CancelReason, LaneWord};
 use lbist_fault::{CaptureWindow, CoverageReport, Fault, FaultUniverse};
@@ -322,10 +323,10 @@ fn transition_run<W: LaneWord>(
 }
 
 fn main() {
-    let scale: usize = arg_value("--scale").unwrap_or(100);
+    let scale = arg_positive("--scale").unwrap_or(100);
     // Normalised to a multiple of 8 so 128-, 256- and 512-lane runs
     // cover the identical pattern stream.
-    let batches_requested: usize = arg_value("--batches").unwrap_or(16usize);
+    let batches_requested = arg_positive("--batches").unwrap_or(16);
     let batches = batches_requested.next_multiple_of(8);
     if batches != batches_requested {
         eprintln!(
@@ -333,15 +334,16 @@ fn main() {
              (width sweep needs a multiple of 8)"
         );
     }
-    let lanes: usize = arg_value("--lanes").unwrap_or(64);
+    let lanes: usize = arg_value_strict("--lanes").unwrap_or(64);
     if !matches!(lanes, 64 | 128 | 256 | 512) {
         eprintln!("error: `--lanes` must be 64, 128, 256 or 512, got {lanes}");
         std::process::exit(2);
     }
     // The shared `--serial` / `--threads N` knobs (with the usual
     // malformed-value diagnostics) instead of a private parse.
-    let parallel_threads: usize = cli_thread_budget().unwrap_or_else(rayon::current_num_threads);
-    let out_path: String = arg_value("--out").unwrap_or_else(|| "BENCH_faultsim.json".to_string());
+    let parallel_threads = cli_thread_budget().unwrap_or_else(lbist_exec::current_num_threads);
+    let out_path: String =
+        arg_value_strict("--out").unwrap_or_else(|| "BENCH_faultsim.json".to_string());
     let metrics_out = cli_metrics_out();
     // Fault-tolerance knobs, validated before the (expensive) core
     // generation so a bad checkpoint path fails in milliseconds.

@@ -39,10 +39,11 @@
 
 use lbist_atpg::{Pattern, TopUpAtpg, TopUpReport};
 use lbist_bench::{
-    arg_positive, arg_value_strict, cli_metrics_out, cli_thread_budget, fill_frame_from_prpg,
-    fill_lane_from_prpg, outcome_digest, write_metrics_snapshot,
+    arg_positive, arg_value_strict, cli_metrics_out, cli_thread_budget, write_metrics_snapshot,
 };
-use lbist_core::{StumpsArchitecture, StumpsConfig};
+use lbist_core::{
+    fill_frame_from_prpg, fill_lane_from_prpg, outcome_digest, StumpsArchitecture, StumpsConfig,
+};
 use lbist_cores::{CoreProfile, CpuCoreGenerator};
 use lbist_dft::{prepare_core, BistReadyCore, PrepConfig, TpiMethod};
 use lbist_fault::{CoverageReport, StuckAtSim};

@@ -29,7 +29,9 @@
 //! run — JSON by default, Prometheus text exposition for a
 //! `.prom`/`.txt` extension.
 
-use lbist_bench::{arg_value, cli_metrics_out, cli_thread_budget, write_metrics_snapshot};
+use lbist_bench::{
+    arg_positive, arg_value_strict, cli_metrics_out, cli_thread_budget, write_metrics_snapshot,
+};
 use lbist_core::{StumpsConfig, WideGradingSession};
 use lbist_cores::{CoreProfile, CpuCoreGenerator};
 use lbist_dft::{prepare_core, PrepConfig, TpiMethod};
@@ -49,9 +51,10 @@ fn percentile(sorted: &[Duration], p: f64) -> Duration {
 }
 
 fn main() {
-    let scale: usize = arg_value("--scale").unwrap_or(600);
-    let short_jobs: usize = arg_value("--short-jobs").unwrap_or(6);
-    let out_path: String = arg_value("--out").unwrap_or_else(|| "BENCH_serve.json".to_string());
+    let scale = arg_positive("--scale").unwrap_or(600);
+    let short_jobs = arg_positive("--short-jobs").unwrap_or(6);
+    let out_path: String =
+        arg_value_strict("--out").unwrap_or_else(|| "BENCH_serve.json".to_string());
     let metrics_out = cli_metrics_out();
     let threads = cli_thread_budget();
 

@@ -22,7 +22,9 @@
 #![warn(missing_docs)]
 
 use lbist_atpg::TopUpAtpg;
-use lbist_core::{CheckpointSpec, RunControl, StumpsArchitecture, StumpsConfig};
+use lbist_core::{
+    fill_frame_from_prpg, CheckpointSpec, RunControl, StumpsArchitecture, StumpsConfig,
+};
 use lbist_cores::{CoreProfile, CpuCoreGenerator};
 use lbist_dft::{prepare_core, BistReadyCore, PrepConfig, TpiMethod};
 use lbist_exec::CancelToken;
@@ -30,20 +32,6 @@ use lbist_fault::{CoverageReport, Fault, FaultUniverse, StuckAtSim};
 use lbist_sim::CompiledCircuit;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
-
-/// The PRPG frame fills moved into `lbist-core` (`lbist_core::fill`)
-/// when the grading pipeline went lane-width generic — they are
-/// architecture properties, not bench harness code. Re-exported here so
-/// the experiment binaries and property tests keep one import path.
-pub use lbist_core::{
-    fill_frame_from_prpg, fill_frames_from_prpg_wide, fill_lane_from_prpg,
-    fill_wide_frame_from_prpg,
-};
-
-/// The verdict digest moved into `lbist-core` when the serve crate's
-/// preempt→resume equivalence checks started needing it; re-exported so
-/// the experiment binaries and CLI tests keep one import path.
-pub use lbist_core::outcome_digest;
 
 /// Exit status of a *deliberately* interrupted benchmark run: the batch
 /// budget (`--kill-after-batches`) ran out, the checkpoint was saved,
@@ -232,12 +220,6 @@ pub fn format_misr_widths(widths: &[usize]) -> String {
     counts.iter().map(|(w, c)| format!("{c}: {w}")).collect::<Vec<_>>().join(" / ")
 }
 
-/// Tiny CLI helper: returns the value following `--name`, parsed.
-pub fn arg_value<T: std::str::FromStr>(name: &str) -> Option<T> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).and_then(|v| v.parse().ok())
-}
-
 /// Tiny CLI helper: `--flag` presence.
 pub fn arg_flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
@@ -249,9 +231,10 @@ fn usage_error(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Like [`arg_value`], but a flag that is *present* with a missing or
-/// unparseable value is a hard usage error (diagnostic + exit 2) instead
-/// of a silent `None` — `None` here always means "flag absent".
+/// Tiny CLI helper: returns the value following `--name`, parsed. A flag
+/// that is *present* with a missing or unparseable value is a hard usage
+/// error (diagnostic + exit 2), never a silent default — `None` here
+/// always means "flag absent".
 pub fn arg_value_strict<T: std::str::FromStr>(name: &str) -> Option<T> {
     let args: Vec<String> = std::env::args().collect();
     let flag_pos = args.iter().position(|a| a == name)?;
@@ -402,6 +385,7 @@ pub fn cli_run_control() -> Option<RunControl> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lbist_core::{fill_lane_from_prpg, outcome_digest};
     use lbist_tpg::Gf2Vec;
 
     #[test]

@@ -3,8 +3,10 @@
 //! 64-lane batch path **and** to the scalar per-lane reference — the
 //! PRPG stream semantics do not depend on how many lanes a pass packs.
 
-use lbist_bench::{fill_frame_from_prpg, fill_frames_from_prpg_wide, fill_lane_from_prpg};
-use lbist_core::{StumpsArchitecture, StumpsConfig};
+use lbist_core::{
+    fill_frame_from_prpg, fill_frames_from_prpg_wide, fill_lane_from_prpg, StumpsArchitecture,
+    StumpsConfig,
+};
 use lbist_cores::{CoreProfile, CpuCoreGenerator};
 use lbist_dft::{prepare_core, BistReadyCore, PrepConfig, TpiMethod};
 use lbist_exec::LaneWord;

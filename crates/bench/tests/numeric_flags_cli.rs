@@ -1,5 +1,5 @@
-//! Numeric flags of `table1` and `bench_reseed`, exercised against the
-//! real binaries: a missing, unparsable or zero value is a usage error
+//! Numeric flags of the experiment binaries, exercised against the real
+//! binaries: a missing, unparsable or zero value is a usage error
 //! (diagnostic + exit 2), never a panic or a silent default. Every case
 //! fails at argument-parsing time, before a core is generated.
 
@@ -37,4 +37,56 @@ fn bench_reseed_rejects_bad_numeric_flags() {
     assert_usage_error(exe, &["--random", "x"], "could not parse");
     assert_usage_error(exe, &["--seed", "-3"], "could not parse");
     assert_usage_error(exe, &["--backtrack"], "expects a value");
+}
+
+#[test]
+fn bench_faultsim_rejects_bad_numeric_flags() {
+    let exe = env!("CARGO_BIN_EXE_bench_faultsim");
+    for flag in ["--scale", "--batches"] {
+        assert_usage_error(exe, &[flag, "0"], "positive integer");
+        assert_usage_error(exe, &[flag, "abc"], "could not parse");
+    }
+    assert_usage_error(exe, &["--lanes", "abc"], "could not parse");
+    assert_usage_error(exe, &["--lanes", "96"], "must be 64, 128, 256 or 512");
+    assert_usage_error(exe, &["--out"], "expects a value");
+}
+
+#[test]
+fn bench_serve_rejects_bad_numeric_flags() {
+    let exe = env!("CARGO_BIN_EXE_bench_serve");
+    for flag in ["--scale", "--short-jobs"] {
+        assert_usage_error(exe, &[flag, "0"], "positive integer");
+        assert_usage_error(exe, &[flag, "x"], "could not parse");
+    }
+    assert_usage_error(exe, &["--out"], "expects a value");
+}
+
+#[test]
+fn ablation_tpi_rejects_bad_numeric_flags() {
+    let exe = env!("CARGO_BIN_EXE_ablation_tpi");
+    for flag in ["--scale", "--patterns"] {
+        assert_usage_error(exe, &[flag, "0"], "positive integer");
+        assert_usage_error(exe, &[flag, "x"], "could not parse");
+    }
+    assert_usage_error(exe, &["--scale"], "expects a value");
+}
+
+#[test]
+fn ablation_phase_rejects_bad_numeric_flags() {
+    let exe = env!("CARGO_BIN_EXE_ablation_phase");
+    for flag in ["--scale", "--batches"] {
+        assert_usage_error(exe, &[flag, "0"], "positive integer");
+        assert_usage_error(exe, &[flag, "x"], "could not parse");
+    }
+    assert_usage_error(exe, &["--batches"], "expects a value");
+}
+
+#[test]
+fn ablation_capture_rejects_bad_numeric_flags() {
+    let exe = env!("CARGO_BIN_EXE_ablation_capture");
+    for flag in ["--scale", "--batches"] {
+        assert_usage_error(exe, &[flag, "0"], "positive integer");
+        assert_usage_error(exe, &[flag, "x"], "could not parse");
+    }
+    assert_usage_error(exe, &["--scale", "-2"], "could not parse");
 }

@@ -35,7 +35,8 @@ use lbist_ckpt::CkptError;
 use lbist_dft::BistReadyCore;
 use lbist_exec::LaneWord;
 use lbist_fault::{
-    CaptureWindow, CoverageReport, Fault, SimPhaseMetrics, WideStuckAtSim, WideTransitionSim,
+    CaptureWindow, CoverageReport, Fault, FaultModel, FaultSim, SimPhaseMetrics, StuckAt,
+    StuckAtSim, Transition, WideStuckAtSim, WideTransitionSim,
 };
 use lbist_netlist::NodeId;
 use lbist_obs::{Counter, Histogram, Registry};
@@ -360,13 +361,14 @@ impl<'a, W: LaneWord> WideGradingSession<'a, W> {
     /// Resolves the compiled program for a run over `faults`, lowering
     /// one in auto mode (timed and sized into the `sim.kernel.*`
     /// telemetry handles).
-    fn kernel_for_run(&self, faults: &[Fault], observed: &[NodeId]) -> Option<Arc<KernelProgram>> {
+    fn kernel_for_run(&self, faults: &[Fault]) -> Option<Arc<KernelProgram>> {
         match &self.kernel {
             GradingKernel::Interpreter => None,
             GradingKernel::Prebuilt(program) => Some(program.clone()),
             GradingKernel::Auto => {
+                let observed = StuckAtSim::observe_all_captures(self.cc);
                 let _compile_span = self.metrics.kernel_compile_ns.start();
-                let keep = lbist_fault::grading_keep_set(self.cc, &[faults], observed);
+                let keep = lbist_fault::grading_keep_set(self.cc, &[faults], &observed);
                 let program = KernelProgram::lower(self.cc, &keep);
                 self.metrics.kernel_instrs.add(program.stats().instrs as u64);
                 self.metrics.kernel_fused_gates.add(program.stats().fused_gates as u64);
@@ -409,12 +411,49 @@ impl<'a, W: LaneWord> WideGradingSession<'a, W> {
         batches: usize,
         control: &RunControl,
     ) -> Result<ControlledGradingOutcome, CkptError> {
-        let faults_hash = faults_fingerprint(&faults);
+        let observed = StuckAtSim::observe_all_captures(self.cc);
+        self.run_controlled(WideStuckAtSim::new(self.cc, faults, observed), batches, control)
+    }
+
+    /// Grades `batches` random-phase batches against `faults` under the
+    /// launch-on-capture transition model across `window`, compacting
+    /// each batch's fault-free end-of-window flip-flop states into the
+    /// per-domain signatures.
+    pub fn run_transition(
+        &mut self,
+        faults: Vec<Fault>,
+        window: CaptureWindow,
+        batches: usize,
+    ) -> WideGradingOutcome {
+        self.run_transition_controlled(faults, window, batches, &RunControl::new())
+            .expect("uncontrolled runs perform no checkpoint IO")
+            .outcome
+    }
+
+    /// The controlled form of [`WideGradingSession::run_transition`]:
+    /// same cancellation / budget / checkpoint-resume semantics as
+    /// [`WideGradingSession::run_stuck_at_controlled`].
+    pub fn run_transition_controlled(
+        &mut self,
+        faults: Vec<Fault>,
+        window: CaptureWindow,
+        batches: usize,
+        control: &RunControl,
+    ) -> Result<ControlledGradingOutcome, CkptError> {
+        self.run_controlled(WideTransitionSim::new(self.cc, faults, window), batches, control)
+    }
+
+    /// The controlled run loop both fault models share: resume,
+    /// pipelined fill, cancellation, MISR absorption and checkpoints.
+    fn run_controlled<M: SessionModel<W>>(
+        &mut self,
+        mut sim: FaultSim<'a, M, W>,
+        batches: usize,
+        control: &RunControl,
+    ) -> Result<ControlledGradingOutcome, CkptError> {
+        let faults_hash = faults_fingerprint(sim.faults());
         self.begin_run();
-        let observed = lbist_fault::StuckAtSim::observe_all_captures(self.cc);
-        let kernel = self.kernel_for_run(&faults, &observed);
-        let mut sim: WideStuckAtSim<'_, W> = WideStuckAtSim::new(self.cc, faults, observed);
-        sim.set_kernel(kernel);
+        sim.set_kernel(self.kernel_for_run(sim.faults()));
         sim.set_drop_after(self.drop_after);
         if let Some(n) = self.threads {
             sim.set_threads(n);
@@ -429,7 +468,7 @@ impl<'a, W: LaneWord> WideGradingSession<'a, W> {
         if control.resume {
             let ckpt = self.resume_grading(
                 control,
-                ModelTag::StuckAt,
+                M::TAG,
                 netlist_hash,
                 faults_hash,
                 sim.detections().len(),
@@ -439,6 +478,26 @@ impl<'a, W: LaneWord> WideGradingSession<'a, W> {
             faults_graded = ckpt.faults_graded;
             resumed_from = Some(ckpt.batches_done);
         }
+        let drop_after = self.drop_after;
+        let snapshot = |batches_done: u64,
+                        faults_graded: u64,
+                        sim: &FaultSim<'_, M, W>,
+                        lfsr_states: &[Gf2Vec],
+                        banks: &[LaneMisr<W>],
+                        signatures: &[Gf2Vec]| GradingCheckpoint {
+            netlist_hash,
+            faults_hash,
+            model: M::TAG,
+            lanes: W::LANES as u64,
+            drop_after,
+            batches_done,
+            patterns_run: sim.patterns_run(),
+            faults_graded,
+            lfsr_states: lfsr_states.to_vec(),
+            bank_words: banks.iter().map(LaneMisr::state_words).collect(),
+            signatures: signatures.to_vec(),
+            detections: sim.detections().to_vec(),
+        };
 
         let cc = self.cc;
         let core = self.core;
@@ -478,7 +537,7 @@ impl<'a, W: LaneWord> WideGradingSession<'a, W> {
             let last = batch + 1 == total;
             let active_before = sim.active_faults() as u64;
             let graded = if last || !pipelined {
-                let graded = sim.try_run_batch(&mut cur, W::LANES);
+                let graded = M::grade(&mut sim, &mut cur);
                 if graded.is_some() && !last {
                     let _fill_span = metrics.fill_ns.start();
                     fill_wide_frame_from_prpg(arch, core, &mut next);
@@ -493,7 +552,7 @@ impl<'a, W: LaneWord> WideGradingSession<'a, W> {
                 let next = &mut next;
                 let fill_ns = &metrics.fill_ns;
                 let (graded, ()) = lbist_exec::join(
-                    || sim.try_run_batch(cur, W::LANES),
+                    || M::grade(sim, cur),
                     || {
                         let _fill_span = fill_ns.start();
                         fill_wide_frame_from_prpg(arch, core, next)
@@ -510,9 +569,6 @@ impl<'a, W: LaneWord> WideGradingSession<'a, W> {
                 break;
             }
             faults_graded += active_before;
-            // `cur` now holds the fault-free evaluation: captured
-            // responses are the D-pin words the capture latches.
-            let frame: &[W] = &cur;
             {
                 let _absorb_span = metrics.absorb_ns.start();
                 absorb_batch(
@@ -520,7 +576,7 @@ impl<'a, W: LaneWord> WideGradingSession<'a, W> {
                     &mut self.banks,
                     &mut self.signatures,
                     self.shift_cycles,
-                    |cell| frame[cc.fanins(cell)[0].index()],
+                    |cell| M::captured(&sim, cc, &cur, cell),
                 );
             }
             batches_done += 1;
@@ -534,225 +590,16 @@ impl<'a, W: LaneWord> WideGradingSession<'a, W> {
                     && (batches_done - start_batch).is_multiple_of(spec.every)
                     && batches_done < total
                 {
-                    grading_snapshot(
-                        netlist_hash,
-                        faults_hash,
-                        ModelTag::StuckAt,
-                        self.drop_after,
-                        batches_done,
-                        sim.patterns_run(),
-                        faults_graded,
-                        &snap_completed,
-                        &self.banks,
-                        &self.signatures,
-                        sim.detections(),
-                    )
-                    .save(&spec.path)?;
+                    let (banks, sigs) = (&self.banks, &self.signatures);
+                    snapshot(batches_done, faults_graded, &sim, &snap_completed, banks, sigs)
+                        .save(&spec.path)?;
                 }
             }
         }
         if let Some(spec) = &control.checkpoint {
-            grading_snapshot(
-                netlist_hash,
-                faults_hash,
-                ModelTag::StuckAt,
-                self.drop_after,
-                batches_done,
-                sim.patterns_run(),
-                faults_graded,
-                &snap_completed,
-                &self.banks,
-                &self.signatures,
-                sim.detections(),
-            )
-            .save(&spec.path)?;
-        }
-
-        Ok(ControlledGradingOutcome {
-            outcome: WideGradingOutcome {
-                coverage: sim.coverage(),
-                detections: sim.detections().to_vec(),
-                signatures: self.signatures.clone(),
-                patterns: batches_done * W::LANES as u64,
-                lanes: W::LANES,
-                faults_graded,
-            },
-            status,
-            batches_done,
-            resumed_from,
-        })
-    }
-
-    /// Grades `batches` random-phase batches against `faults` under the
-    /// launch-on-capture transition model across `window`, compacting
-    /// each batch's fault-free end-of-window flip-flop states into the
-    /// per-domain signatures.
-    pub fn run_transition(
-        &mut self,
-        faults: Vec<Fault>,
-        window: CaptureWindow,
-        batches: usize,
-    ) -> WideGradingOutcome {
-        self.run_transition_controlled(faults, window, batches, &RunControl::new())
-            .expect("uncontrolled runs perform no checkpoint IO")
-            .outcome
-    }
-
-    /// The controlled form of [`WideGradingSession::run_transition`]:
-    /// same cancellation / budget / checkpoint-resume semantics as
-    /// [`WideGradingSession::run_stuck_at_controlled`].
-    pub fn run_transition_controlled(
-        &mut self,
-        faults: Vec<Fault>,
-        window: CaptureWindow,
-        batches: usize,
-        control: &RunControl,
-    ) -> Result<ControlledGradingOutcome, CkptError> {
-        let faults_hash = faults_fingerprint(&faults);
-        self.begin_run();
-        let observed = lbist_fault::StuckAtSim::observe_all_captures(self.cc);
-        let kernel = self.kernel_for_run(&faults, &observed);
-        let mut sim: WideTransitionSim<'_, W> = WideTransitionSim::new(self.cc, faults, window);
-        sim.set_kernel(kernel);
-        sim.set_drop_after(self.drop_after);
-        if let Some(n) = self.threads {
-            sim.set_threads(n);
-        }
-        sim.set_cancel(control.cancel.clone());
-        sim.set_phase_metrics(self.metrics.sim_phases());
-
-        let netlist_hash = lbist_ckpt::netlist_fingerprint(&self.core.netlist);
-        let mut resumed_from = None;
-        let mut start_batch = 0u64;
-        let mut faults_graded = 0u64;
-        if control.resume {
-            let ckpt = self.resume_grading(
-                control,
-                ModelTag::Transition,
-                netlist_hash,
-                faults_hash,
-                sim.detections().len(),
-            )?;
-            sim.restore(&ckpt.detections, ckpt.patterns_run);
-            start_batch = ckpt.batches_done;
-            faults_graded = ckpt.faults_graded;
-            resumed_from = Some(ckpt.batches_done);
-        }
-
-        let cc = self.cc;
-        let core = self.core;
-        let metrics = self.metrics.clone();
-        let arch = &mut self.arch;
-        let pipelined = self.pipelined;
-        let total = batches as u64;
-        let budget_limit = control.budget.map(|b| start_batch.saturating_add(b));
-        let mut batches_done = start_batch;
-        let mut status = RunStatus::Completed;
-        let mut snap_completed: Vec<Gf2Vec> =
-            arch.domains().iter().map(|d| d.prpg.lfsr().state().clone()).collect();
-        let mut cur: Vec<W> = cc.new_wide_frame();
-        let mut next: Vec<W> = cc.new_wide_frame();
-        if start_batch < total {
-            let _fill_span = metrics.fill_ns.start();
-            fill_wide_frame_from_prpg(arch, core, &mut cur);
-        }
-        for batch in start_batch..total {
-            if budget_limit.is_some_and(|limit| batches_done >= limit) {
-                status = RunStatus::BudgetExhausted;
-                break;
-            }
-            if let Some(cancelled) = control.cancelled_status() {
-                status = cancelled;
-                break;
-            }
-            let _batch_span = metrics.batch_ns.start();
-            let snap_next: Vec<Gf2Vec> =
-                arch.domains().iter().map(|d| d.prpg.lfsr().state().clone()).collect();
-            let last = batch + 1 == total;
-            let active_before = sim.active_faults() as u64;
-            let graded = if last || !pipelined {
-                let graded = sim.try_run_batch(&cur, W::LANES);
-                if graded.is_some() && !last {
-                    let _fill_span = metrics.fill_ns.start();
-                    fill_wide_frame_from_prpg(arch, core, &mut next);
-                }
-                graded
-            } else {
-                let sim = &mut sim;
-                let cur = &cur;
-                let next = &mut next;
-                let fill_ns = &metrics.fill_ns;
-                let (graded, ()) = lbist_exec::join(
-                    || sim.try_run_batch(cur, W::LANES),
-                    || {
-                        let _fill_span = fill_ns.start();
-                        fill_wide_frame_from_prpg(arch, core, next)
-                    },
-                );
-                graded
-            };
-            if graded.is_none() {
-                status = control
-                    .cancelled_status()
-                    .unwrap_or(RunStatus::Cancelled(lbist_exec::CancelReason::Requested));
-                break;
-            }
-            faults_graded += active_before;
-            // The unload observes the end-of-window flip-flop states.
-            let final_frame = sim.last_good_frame();
-            {
-                let _absorb_span = metrics.absorb_ns.start();
-                absorb_batch(
-                    &self.unload,
-                    &mut self.banks,
-                    &mut self.signatures,
-                    self.shift_cycles,
-                    |cell| final_frame[cell.index()],
-                );
-            }
-            batches_done += 1;
-            metrics.batches.inc();
-            metrics.patterns.add(W::LANES as u64);
-            metrics.faults_graded.add(active_before);
-            snap_completed = snap_next;
-            std::mem::swap(&mut cur, &mut next);
-            if let Some(spec) = &control.checkpoint {
-                if spec.every > 0
-                    && (batches_done - start_batch).is_multiple_of(spec.every)
-                    && batches_done < total
-                {
-                    grading_snapshot(
-                        netlist_hash,
-                        faults_hash,
-                        ModelTag::Transition,
-                        self.drop_after,
-                        batches_done,
-                        sim.patterns_run(),
-                        faults_graded,
-                        &snap_completed,
-                        &self.banks,
-                        &self.signatures,
-                        sim.detections(),
-                    )
-                    .save(&spec.path)?;
-                }
-            }
-        }
-        if let Some(spec) = &control.checkpoint {
-            grading_snapshot(
-                netlist_hash,
-                faults_hash,
-                ModelTag::Transition,
-                self.drop_after,
-                batches_done,
-                sim.patterns_run(),
-                faults_graded,
-                &snap_completed,
-                &self.banks,
-                &self.signatures,
-                sim.detections(),
-            )
-            .save(&spec.path)?;
+            let (banks, sigs) = (&self.banks, &self.signatures);
+            snapshot(batches_done, faults_graded, &sim, &snap_completed, banks, sigs)
+                .save(&spec.path)?;
         }
 
         Ok(ControlledGradingOutcome {
@@ -825,36 +672,38 @@ impl<'a, W: LaneWord> WideGradingSession<'a, W> {
     }
 }
 
-/// Assembles a [`GradingCheckpoint`] from the pieces of a controlled
-/// run at a batch boundary (free function: `self` is field-split
-/// between the fill borrow and the absorb state at the call sites).
-#[allow(clippy::too_many_arguments)]
-fn grading_snapshot<W: LaneWord>(
-    netlist_hash: u64,
-    faults_hash: u64,
-    model: ModelTag,
-    drop_after: u32,
-    batches_done: u64,
-    patterns_run: u64,
-    faults_graded: u64,
-    lfsr_states: &[Gf2Vec],
-    banks: &[LaneMisr<W>],
-    signatures: &[Gf2Vec],
-    detections: &[u32],
-) -> GradingCheckpoint {
-    GradingCheckpoint {
-        netlist_hash,
-        faults_hash,
-        model,
-        lanes: W::LANES as u64,
-        drop_after,
-        batches_done,
-        patterns_run,
-        faults_graded,
-        lfsr_states: lfsr_states.to_vec(),
-        bank_words: banks.iter().map(LaneMisr::state_words).collect(),
-        signatures: signatures.to_vec(),
-        detections: detections.to_vec(),
+/// The per-model half of [`WideGradingSession`]'s run loop: how a
+/// filled frame is graded and which word the unload shifts out of each
+/// scan cell afterwards. Everything else is shared.
+trait SessionModel<W: LaneWord>: FaultModel<W> + Sized {
+    /// The checkpoint tag of the model.
+    const TAG: ModelTag;
+    /// Grades one filled frame, every lane a pattern.
+    fn grade(sim: &mut FaultSim<'_, Self, W>, frame: &mut [W]) -> Option<usize>;
+    /// The response `cell` captured in the batch just graded from `frame`.
+    fn captured(sim: &FaultSim<'_, Self, W>, cc: &CompiledCircuit, frame: &[W], cell: NodeId) -> W;
+}
+
+impl<W: LaneWord> SessionModel<W> for StuckAt {
+    const TAG: ModelTag = ModelTag::StuckAt;
+    fn grade(sim: &mut WideStuckAtSim<'_, W>, frame: &mut [W]) -> Option<usize> {
+        sim.try_run_batch(frame, W::LANES)
+    }
+    /// `frame` now holds the fault-free evaluation: captured responses
+    /// are the D-pin words the capture latches.
+    fn captured(_: &WideStuckAtSim<'_, W>, cc: &CompiledCircuit, frame: &[W], cell: NodeId) -> W {
+        frame[cc.fanins(cell)[0].index()]
+    }
+}
+
+impl<W: LaneWord> SessionModel<W> for Transition<W> {
+    const TAG: ModelTag = ModelTag::Transition;
+    fn grade(sim: &mut WideTransitionSim<'_, W>, frame: &mut [W]) -> Option<usize> {
+        sim.try_run_batch(frame, W::LANES)
+    }
+    /// The unload observes the end-of-window flip-flop states.
+    fn captured(sim: &WideTransitionSim<'_, W>, _: &CompiledCircuit, _: &[W], cell: NodeId) -> W {
+        sim.last_good_frame()[cell.index()]
     }
 }
 
@@ -1049,79 +898,122 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// One fault model's workload, run through its controlled entry
+    /// point, so a scenario can be checked under both models.
+    enum Workload {
+        StuckAt(Vec<Fault>),
+        Transition(Vec<Fault>, CaptureWindow),
+    }
+
+    impl Workload {
+        fn both(c: &BistReadyCore) -> [Workload; 2] {
+            let transition = FaultUniverse::transition(&c.netlist)
+                .representatives()
+                .into_iter()
+                .filter(|f| f.is_stem())
+                .collect();
+            let window = CaptureWindow::all_domains(c.netlist.num_domains().max(1));
+            [
+                Workload::StuckAt(FaultUniverse::stuck_at(&c.netlist).representatives()),
+                Workload::Transition(transition, window),
+            ]
+        }
+
+        /// The same workload minus its last fault.
+        fn truncated(&self) -> Workload {
+            match self {
+                Workload::StuckAt(f) => Workload::StuckAt(f[..f.len() - 1].to_vec()),
+                Workload::Transition(f, w) => {
+                    Workload::Transition(f[..f.len() - 1].to_vec(), w.clone())
+                }
+            }
+        }
+
+        fn run<W: LaneWord>(
+            &self,
+            session: &mut WideGradingSession<'_, W>,
+            batches: usize,
+            control: &RunControl,
+        ) -> Result<ControlledGradingOutcome, CkptError> {
+            match self {
+                Workload::StuckAt(f) => {
+                    session.run_stuck_at_controlled(f.clone(), batches, control)
+                }
+                Workload::Transition(f, w) => {
+                    session.run_transition_controlled(f.clone(), w.clone(), batches, control)
+                }
+            }
+        }
+    }
+
     /// A fired cancel token stops the run at a clean batch boundary
-    /// with a partial verdict; a pre-fired token grades nothing.
+    /// with a partial verdict; a pre-fired token grades nothing. Both
+    /// fault models unwind the same way.
     #[test]
     fn cancellation_unwinds_to_partial_verdict() {
         use crate::checkpoint::{RunControl, RunStatus};
         use lbist_exec::{CancelReason, CancelToken};
         let c = core();
         let cc = CompiledCircuit::compile(&c.netlist).unwrap();
-        let stuck = FaultUniverse::stuck_at(&c.netlist).representatives();
-        let token = CancelToken::new();
-        token.cancel();
-        let mut session: WideGradingSession<'_, u64> =
-            WideGradingSession::new(&c, &cc, &StumpsConfig::default());
-        let out = session
-            .run_stuck_at_controlled(stuck.clone(), 3, &RunControl::with_cancel(token))
-            .unwrap();
-        assert_eq!(out.status, RunStatus::Cancelled(CancelReason::Requested));
-        assert_eq!(out.batches_done, 0);
-        assert_eq!(out.outcome.patterns, 0);
-        assert!(out.outcome.signatures.iter().all(|s| s.is_zero()));
+        for workload in Workload::both(&c) {
+            let token = CancelToken::new();
+            token.cancel();
+            let mut session: WideGradingSession<'_, u64> =
+                WideGradingSession::new(&c, &cc, &StumpsConfig::default());
+            let out = workload.run(&mut session, 3, &RunControl::with_cancel(token)).unwrap();
+            assert_eq!(out.status, RunStatus::Cancelled(CancelReason::Requested));
+            assert_eq!(out.batches_done, 0);
+            assert_eq!(out.outcome.patterns, 0);
+            assert!(out.outcome.signatures.iter().all(|s| s.is_zero()));
 
-        // An expired deadline reports the deadline reason.
-        let expired = RunControl::with_deadline(std::time::Duration::ZERO);
-        let out = session.run_stuck_at_controlled(stuck, 3, &expired).unwrap();
-        assert_eq!(out.status, RunStatus::Cancelled(CancelReason::Deadline));
+            // An expired deadline reports the deadline reason.
+            let expired = RunControl::with_deadline(std::time::Duration::ZERO);
+            let out = workload.run(&mut session, 3, &expired).unwrap();
+            assert_eq!(out.status, RunStatus::Cancelled(CancelReason::Deadline));
+        }
     }
 
     /// Resume validates the workload: a different fault list, lane
-    /// width or drop budget is rejected with a mismatch, not silently
-    /// regraded.
+    /// width, drop budget or fault model is rejected with a mismatch,
+    /// not silently regraded — under both fault models.
     #[test]
     fn resume_rejects_mismatched_workload() {
         use crate::checkpoint::{CheckpointSpec, RunControl};
         use lbist_ckpt::CkptError;
         let c = core();
         let cc = CompiledCircuit::compile(&c.netlist).unwrap();
-        let stuck = FaultUniverse::stuck_at(&c.netlist).representatives();
         let stumps = StumpsConfig::default();
         let dir = scratch_dir("mismatch");
-        let path = dir.join("m.ckpt");
-        let spec = CheckpointSpec::new(&path, 1);
-
+        let workloads = Workload::both(&c);
+        let resume_from = |i: usize| RunControl {
+            checkpoint: Some(CheckpointSpec::new(dir.join(format!("m{i}.ckpt")), 1)),
+            resume: true,
+            ..Default::default()
+        };
         let mut session: WideGradingSession<'_, u64> = WideGradingSession::new(&c, &cc, &stumps);
-        session
-            .run_stuck_at_controlled(
-                stuck.clone(),
-                3,
-                &RunControl {
-                    budget: Some(1),
-                    checkpoint: Some(spec.clone()),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+        for (i, workload) in workloads.iter().enumerate() {
+            let spec = CheckpointSpec::new(dir.join(format!("m{i}.ckpt")), 1);
+            let first =
+                RunControl { budget: Some(1), checkpoint: Some(spec), ..Default::default() };
+            workload.run(&mut session, 3, &first).unwrap();
 
-        let resume = RunControl { checkpoint: Some(spec), resume: true, ..Default::default() };
-        // Truncated fault list.
-        let short = stuck[..stuck.len() - 1].to_vec();
+            let resume = resume_from(i);
+            // Truncated fault list.
+            assert!(matches!(
+                workload.truncated().run(&mut session, 3, &resume),
+                Err(CkptError::Mismatch(_))
+            ));
+            // Different drop budget.
+            session.set_drop_after(7);
+            assert!(matches!(workload.run(&mut session, 3, &resume), Err(CkptError::Mismatch(_))));
+            session.set_drop_after(1);
+            // Different lane width.
+            let mut wide: WideGradingSession<'_, u128> = WideGradingSession::new(&c, &cc, &stumps);
+            assert!(matches!(workload.run(&mut wide, 3, &resume), Err(CkptError::Mismatch(_))));
+        }
+        // A stuck-at checkpoint never resumes a transition run.
         assert!(matches!(
-            session.run_stuck_at_controlled(short, 3, &resume),
-            Err(CkptError::Mismatch(_))
-        ));
-        // Different drop budget.
-        session.set_drop_after(7);
-        assert!(matches!(
-            session.run_stuck_at_controlled(stuck.clone(), 3, &resume),
-            Err(CkptError::Mismatch(_))
-        ));
-        session.set_drop_after(1);
-        // Different lane width.
-        let mut wide: WideGradingSession<'_, u128> = WideGradingSession::new(&c, &cc, &stumps);
-        assert!(matches!(
-            wide.run_stuck_at_controlled(stuck, 3, &resume),
+            workloads[1].run(&mut session, 3, &resume_from(0)),
             Err(CkptError::Mismatch(_))
         ));
         std::fs::remove_dir_all(&dir).ok();

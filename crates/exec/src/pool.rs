@@ -419,9 +419,9 @@ static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
 
 /// The process-wide pool, created on first use (once-cell guarded:
 /// every later call returns the same pool). Size comes from the
-/// `LBIST_THREADS` environment variable, then `RAYON_NUM_THREADS`
-/// (compatibility with the vendored rayon facade), then the machine's
-/// available parallelism.
+/// `LBIST_THREADS` environment variable, then `RAYON_NUM_THREADS` (hosts
+/// commonly set it to cap a process's worker threads), then the
+/// machine's available parallelism.
 pub fn global() -> &'static ThreadPool {
     GLOBAL.get_or_init(|| ThreadPool::new(default_threads()))
 }
@@ -463,22 +463,6 @@ pub struct Scope<'scope, 'env: 'scope> {
     /// scope cannot be smuggled into an outer or inner lifetime.
     _scope: PhantomData<&'scope mut &'scope ()>,
     _env: PhantomData<&'env mut &'env ()>,
-}
-
-/// Cloning hands out another handle onto the *same* scope (two Arc
-/// bumps): every spawn through any clone is counted by the one shared
-/// latch, so [`scope`] still joins them all before returning. This is
-/// what lets facades (the vendored `rayon`) own a handle instead of
-/// borrowing one.
-impl Clone for Scope<'_, '_> {
-    fn clone(&self) -> Self {
-        Scope {
-            shared: Arc::clone(&self.shared),
-            latch: Arc::clone(&self.latch),
-            _scope: PhantomData,
-            _env: PhantomData,
-        }
-    }
 }
 
 impl<'scope, 'env> Scope<'scope, 'env> {

@@ -2,7 +2,7 @@
 //! over the lowered program.
 //!
 //! When a simulator is handed a compiled [`KernelProgram`] (see
-//! [`crate::WideStuckAtSim::set_kernel`]), fault-free evaluation runs the
+//! [`crate::FaultSim::set_kernel`]), fault-free evaluation runs the
 //! flat bytecode instead of the per-gate interpreter, and per-fault
 //! replay swaps the netlist-walking [`crate::propagate::Propagator`] for
 //! patched-instruction execution, in the shape that fits each fault
@@ -28,6 +28,8 @@
 //!   frames carry no difference at all — there the interpreter's
 //!   early-dying events are the right shape, minus its `GateKind` match
 //!   and fanin gather, with fused NOT/BUF chains costing zero events.
+//!   This is [`KernelStep`], the kernel's per-frame step of the window
+//!   replay loop the interpreter shares.
 //!
 //! Both paths are bit-identical to [`KernelProgram::execute_patched`]
 //! (and to the interpreter), at a fraction of the work.
@@ -40,9 +42,9 @@
 //! set fails loudly at plan build, never silently misgrades.
 
 use crate::model::Fault;
-use crate::stuck::CANCEL_POLL_STRIDE;
-use crate::transition::CaptureWindow;
-use lbist_exec::{CancelToken, LaneWord};
+use crate::sim::{Batch, CANCEL_POLL_STRIDE};
+use crate::transition::{WindowState, WindowStep};
+use lbist_exec::LaneWord;
 use lbist_netlist::{GateKind, NodeId};
 use lbist_sim::{eval_gate, CompiledCircuit, KernelProgram, SlotState};
 use std::collections::HashMap;
@@ -124,12 +126,12 @@ impl EventEdges {
 }
 
 /// Per-worker replay scratch for the kernel path: the stuck-at shadow
-/// frame, the epoch-stamped faulty-slot overlay and level-bucketed event
+/// frames, the epoch-stamped faulty-slot overlay and level-bucketed event
 /// queue of the transition drain, plus the transition window state —
-/// reused across faults and batches (the kernel twin of `Propagator` +
-/// `ReplayScratch`).
+/// reused across faults and batches (the kernel counterpart of
+/// `Propagator`).
 #[derive(Debug)]
-pub(crate) struct KernelScratch<W: LaneWord> {
+pub struct KernelScratch<W: LaneWord> {
     /// Stuck-at suffix-execution frame: equals the fault-free frame on
     /// every slot an instruction before the current patch point writes,
     /// stale after it (the next injection restores exactly the gap).
@@ -153,12 +155,8 @@ pub(crate) struct KernelScratch<W: LaneWord> {
     epoch: u32,
     /// Pending instruction indices per level; always drained empty.
     buckets: Vec<Vec<u32>>,
-    /// Flip-flops holding faulty state across window frames.
-    overlay: HashMap<NodeId, W>,
-    /// Per-frame overlay seeds that differ from the fault-free frame.
-    dirty: Vec<(NodeId, W)>,
-    /// Per-at-speed-frame activation words of the fault under replay.
-    activation: Vec<W>,
+    /// Transition window replay state.
+    window: WindowState<W>,
     /// Branch-injection fanin gather buffer.
     fanin_buf: Vec<W>,
 }
@@ -175,9 +173,7 @@ impl<W: LaneWord> KernelScratch<W> {
             queued: vec![0; prog.num_instrs()],
             epoch: 0,
             buckets: vec![Vec::new(); cc.max_level() as usize + 2],
-            overlay: HashMap::new(),
-            dirty: Vec::new(),
-            activation: Vec::new(),
+            window: WindowState::new(),
             fanin_buf: Vec::new(),
         }
     }
@@ -343,7 +339,7 @@ enum Inject {
 
 /// The per-(program, faults, observation) stuck-at replay plan.
 #[derive(Debug)]
-pub(crate) struct StuckKernelPlan {
+pub struct StuckKernelPlan {
     /// Aligned with the simulator's fault list.
     injects: Vec<Inject>,
     /// `(instruction index, dst slot)` of every observed instruction-
@@ -592,10 +588,10 @@ impl<'a> ConeBuilder<'a> {
     }
 }
 
-/// Kernel twin of `grade_shard`: grades one shard of the active-fault
-/// list against the shared fault-free frame using precomputed injections
-/// and patched replay. Same cancellation protocol, same shard contract,
-/// bit-identical detection words.
+/// The stuck-at kernel shard: grades one shard of the active-fault list
+/// against the shared fault-free frame using precomputed injections and
+/// patched replay. Same cancellation protocol, same shard contract and
+/// bit-identical detection words as the interpreter shard.
 ///
 /// Injection resolution and replay are split so adjacent faults that
 /// share a replay can run it **paired**: the level-sorted active list
@@ -604,19 +600,17 @@ impl<'a> ConeBuilder<'a> {
 /// same suffix patch point, so one [`KernelProgram::eval_instr2`] /
 /// [`KernelProgram::execute_range2`] pass grades two of them for a
 /// single instruction fetch, dispatch and restore sweep.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn kernel_grade_shard<W: LaneWord>(
     prog: &KernelProgram,
     plan: &StuckKernelPlan,
-    cc: &CompiledCircuit,
+    batch: &Batch<'_, W>,
     shard: &[u32],
     frame: &[W],
-    lane_mask: W,
     scratch: &mut KernelScratch<W>,
     out: &mut [W],
-    cancel: Option<&CancelToken>,
 ) {
     debug_assert_eq!(shard.len(), out.len());
+    let lane_mask = batch.lane_mask;
     scratch.shadow.clear();
     scratch.shadow.extend_from_slice(frame);
     scratch.shadow_b.clear();
@@ -636,20 +630,17 @@ pub(crate) fn kernel_grade_shard<W: LaneWord>(
     loop {
         let (ci, cur) = match carry.take() {
             Some(held) => held,
-            None => {
-                match next_replay(plan, cc, shard, frame, lane_mask, scratch, out, &mut i, cancel) {
-                    Scan::Found(idx, job) => (idx, job),
-                    Scan::End => break,
-                    Scan::Cancelled => return,
-                }
-            }
-        };
-        let partner =
-            match next_replay(plan, cc, shard, frame, lane_mask, scratch, out, &mut i, cancel) {
-                Scan::Found(idx, job) => Some((idx, job)),
-                Scan::End => None,
+            None => match next_replay(plan, batch, shard, frame, scratch, out, &mut i) {
+                Scan::Found(idx, job) => (idx, job),
+                Scan::End => break,
                 Scan::Cancelled => return,
-            };
+            },
+        };
+        let partner = match next_replay(plan, batch, shard, frame, scratch, out, &mut i) {
+            Scan::Found(idx, job) => Some((idx, job)),
+            Scan::End => None,
+            Scan::Cancelled => return,
+        };
         match (cur, partner) {
             (Prepared::Cone(a), Some((pi, Prepared::Cone(b))))
                 if b.start == a.start && b.dst == a.dst =>
@@ -702,28 +693,25 @@ enum Scan<W> {
 /// over. Skipping completed faults this way keeps replay jobs adjacent,
 /// so the pairing in [`kernel_grade_shard`] is not broken by the
 /// unexcited and dead faults interleaved with them.
-#[allow(clippy::too_many_arguments)]
 #[inline]
 fn next_replay<W: LaneWord>(
     plan: &StuckKernelPlan,
-    cc: &CompiledCircuit,
+    batch: &Batch<'_, W>,
     shard: &[u32],
     frame: &[W],
-    lane_mask: W,
     scratch: &mut KernelScratch<W>,
     out: &mut [W],
     i: &mut usize,
-    cancel: Option<&CancelToken>,
 ) -> Scan<W> {
     while *i < shard.len() {
-        if (*i).is_multiple_of(CANCEL_POLL_STRIDE) && cancel.is_some_and(|c| c.is_cancelled()) {
+        if (*i).is_multiple_of(CANCEL_POLL_STRIDE) && batch.cancelled() {
             return Scan::Cancelled;
         }
         let idx = *i;
         *i += 1;
-        match prepare(plan, cc, shard[idx], frame, scratch) {
+        match prepare(plan, batch.cc, shard[idx], frame, scratch) {
             Prepared::Done(diff) => {
-                out[idx] = diff.and(lane_mask);
+                out[idx] = diff.and(batch.lane_mask);
             }
             job => return Scan::Found(idx, job),
         }
@@ -1100,7 +1088,7 @@ fn dual_cone_patch_and_scan<W: LaneWord>(
 /// plus the up-front validation that every site and capture source is
 /// materialized.
 #[derive(Debug)]
-pub(crate) struct TransitionKernelPlan {
+pub struct TransitionKernelPlan {
     edges: EventEdges,
 }
 
@@ -1132,133 +1120,50 @@ impl TransitionKernelPlan {
     }
 }
 
-/// Kernel twin of `replay_shard`: replays one shard of transition faults
-/// across the capture window. Fault state crosses frames through the
-/// flip-flop overlay exactly as in the interpreter; within a frame the
-/// dirty flip-flops and (when the launch activates it) the pinned site
-/// seed the event queue, and only instructions an actually-changed word
-/// feeds are re-evaluated.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn kernel_replay_shard<W: LaneWord>(
-    prog: &KernelProgram,
-    plan: &TransitionKernelPlan,
-    cc: &CompiledCircuit,
-    window: &CaptureWindow,
-    faults: &[Fault],
-    good_frames: &[Vec<W>],
-    shard: &[u32],
-    lane_mask: W,
-    scratch: &mut KernelScratch<W>,
-    out: &mut [W],
-    cancel: Option<&CancelToken>,
-) {
-    debug_assert_eq!(shard.len(), out.len());
-    let nframes = window.num_frames();
-    for (i, (&fault_idx, slot)) in shard.iter().zip(out.iter_mut()).enumerate() {
-        if i % CANCEL_POLL_STRIDE == 0 && cancel.is_some_and(|c| c.is_cancelled()) {
-            return;
+/// The kernel step of transition window replay: within a frame the dirty
+/// flip-flops and (when the launch activates it) the pinned site seed the
+/// event queue, and only instructions an actually-changed word feeds are
+/// re-evaluated, level-ordered, by [`KernelScratch::drain`].
+pub(crate) struct KernelStep<'s, W: LaneWord> {
+    prog: &'s KernelProgram,
+    edges: &'s EventEdges,
+    scratch: &'s mut KernelScratch<W>,
+    /// Level range the seeds queued this frame.
+    lo: usize,
+    hi: usize,
+}
+
+impl<'s, W: LaneWord> KernelStep<'s, W> {
+    pub(crate) fn new(
+        prog: &'s KernelProgram,
+        plan: &'s TransitionKernelPlan,
+        scratch: &'s mut KernelScratch<W>,
+    ) -> Self {
+        KernelStep { prog, edges: &plan.edges, scratch, lo: usize::MAX, hi: 0 }
+    }
+}
+
+impl<W: LaneWord> WindowStep<W> for KernelStep<'_, W> {
+    fn window(&mut self) -> &mut WindowState<W> {
+        &mut self.scratch.window
+    }
+    fn begin(&mut self) {
+        self.scratch.begin();
+        (self.lo, self.hi) = (usize::MAX, 0);
+    }
+    fn value(&self, node: NodeId, good: &[W]) -> W {
+        let s = &self.scratch;
+        if s.mark[node.index()] == s.epoch {
+            s.vals[node.index()]
+        } else {
+            good[node.index()]
         }
-        let fault = faults[fault_idx as usize];
-        let site = fault.node;
-        let site_slot = site.index();
-        scratch.overlay.clear();
-
-        // Activation precompute — identical to the interpreter: where
-        // each at-speed frame's launch creates the slow transition.
-        scratch.activation.clear();
-        scratch.activation.resize(nframes, W::zero());
-        let mut first_active = usize::MAX;
-        let mut last_active = 0usize;
-        for frame in 0..nframes {
-            if !window.is_at_speed_frame(frame) {
-                continue;
-            }
-            let prev = good_frames[frame - 1][site_slot];
-            let cur = good_frames[frame][site_slot];
-            let act = (match fault.kind {
-                crate::FaultKind::SlowToRise => prev.not().and(cur),
-                crate::FaultKind::SlowToFall => prev.and(cur.not()),
-                _ => unreachable!(),
-            })
-            .and(lane_mask);
-            if !act.is_zero() {
-                scratch.activation[frame] = act;
-                first_active = first_active.min(frame);
-                last_active = frame;
-            }
-        }
-        if first_active == usize::MAX {
-            *slot = W::zero();
-            continue;
-        }
-
-        for frame in first_active..nframes {
-            let act = scratch.activation[frame];
-            if act.is_zero() && frame > last_active && scratch.overlay.is_empty() {
-                break;
-            }
-
-            let good = &good_frames[frame];
-            scratch.dirty.clear();
-            for (&ff, &word) in &scratch.overlay {
-                if word != good[ff.index()] {
-                    scratch.dirty.push((ff, word));
-                }
-            }
-            if act.is_zero() && scratch.dirty.is_empty() {
-                continue;
-            }
-
-            scratch.begin();
-            let (mut lo, mut hi) = (usize::MAX, 0);
-            for k in 0..scratch.dirty.len() {
-                let (ff, word) = scratch.dirty[k];
-                scratch.seed(&plan.edges, ff.index(), word, &mut lo, &mut hi);
-            }
-            let mut pin = usize::MAX;
-            if !act.is_zero() {
-                // Seed the site after the flip-flop overlay so a dirty
-                // site reads its faulty word (the interpreter's
-                // `prop.value` order); the pin keeps the injected value
-                // authoritative in the drain.
-                let cur = if scratch.mark[site_slot] == scratch.epoch {
-                    scratch.vals[site_slot]
-                } else {
-                    good[site_slot]
-                };
-                scratch.seed(&plan.edges, site_slot, cur.xor(act), &mut lo, &mut hi);
-                pin = site_slot;
-            }
-            scratch.drain(prog, &plan.edges, good, pin, lo, hi);
-
-            // Frame boundary: capture.
-            if let Some(dom) = window.capturing_domain(frame) {
-                let epoch = scratch.epoch;
-                for (di, &ff) in cc.dffs().iter().enumerate() {
-                    if cc.dff_domain(di) != dom {
-                        continue;
-                    }
-                    let d_src = cc.fanins(ff)[0].index();
-                    let faulty_d = if scratch.mark[d_src] == epoch {
-                        scratch.vals[d_src]
-                    } else {
-                        good[d_src]
-                    };
-                    let good_next = good_frames[frame + 1][ff.index()];
-                    if faulty_d != good_next {
-                        scratch.overlay.insert(ff, faulty_d);
-                    } else {
-                        scratch.overlay.remove(&ff);
-                    }
-                }
-            }
-        }
-
-        let final_frame = &good_frames[nframes - 1];
-        let mut detected = W::zero();
-        for (&ff, &word) in &scratch.overlay {
-            detected = detected.or(word.xor(final_frame[ff.index()]).and(lane_mask));
-        }
-        *slot = detected;
+    }
+    fn seed(&mut self, node: NodeId, word: W) {
+        self.scratch.seed(self.edges, node.index(), word, &mut self.lo, &mut self.hi);
+    }
+    fn run(&mut self, good: &[W], pin: Option<NodeId>) {
+        let pin = pin.map_or(usize::MAX, NodeId::index);
+        self.scratch.drain(self.prog, self.edges, good, pin, self.lo, self.hi);
     }
 }

@@ -12,16 +12,19 @@
 //! * [`FaultUniverse`] — fault enumeration plus structural equivalence
 //!   collapsing (wire and gate-rule classes via union-find); coverage is
 //!   reported over collapsed classes, as testers do.
-//! * [`StuckAtSim`] / [`WideStuckAtSim`] — PPSFP: one
-//!   [`lbist_exec::LaneWord`] of patterns per pass (64 for the default
-//!   `u64` frames, 128/256 for `u128`/`[u64; 4]`), fault-free simulation
-//!   followed by event-driven single-fault forward propagation with fault
-//!   dropping and n-detect counting.
+//! * [`FaultSim`] — the one batch-grading core both fault models run
+//!   on: one [`lbist_exec::LaneWord`] of patterns per pass (64 for the
+//!   default `u64` frames, 128/256 for `u128`/`[u64; 4]`), sharded
+//!   per-fault replay on the gate interpreter or the compiled kernel,
+//!   fault dropping and n-detect counting.
+//! * [`StuckAtSim`] / [`WideStuckAtSim`] — PPSFP under the [`StuckAt`]
+//!   model: fault-free simulation followed by single-fault forward
+//!   propagation.
 //! * [`TransitionSim`] / [`WideTransitionSim`] — launch-on-capture
-//!   transition grading across the paper's **double-capture window**:
-//!   per-domain pulse pairs in `d3` order, launches at each first pulse,
-//!   captures at the second, fault effects carried across the window
-//!   through flip-flop state. Lane-width generic like the stuck-at engine.
+//!   transition grading under the [`Transition`] model, across the
+//!   paper's **double-capture window**: per-domain pulse pairs in `d3`
+//!   order, launches at each first pulse, captures at the second, fault
+//!   effects carried across the window through flip-flop state.
 //! * [`CoverageReport`] — the numbers the paper's Table 1 rows report.
 //!
 //! # Example
@@ -56,6 +59,7 @@ mod kernel;
 mod model;
 mod phases;
 mod propagate;
+mod sim;
 mod stuck;
 mod transition;
 mod universe;
@@ -66,6 +70,7 @@ pub use kernel::grading_keep_set;
 pub use model::{Fault, FaultKind};
 pub use phases::SimPhaseMetrics;
 pub use propagate::propagate_fault;
-pub use stuck::{StuckAtSim, WideStuckAtSim};
-pub use transition::{CaptureWindow, TransitionSim, WideTransitionSim};
+pub use sim::{FaultModel, FaultSim};
+pub use stuck::{StuckAt, StuckAtSim, WideStuckAtSim};
+pub use transition::{CaptureWindow, Transition, TransitionSim, WideTransitionSim};
 pub use universe::FaultUniverse;

@@ -1,23 +1,27 @@
 //! Event-driven single-fault forward propagation over pattern words,
 //! generic over the lane width.
 
+use crate::transition::WindowState;
 use crate::Fault;
 use lbist_exec::LaneWord;
 use lbist_netlist::{GateKind, NodeId};
 use lbist_sim::{eval_gate, CompiledCircuit};
 
-/// Reusable scratch state for event-driven fault propagation.
+/// Reusable scratch state for event-driven fault propagation: the
+/// interpreter's per-worker replay scratch, plus the transition window
+/// state.
 ///
-/// One `Propagator` is allocated per simulator and reused across millions
+/// One `Propagator` is allocated per worker and reused across millions
 /// of fault injections; per-fault cleanup is O(1) thanks to epoch stamps.
 #[derive(Debug)]
-pub(crate) struct Propagator<W: LaneWord = u64> {
+pub struct Propagator<W: LaneWord = u64> {
     faulty: Vec<W>,
     stamp: Vec<u32>,
     epoch: u32,
     buckets: Vec<Vec<NodeId>>,
     queued: Vec<u32>,
     fanin_scratch: Vec<W>,
+    pub(crate) window: WindowState<W>,
 }
 
 impl<W: LaneWord> Propagator<W> {
@@ -29,6 +33,7 @@ impl<W: LaneWord> Propagator<W> {
             buckets: vec![Vec::new(); cc.max_level() as usize + 2],
             queued: vec![0u32; cc.num_nodes()],
             fanin_scratch: Vec::new(),
+            window: WindowState::new(),
         }
     }
 

@@ -1,114 +1,47 @@
-//! PPSFP stuck-at fault simulation, sharded across the persistent `lbist-exec` work-stealing pool.
+//! The stuck-at fault model: PPSFP over one evaluated frame, graded by
+//! the shared [`FaultSim`] core.
 
-use crate::coverage::CoverageReport;
 use crate::kernel::{kernel_grade_shard, KernelScratch, StuckKernelPlan};
-use crate::phases::SimPhaseMetrics;
 use crate::propagate::{inject_stuck_at, Propagator};
+use crate::sim::{Batch, FaultModel, FaultSim};
 use crate::Fault;
-use lbist_exec::{CancelToken, LaneWord, RetryPolicy};
+use lbist_exec::LaneWord;
 use lbist_netlist::{GateKind, NodeId};
 use lbist_sim::{CompiledCircuit, KernelProgram};
-use std::sync::Arc;
-
-/// How many faults a shard grades between cancellation polls: frequent
-/// enough that a fired token unwinds within microseconds of work, rare
-/// enough that the atomic load is invisible in profiles.
-pub(crate) const CANCEL_POLL_STRIDE: usize = 64;
 
 /// The default 64-lane PPSFP simulator — [`WideStuckAtSim`] at the
 /// `u64` frame width every existing call site uses.
 pub type StuckAtSim<'a> = WideStuckAtSim<'a, u64>;
 
-/// Minimum faults per worker shard before another worker is engaged:
-/// below this, per-batch thread-spawn overhead outweighs the grading
-/// work (the active list shrinks steadily under compaction, so late
-/// batches fall back toward serial automatically).
-const MIN_SHARD_FAULTS: usize = 64;
-
 /// Parallel-pattern single-fault-propagation simulator for stuck-at
-/// faults, generic over the lane width (64/128/256 patterns per pass for
-/// `u64`/`u128`/`[u64; 4]` frames).
+/// faults: [`FaultSim`] under the [`StuckAt`] model, generic over the
+/// lane width.
+pub type WideStuckAtSim<'a, W = u64> = FaultSim<'a, StuckAt, W>;
+
+/// The single-stuck-at fault model.
 ///
-/// Each [`WideStuckAtSim::run_batch`] grades up to `W::LANES` patterns at
-/// once: the caller fills a value frame with source words (PIs + scan
-/// state), the simulator runs the fault-free evaluation, then every
-/// still-active fault is injected and propagated event-driven; a fault is
-/// *detected* in a pattern when its effect reaches an observed node.
-/// Detected faults are dropped once their n-detect budget is met.
-/// Coverage is **width-invariant**: a wide run grades the same patterns
-/// as the equivalent sequence of 64-lane batches and reports bit-identical
-/// detection counts (enforced by property tests in the bench crate).
-///
-/// # Parallel grading
-///
-/// Faults are graded independently against the shared fault-free frame, so
-/// the simulator shards the **active-fault list** across the persistent
-/// `lbist-exec` work-stealing pool.
-/// Each worker owns a thread-local [`Propagator`] scratch (epoch-stamped,
-/// reused across batches) and writes per-fault detection words into its
-/// own slice of the batch result; the serial merge then updates n-detect
-/// counts and compacts the active list (swap-remove on drop) so later
-/// batches stop scanning dead faults. The active list is ordered by logic
-/// level so each shard walks a cache-friendly cone of the circuit.
-///
-/// Because every fault's detection word depends only on the fault-free
-/// frame — never on other faults or on scheduling — parallel and serial
-/// grading produce **bit-identical** detection counts and coverage. The
-/// [`WideStuckAtSim::serial`] escape hatch pins grading to the calling
-/// thread for debugging or strict single-thread environments.
-///
-/// Observation follows the paper's BIST-ready core: responses are whatever
-/// the scan capture sees — every flip-flop `D` source, every primary output
+/// The caller fills a value frame with source words (PIs + scan state),
+/// the simulator runs the fault-free evaluation in place, then every
+/// still-active fault is injected and propagated; a fault is *detected*
+/// in a pattern when its effect reaches an observed node. Observation
+/// follows the paper's BIST-ready core: responses are whatever the scan
+/// capture sees — every flip-flop `D` source, every primary output
 /// marker, plus any observation test points the DFT step added.
+///
+/// On the interpreter each fault propagates event-driven through the
+/// netlist; on the kernel it replays as a patched cone or suffix of the
+/// lowered program (see the `kernel` module).
 #[derive(Debug)]
-pub struct WideStuckAtSim<'a, W: LaneWord = u64> {
-    cc: &'a CompiledCircuit,
-    faults: Vec<Fault>,
+pub struct StuckAt {
+    /// Observation flag per node.
     observed: Vec<bool>,
-    /// Indices into `faults` still being graded, ordered by logic level
-    /// (then node) for shard locality; swap-removed as faults drop.
-    active: Vec<u32>,
-    detections: Vec<u32>,
-    drop_after: u32,
-    patterns_run: u64,
-    /// Worker budget for a batch (1 = serial).
-    threads: usize,
-    /// `true` until [`WideStuckAtSim::set_threads`] is called: in auto
-    /// mode the worker count also respects [`MIN_SHARD_FAULTS`]; an
-    /// explicit budget is honoured exactly (tests force sharding on tiny
-    /// lists).
-    threads_auto: bool,
-    /// One propagation scratch per worker, reused across batches.
-    scratch: Vec<Propagator<W>>,
-    /// Compiled kernel program: when set, fault-free evaluation runs the
-    /// bytecode and per-fault replay runs event-driven over the lowered
-    /// instructions (see
-    /// [`WideStuckAtSim::set_kernel`]); results are bit-identical to the
-    /// interpreter path.
-    kernel: Option<Arc<KernelProgram>>,
-    /// Replay plan for the kernel path, built lazily at the first batch
-    /// (so late [`WideStuckAtSim::add_observed`] calls are honoured).
-    kplan: Option<StuckKernelPlan>,
-    /// One kernel replay scratch per worker.
-    kscratch: Vec<KernelScratch<W>>,
-    /// Per-active-fault detection words of the current batch (aligned
-    /// with `active`, swap-removed in lockstep during the merge).
-    batch_det: Vec<W>,
-    /// Cooperative cancellation: polled at batch entry, every
-    /// [`CANCEL_POLL_STRIDE`] faults within a shard, and before the
-    /// merge. A cancelled batch is never merged, so the simulator state
-    /// stays at the last completed batch — clean to checkpoint.
-    cancel: Option<CancelToken>,
-    /// Per-batch phase timers (no-op unless a session installs real
-    /// handles via [`WideStuckAtSim::set_phase_metrics`]).
-    phases: SimPhaseMetrics,
 }
 
 impl<'a, W: LaneWord> WideStuckAtSim<'a, W> {
     /// Creates a simulator over the given fault list (use
     /// [`crate::FaultUniverse::representatives`] for collapsed grading) and
     /// observed nodes. Grading uses every available hardware thread;
-    /// see [`WideStuckAtSim::serial`] and [`WideStuckAtSim::set_threads`].
+    /// see [`FaultSim::serial`] and [`FaultSim::set_threads`].
     ///
     /// # Panics
     ///
@@ -122,33 +55,7 @@ impl<'a, W: LaneWord> WideStuckAtSim<'a, W> {
         for o in observed {
             obs[o.index()] = true;
         }
-        let n = faults.len();
-        let mut active: Vec<u32> = (0..n as u32).collect();
-        // Level-major order: a shard of consecutive entries then touches a
-        // band of adjacent logic levels (fanout-cone locality) instead of
-        // striding the whole netlist.
-        active.sort_unstable_by_key(|&i| {
-            let f = &faults[i as usize];
-            (cc.level(f.node), f.node.index())
-        });
-        WideStuckAtSim {
-            cc,
-            faults,
-            observed: obs,
-            active,
-            detections: vec![0; n],
-            drop_after: 1,
-            patterns_run: 0,
-            threads: lbist_exec::current_num_threads(),
-            threads_auto: true,
-            scratch: Vec::new(),
-            kernel: None,
-            kplan: None,
-            kscratch: Vec::new(),
-            batch_det: Vec::new(),
-            cancel: None,
-            phases: SimPhaseMetrics::default(),
-        }
+        FaultSim::with_model(cc, faults, StuckAt { observed: obs })
     }
 
     /// The standard full-scan observation set: every flip-flop's `D` source
@@ -165,362 +72,91 @@ impl<'a, W: LaneWord> WideStuckAtSim<'a, W> {
         obs
     }
 
-    /// Pins grading to the calling thread. Coverage is bit-identical to
-    /// parallel grading (enforced by tests); this is the determinism
-    /// escape hatch for debugging and strict single-thread environments.
-    pub fn serial(mut self) -> Self {
-        self.set_threads(1);
-        self
-    }
-
-    /// Sets the worker-thread budget for subsequent batches (`1` =
-    /// serial). Capped shard-wise by the number of active faults.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn set_threads(&mut self, n: usize) {
-        assert!(n > 0, "at least one grading thread is required");
-        self.threads = n;
-        self.threads_auto = false;
-    }
-
-    /// The current worker-thread budget.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Sets the n-detect budget: faults are simulated until detected by
-    /// `n` patterns (default 1), then dropped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn set_drop_after(&mut self, n: u32) {
-        assert!(n > 0, "drop budget must be at least 1");
-        self.drop_after = n;
-    }
-
     /// Adds observation points (e.g. inserted test points) after
     /// construction.
     pub fn add_observed(&mut self, nodes: &[NodeId]) {
         for &n in nodes {
-            self.observed[n.index()] = true;
+            self.model.observed[n.index()] = true;
         }
         // The kernel replay plan bakes in observation flags — rebuild it
         // at the next batch.
-        self.kplan = None;
-    }
-
-    /// Installs (or clears) a compiled kernel program: subsequent batches
-    /// evaluate the fault-free frame with [`KernelProgram::execute`] and
-    /// replay faults event-driven over the lowered instructions — the sparse form of
-    /// the kernel's patched-instruction execution. Results are
-    /// bit-identical to the interpreter path (property-tested in the
-    /// bench crate).
-    ///
-    /// The program must have been lowered from this simulator's circuit
-    /// with a keep set covering this fault list and observation set —
-    /// use [`crate::grading_keep_set`]. Violations panic at the next
-    /// batch, never misgrade silently.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program's node count differs from the circuit's.
-    pub fn set_kernel(&mut self, kernel: Option<Arc<KernelProgram>>) {
-        if let Some(k) = &kernel {
-            assert_eq!(
-                k.num_nodes(),
-                self.cc.num_nodes(),
-                "kernel program was lowered from a different circuit"
-            );
-        }
-        self.kernel = kernel;
-        self.kplan = None;
-        self.kscratch.clear();
-    }
-
-    /// `true` when a compiled kernel program drives this simulator.
-    pub fn uses_kernel(&self) -> bool {
-        self.kernel.is_some()
-    }
-
-    /// Number of faults still actively graded (shrinks as faults drop —
-    /// the compaction that keeps late batches cheap).
-    pub fn active_faults(&self) -> usize {
-        self.active.len()
-    }
-
-    /// Installs (or clears) a cancellation token polled by subsequent
-    /// batches; see [`WideStuckAtSim::try_run_batch`].
-    pub fn set_cancel(&mut self, cancel: Option<CancelToken>) {
-        self.cancel = cancel;
-    }
-
-    /// Installs phase timers: each batch records its fault-free
-    /// evaluation time into `phases.sim_ns` and its sharded
-    /// propagation-and-merge time into `phases.detect_ns`. Timing is
-    /// observational only — grading results are bit-identical with or
-    /// without it.
-    pub fn set_phase_metrics(&mut self, phases: SimPhaseMetrics) {
-        self.phases = phases;
-    }
-
-    /// Grades one batch. The caller must have loaded the source words of
-    /// `frame` (inputs, flip-flop states, X-source substitutes);
-    /// `num_patterns` (1..=`W::LANES`) marks how many lanes carry real
-    /// patterns. On return `frame` holds the fault-free evaluation.
-    ///
-    /// Returns the number of faults newly dropped by this batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_patterns` is 0 or exceeds `W::LANES`, or if a
-    /// cancellation token installed via [`WideStuckAtSim::set_cancel`]
-    /// has fired (use [`WideStuckAtSim::try_run_batch`] on cancellable
-    /// paths).
-    pub fn run_batch(&mut self, frame: &mut [W], num_patterns: usize) -> usize {
-        self.try_run_batch(frame, num_patterns)
-            .expect("batch cancelled: cancellable callers must use try_run_batch")
-    }
-
-    /// Cancellable [`WideStuckAtSim::run_batch`]: returns `None` — with
-    /// the batch **discarded, not merged** — once the installed token
-    /// fires. Counts, the active list, and `patterns_run` then still
-    /// describe the last completed batch, so the simulator is in a clean
-    /// state to checkpoint or resume.
-    ///
-    /// Shards are graded under panic containment (bounded retries, then
-    /// serial degrade) and poll the token every
-    /// [`CANCEL_POLL_STRIDE`] faults.
-    pub fn try_run_batch(&mut self, frame: &mut [W], num_patterns: usize) -> Option<usize> {
-        let cancel = self.cancel.as_ref();
-        if cancel.is_some_and(|c| c.is_cancelled()) {
-            return None;
-        }
-        if let Some(prog) = &self.kernel {
-            if self.kplan.is_none() {
-                // One-time replay-plan construction is detection
-                // machinery — charged to the detect span so the phase
-                // trace still accounts for the batch wall time.
-                let _plan_span = self.phases.detect_ns.start();
-                self.kplan =
-                    Some(StuckKernelPlan::build(prog, self.cc, &self.faults, &self.observed));
-            }
-        }
-        let lane_mask = W::mask_lanes(num_patterns);
-        {
-            let _sim_span = self.phases.sim_ns.start();
-            match &self.kernel {
-                Some(prog) => prog.execute(frame),
-                None => self.cc.eval2(frame),
-            }
-        }
-
-        let n_active = self.active.len();
-        self.batch_det.clear();
-        self.batch_det.resize(n_active, W::zero());
-        if n_active == 0 {
-            self.patterns_run += num_patterns as u64;
-            return Some(0);
-        }
-
-        // In auto mode each worker must own a meaningful shard:
-        // dispatching pool tasks for a handful of survivors (late
-        // batches after compaction) would cost more than the grading
-        // itself. An explicit budget is honoured exactly.
-        let min_shard = if self.threads_auto { Some(MIN_SHARD_FAULTS) } else { None };
-        let workers = lbist_exec::worker_budget(self.threads, n_active, min_shard);
-
-        // One detect span covers dispatch, retries, and the serial
-        // merge below (it records on every exit path, cancelled included
-        // — a discarded batch still spent the time).
-        let _detect_span = self.phases.detect_ns.start();
-        let cc = self.cc;
-        let faults: &[Fault] = &self.faults;
-        let observed: &[bool] = &self.observed;
-        let frame_ro: &[W] = frame;
-        if let (Some(prog), Some(plan)) = (&self.kernel, &self.kplan) {
-            let prog: &KernelProgram = prog;
-            lbist_exec::resilient_chunks_with_scratch(
-                &self.active,
-                &mut self.batch_det,
-                workers,
-                &mut self.kscratch,
-                || KernelScratch::new(prog, cc),
-                |idx_shard, det_shard, scratch| {
-                    kernel_grade_shard(
-                        prog, plan, cc, idx_shard, frame_ro, lane_mask, scratch, det_shard, cancel,
-                    );
-                },
-                &RetryPolicy::default(),
-                cancel,
-            );
-        } else {
-            lbist_exec::resilient_chunks_with_scratch(
-                &self.active,
-                &mut self.batch_det,
-                workers,
-                &mut self.scratch,
-                || Propagator::new(cc),
-                |idx_shard, det_shard, prop| {
-                    grade_shard(
-                        cc, faults, observed, idx_shard, frame_ro, lane_mask, prop, det_shard,
-                        cancel,
-                    );
-                },
-                &RetryPolicy::default(),
-                cancel,
-            );
-        }
-        if cancel.is_some_and(|c| c.is_cancelled()) {
-            // Unwind cleanly: the half-graded batch is discarded whole.
-            return None;
-        }
-        self.patterns_run += num_patterns as u64;
-
-        // Serial merge: order-independent counts, then swap-remove
-        // compaction of (active, batch_det) in lockstep.
-        let mut newly_dropped = 0usize;
-        let mut pos = 0usize;
-        while pos < self.active.len() {
-            let detected = self.batch_det[pos];
-            if detected.is_zero() {
-                pos += 1;
-                continue;
-            }
-            let fault_idx = self.active[pos] as usize;
-            self.detections[fault_idx] =
-                self.detections[fault_idx].saturating_add(detected.count_ones());
-            if self.detections[fault_idx] >= self.drop_after {
-                self.active.swap_remove(pos);
-                self.batch_det.swap_remove(pos);
-                newly_dropped += 1;
-            } else {
-                pos += 1;
-            }
-        }
-        Some(newly_dropped)
-    }
-
-    /// Restores the simulator to a checkpointed position: per-fault
-    /// detection counts plus the pattern counter. The active list is
-    /// rebuilt as every fault with `detections < drop_after`, in the
-    /// constructor's level-major order — the resulting per-batch counts,
-    /// detected sets, and drop decisions are bit-identical to a run that
-    /// was never interrupted, because the batch merge is
-    /// order-independent (enforced by the resume property tests in the
-    /// bench crate).
-    ///
-    /// Call after [`WideStuckAtSim::set_drop_after`] so the rebuilt
-    /// active list honours the run's drop budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `detections` does not match the fault-list length.
-    pub fn restore(&mut self, detections: &[u32], patterns_run: u64) {
-        assert_eq!(
-            detections.len(),
-            self.faults.len(),
-            "restored detections must match the fault list"
-        );
-        self.detections = detections.to_vec();
-        self.patterns_run = patterns_run;
-        self.active = (0..self.faults.len() as u32)
-            .filter(|&i| self.detections[i as usize] < self.drop_after)
-            .collect();
-        self.active.sort_unstable_by_key(|&i| {
-            let f = &self.faults[i as usize];
-            (self.cc.level(f.node), f.node.index())
-        });
-        self.batch_det.clear();
-    }
-
-    /// Patterns graded so far (the counter captured by checkpoints).
-    pub fn patterns_run(&self) -> u64 {
-        self.patterns_run
-    }
-
-    /// The faults being graded, in index order.
-    pub fn faults(&self) -> &[Fault] {
-        &self.faults
-    }
-
-    /// Per-fault detection counts (saturating at the drop budget).
-    pub fn detections(&self) -> &[u32] {
-        &self.detections
-    }
-
-    /// Faults not yet detected, in index order.
-    pub fn undetected(&self) -> Vec<Fault> {
-        self.faults
-            .iter()
-            .zip(&self.detections)
-            .filter(|&(_, &d)| d == 0)
-            .map(|(f, _)| *f)
-            .collect()
-    }
-
-    /// Indices of faults not yet detected.
-    pub fn undetected_indices(&self) -> Vec<usize> {
-        (0..self.faults.len()).filter(|&i| self.detections[i] == 0).collect()
-    }
-
-    /// Current coverage over the graded fault list.
-    pub fn coverage(&self) -> CoverageReport {
-        CoverageReport::from_detections(&self.faults, &self.detections, self.patterns_run)
+        self.plan = None;
     }
 }
 
-/// Grades one shard of the active-fault list against the shared fault-free
-/// frame, writing each fault's multi-lane detection word into `out`. Runs
-/// on a pool worker with its own `Propagator` scratch; reads only shared
-/// state, so shard scheduling cannot affect results. Polls `cancel` every
-/// [`CANCEL_POLL_STRIDE`] faults and returns early when it fires (the
-/// caller then discards the whole batch).
-#[allow(clippy::too_many_arguments)]
-fn grade_shard<W: LaneWord>(
-    cc: &CompiledCircuit,
-    faults: &[Fault],
-    observed: &[bool],
-    shard: &[u32],
-    frame: &[W],
-    lane_mask: W,
-    prop: &mut Propagator<W>,
-    out: &mut [W],
-    cancel: Option<&CancelToken>,
-) {
-    debug_assert_eq!(shard.len(), out.len());
-    for (i, (&fault_idx, slot)) in shard.iter().zip(out.iter_mut()).enumerate() {
-        if i % CANCEL_POLL_STRIDE == 0 && cancel.is_some_and(|c| c.is_cancelled()) {
-            return;
+impl<W: LaneWord> FaultModel<W> for StuckAt {
+    type Frame<'f> = &'f mut [W];
+    type Plan = StuckKernelPlan;
+    // The active list shrinks steadily under compaction, so late
+    // batches fall back toward serial automatically.
+    const MIN_SHARD_FAULTS: usize = 64;
+
+    fn evaluate(
+        &mut self,
+        cc: &CompiledCircuit,
+        prog: Option<&KernelProgram>,
+        frame: &mut &mut [W],
+    ) {
+        match prog {
+            Some(prog) => prog.execute(frame),
+            None => cc.eval2(frame),
         }
-        let fault = faults[fault_idx as usize];
-        let mut detected = W::zero();
-        match inject_stuck_at(cc, &fault, frame) {
-            None => {}
-            Some((site, word)) => {
-                if cc.kind(site) == GateKind::Dff {
-                    // D-pin branch fault: the pin is captured directly.
-                    let src = cc.fanins(site)[0];
-                    detected = word.xor(frame[src.index()]).and(lane_mask);
-                } else {
-                    prop.begin();
-                    prop.set(site, word);
-                    if observed[site.index()] {
-                        detected = detected.or(word.xor(frame[site.index()]).and(lane_mask));
-                    }
-                    prop.enqueue_fanouts(cc, site);
-                    let det = &mut detected;
-                    prop.run(cc, frame, None, |node, diff| {
-                        if observed[node.index()] {
-                            *det = det.or(diff.and(lane_mask));
-                        }
-                    });
-                }
+    }
+
+    fn plan(
+        &self,
+        prog: &KernelProgram,
+        cc: &CompiledCircuit,
+        faults: &[Fault],
+    ) -> StuckKernelPlan {
+        StuckKernelPlan::build(prog, cc, faults, &self.observed)
+    }
+
+    /// Injects each fault into the shared fault-free frame and propagates
+    /// it event-driven with the worker's own `Propagator`; reads only
+    /// shared state, so shard scheduling cannot affect results.
+    fn interp_shard(
+        &self,
+        batch: &Batch<'_, W>,
+        frame: &&mut [W],
+        shard: &[u32],
+        prop: &mut Propagator<W>,
+        out: &mut [W],
+    ) {
+        let (cc, frame, observed) = (batch.cc, &**frame, &self.observed);
+        batch.each(shard, out, |fault| {
+            let Some((site, word)) = inject_stuck_at(cc, fault, frame) else {
+                return W::zero();
+            };
+            if cc.kind(site) == GateKind::Dff {
+                // D-pin branch fault: the pin is captured directly.
+                return word.xor(frame[cc.fanins(site)[0].index()]);
             }
-        }
-        *slot = detected;
+            let mut detected =
+                if observed[site.index()] { word.xor(frame[site.index()]) } else { W::zero() };
+            prop.begin();
+            prop.set(site, word);
+            prop.enqueue_fanouts(cc, site);
+            prop.run(cc, frame, None, |node, diff| {
+                if observed[node.index()] {
+                    detected = detected.or(diff);
+                }
+            });
+            detected
+        });
+    }
+
+    fn kernel_shard(
+        &self,
+        batch: &Batch<'_, W>,
+        frame: &&mut [W],
+        prog: &KernelProgram,
+        plan: &StuckKernelPlan,
+        shard: &[u32],
+        scratch: &mut KernelScratch<W>,
+        out: &mut [W],
+    ) {
+        kernel_grade_shard(prog, plan, batch, shard, frame, scratch, out);
     }
 }
 

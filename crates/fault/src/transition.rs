@@ -22,32 +22,32 @@
 //! effects cross them only as wrong *values* already captured into
 //! flip-flops, which the simulator carries in a per-fault state overlay.
 //!
-//! Like [`crate::StuckAtSim`], grading is sharded across the persistent `lbist-exec` work-stealing pool:
-//! the fault-free window frames are computed once and shared read-only;
-//! each worker replays faults from its shard with a thread-local
-//! [`Propagator`] and flip-flop overlay, so parallel and serial coverage
-//! are bit-identical.
+//! Grading runs on the shared [`FaultSim`] core, so it is sharded across
+//! the persistent `lbist-exec` work-stealing pool exactly like stuck-at
+//! grading: the fault-free window frames are computed once and shared
+//! read-only; each worker replays faults from its shard with its own
+//! propagation scratch and flip-flop overlay, so parallel and serial
+//! coverage are bit-identical. One replay loop, [`replay_window`], serves
+//! both engines; they differ only in how a frame propagates
+//! ([`WindowStep`]).
 
-use crate::kernel::{kernel_replay_shard, KernelScratch, TransitionKernelPlan};
-use crate::phases::SimPhaseMetrics;
+use crate::kernel::{KernelScratch, KernelStep, TransitionKernelPlan};
 use crate::propagate::Propagator;
-use crate::stuck::CANCEL_POLL_STRIDE;
-use crate::{CoverageReport, Fault};
-use lbist_exec::{CancelToken, LaneWord, RetryPolicy};
+use crate::sim::{Batch, FaultModel, FaultSim};
+use crate::{Fault, FaultKind};
+use lbist_exec::LaneWord;
 use lbist_netlist::{DomainId, NodeId};
 use lbist_sim::{CompiledCircuit, KernelProgram};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// The default 64-lane launch-on-capture simulator —
 /// [`WideTransitionSim`] at the `u64` frame width every existing call
 /// site uses.
 pub type TransitionSim<'a> = WideTransitionSim<'a, u64>;
 
-/// Minimum faults per worker shard before another worker is engaged.
-/// Window replay is heavier per fault than single-frame PPSFP, so the
-/// threshold is lower than `StuckAtSim`'s.
-const MIN_SHARD_FAULTS: usize = 16;
+/// Launch-on-capture transition-fault simulator: [`FaultSim`] under the
+/// [`Transition`] model, generic over the lane width.
+pub type WideTransitionSim<'a, W = u64> = FaultSim<'a, Transition<W>, W>;
 
 /// The capture-window schedule: which domains pulse, in which order.
 ///
@@ -120,92 +120,24 @@ impl CaptureWindow {
     }
 }
 
-/// Thread-local replay scratch for one worker: event-driven propagation
-/// state plus the per-fault flip-flop overlay, reused across faults and
-/// batches.
-#[derive(Debug)]
-struct ReplayScratch<W: LaneWord> {
-    prop: Propagator<W>,
-    /// Flip-flops currently holding a faulty word for the fault being
-    /// replayed.
-    overlay: HashMap<NodeId, W>,
-    /// Per-frame seed of overlay flip-flops that differ from the
-    /// fault-free frame (rebuilt each frame without allocating).
-    dirty: Vec<(NodeId, W)>,
-    /// Per-at-speed-frame activation words of the fault being replayed
-    /// (indexed by frame, reused across faults without allocating).
-    activation: Vec<W>,
-}
-
-impl<W: LaneWord> ReplayScratch<W> {
-    fn new(cc: &CompiledCircuit) -> Self {
-        ReplayScratch {
-            prop: Propagator::new(cc),
-            overlay: HashMap::new(),
-            dirty: Vec::new(),
-            activation: Vec::new(),
-        }
-    }
-}
-
-/// Launch-on-capture transition-fault simulator, generic over the lane
-/// width (64/128/256 scan patterns per pass for `u64`/`u128`/`[u64; 4]`
-/// frames).
+/// The launch-on-capture transition fault model.
 ///
-/// Grades `W::LANES` scan patterns per [`WideTransitionSim::run_batch`]:
-/// the caller loads the scan state (flip-flop words) and primary-input
-/// words of the base frame; the simulator replays the whole double-capture
-/// window for the fault-free circuit and then for every active fault, and
-/// compares final flip-flop states — exactly what the unload-into-MISR
-/// observes.
-///
-/// Active faults are sharded across the persistent `lbist-exec`
-/// work-stealing pool (each with its own propagation and overlay scratch)
-/// and the active list is compacted by swap-remove as faults drop.
-/// [`WideTransitionSim::serial`] pins grading to the calling thread;
-/// parallel and serial results are bit-identical, as are wide and 64-lane
-/// runs over the same pattern stream (property-tested in the bench crate).
+/// Each batch loads the scan state (flip-flop words) and primary-input
+/// words of the base frame; the simulator replays the whole
+/// double-capture window for the fault-free circuit and then for every
+/// active fault, and compares final flip-flop states — exactly what the
+/// unload-into-MISR observes.
 #[derive(Debug)]
-pub struct WideTransitionSim<'a, W: LaneWord = u64> {
-    cc: &'a CompiledCircuit,
+pub struct Transition<W> {
     window: CaptureWindow,
-    faults: Vec<Fault>,
-    /// Indices into `faults` still being graded, level-ordered for shard
-    /// locality; swap-removed as faults drop.
-    active: Vec<u32>,
-    detections: Vec<u32>,
-    drop_after: u32,
-    patterns_run: u64,
-    threads: usize,
-    /// `true` until [`WideTransitionSim::set_threads`] is called: auto
-    /// mode also respects [`MIN_SHARD_FAULTS`]; explicit budgets are
-    /// honoured exactly.
-    threads_auto: bool,
-    /// One replay scratch per worker, reused across batches.
-    scratch: Vec<ReplayScratch<W>>,
-    /// Compiled kernel program (see [`WideTransitionSim::set_kernel`]).
-    kernel: Option<Arc<KernelProgram>>,
-    /// Replay plan for the kernel path, built lazily at the first batch.
-    kplan: Option<TransitionKernelPlan>,
-    /// One kernel replay scratch per worker.
-    kscratch: Vec<KernelScratch<W>>,
-    /// Per-active-fault detection words (aligned with `active`).
-    batch_det: Vec<W>,
     /// Fault-free value frames, one per window frame (reused per batch).
     good_frames: Vec<Vec<W>>,
-    /// Cooperative cancellation; a cancelled batch is discarded unmerged
-    /// so the state stays at the last completed batch.
-    cancel: Option<CancelToken>,
-    /// Per-batch phase timers (no-op unless a session installs real
-    /// handles via [`WideTransitionSim::set_phase_metrics`]).
-    phases: SimPhaseMetrics,
 }
 
 impl<'a, W: LaneWord> WideTransitionSim<'a, W> {
     /// Creates a simulator for `faults` (transition kinds only) under the
     /// given capture window. Grading uses every available hardware
-    /// thread; see [`WideTransitionSim::serial`] and
-    /// [`WideTransitionSim::set_threads`].
+    /// thread; see [`FaultSim::serial`] and [`FaultSim::set_threads`].
     ///
     /// # Panics
     ///
@@ -217,304 +149,41 @@ impl<'a, W: LaneWord> WideTransitionSim<'a, W> {
             faults.iter().all(|f| f.kind.is_transition() && f.is_stem()),
             "TransitionSim grades stem transition faults"
         );
-        let n = faults.len();
-        let mut active: Vec<u32> = (0..n as u32).collect();
-        active.sort_unstable_by_key(|&i| {
-            let f = &faults[i as usize];
-            (cc.level(f.node), f.node.index())
-        });
-        WideTransitionSim {
-            good_frames: vec![cc.new_wide_frame(); window.num_frames()],
-            cc,
-            window,
-            faults,
-            active,
-            detections: vec![0; n],
-            drop_after: 1,
-            patterns_run: 0,
-            threads: lbist_exec::current_num_threads(),
-            threads_auto: true,
-            scratch: Vec::new(),
-            kernel: None,
-            kplan: None,
-            kscratch: Vec::new(),
-            batch_det: Vec::new(),
-            cancel: None,
-            phases: SimPhaseMetrics::default(),
-        }
+        let good_frames = vec![cc.new_wide_frame(); window.num_frames()];
+        FaultSim::with_model(cc, faults, Transition { window, good_frames })
     }
 
-    /// Installs (or clears) a compiled kernel program: subsequent batches
-    /// evaluate the fault-free window frames with
-    /// [`KernelProgram::execute`] and replay faults over precomputed
-    /// the lowered instructions, event-driven (the sparse form of
-    /// patched-instruction execution).
-    /// Results are bit-identical to the interpreter path.
+    /// The fault-free value frame at the end of the capture window of
+    /// the **last graded batch** — the flip-flop states the unload then
+    /// shifts into the MISRs. This is what a signature-accumulating
+    /// caller compacts as the batch's fault-free response.
     ///
-    /// The program must have been lowered from this simulator's circuit
-    /// with a keep set covering this fault list (use
-    /// [`crate::grading_keep_set`]); violations panic at the next batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program's node count differs from the circuit's.
-    pub fn set_kernel(&mut self, kernel: Option<Arc<KernelProgram>>) {
-        if let Some(k) = &kernel {
-            assert_eq!(
-                k.num_nodes(),
-                self.cc.num_nodes(),
-                "kernel program was lowered from a different circuit"
-            );
-        }
-        self.kernel = kernel;
-        self.kplan = None;
-        self.kscratch.clear();
+    /// Zeroed until the first [`FaultSim::run_batch`].
+    pub fn last_good_frame(&self) -> &[W] {
+        self.model.good_frames.last().expect("a capture window spans at least one frame")
     }
 
-    /// `true` when a compiled kernel program drives this simulator.
-    pub fn uses_kernel(&self) -> bool {
-        self.kernel.is_some()
+    /// The window schedule in use.
+    pub fn window(&self) -> &CaptureWindow {
+        &self.model.window
     }
+}
 
-    /// Pins grading to the calling thread (the determinism escape hatch;
-    /// results are bit-identical to parallel grading).
-    pub fn serial(mut self) -> Self {
-        self.set_threads(1);
-        self
-    }
+impl<W: LaneWord> FaultModel<W> for Transition<W> {
+    type Frame<'f> = &'f [W];
+    type Plan = TransitionKernelPlan;
+    // Window replay is heavier per fault than single-frame PPSFP, so the
+    // floor is lower than stuck-at's.
+    const MIN_SHARD_FAULTS: usize = 16;
 
-    /// Sets the worker-thread budget for subsequent batches (`1` =
-    /// serial).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn set_threads(&mut self, n: usize) {
-        assert!(n > 0, "at least one grading thread is required");
-        self.threads = n;
-        self.threads_auto = false;
-    }
-
-    /// The current worker-thread budget.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Sets the n-detect drop budget (default 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn set_drop_after(&mut self, n: u32) {
-        assert!(n > 0);
-        self.drop_after = n;
-    }
-
-    /// Number of faults still actively graded.
-    pub fn active_faults(&self) -> usize {
-        self.active.len()
-    }
-
-    /// Installs (or clears) a cancellation token polled by subsequent
-    /// batches; see [`WideTransitionSim::try_run_batch`].
-    pub fn set_cancel(&mut self, cancel: Option<CancelToken>) {
-        self.cancel = cancel;
-    }
-
-    /// Installs phase timers: each batch records its fault-free window
-    /// evaluation into `phases.sim_ns` and its sharded replay + merge
-    /// into `phases.detect_ns`. Observational only — grading results
-    /// are bit-identical with or without it.
-    pub fn set_phase_metrics(&mut self, phases: SimPhaseMetrics) {
-        self.phases = phases;
-    }
-
-    /// Grades one batch of up to `W::LANES` scan patterns. `base` must
-    /// carry the scan state in its flip-flop words and the held PI values;
-    /// it is consumed as frame F0.
-    ///
-    /// Returns the number of newly dropped faults.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_patterns` is outside `1..=W::LANES`, or if a token
-    /// installed via [`WideTransitionSim::set_cancel`] has fired (use
-    /// [`WideTransitionSim::try_run_batch`] on cancellable paths).
-    pub fn run_batch(&mut self, base: &[W], num_patterns: usize) -> usize {
-        self.try_run_batch(base, num_patterns)
-            .expect("batch cancelled: cancellable callers must use try_run_batch")
-    }
-
-    /// Cancellable [`WideTransitionSim::run_batch`]: returns `None` —
-    /// with the batch **discarded, not merged** — once the installed
-    /// token fires, leaving counts, the active list, and `patterns_run`
-    /// at the last completed batch (a clean checkpointable state).
-    ///
-    /// Shards replay under panic containment (bounded retries, then
-    /// serial degrade) and poll the token between faults.
-    pub fn try_run_batch(&mut self, base: &[W], num_patterns: usize) -> Option<usize> {
-        let cancel = self.cancel.clone();
-        let cancel = cancel.as_ref();
-        if cancel.is_some_and(|c| c.is_cancelled()) {
-            return None;
-        }
-        if let Some(prog) = &self.kernel {
-            if self.kplan.is_none() {
-                // One-time replay-plan construction is detection
-                // machinery — charged to the detect span so the phase
-                // trace still accounts for the batch wall time.
-                let _plan_span = self.phases.detect_ns.start();
-                self.kplan = Some(TransitionKernelPlan::build(prog, self.cc, &self.faults));
-            }
-        }
-        let lane_mask = W::mask_lanes(num_patterns);
-        {
-            let _sim_span = self.phases.sim_ns.start();
-            self.compute_good_frames(base);
-        }
-
-        let n_active = self.active.len();
-        self.batch_det.clear();
-        self.batch_det.resize(n_active, W::zero());
-        if n_active == 0 {
-            self.patterns_run += num_patterns as u64;
-            return Some(0);
-        }
-
-        // As in `WideStuckAtSim`: in auto mode engage another worker only
-        // once it owns a meaningful shard, so compacted late batches skip
-        // thread spawns; explicit budgets are honoured exactly.
-        let min_shard = if self.threads_auto { Some(MIN_SHARD_FAULTS) } else { None };
-        let workers = lbist_exec::worker_budget(self.threads, n_active, min_shard);
-
-        // One detect span covers dispatch, retries, and the serial
-        // merge below (records on every exit path, cancelled included).
-        let _detect_span = self.phases.detect_ns.start();
-        let cc = self.cc;
-        let window = &self.window;
-        let faults: &[Fault] = &self.faults;
-        let good_frames: &[Vec<W>] = &self.good_frames;
-        if let (Some(prog), Some(plan)) = (&self.kernel, &self.kplan) {
-            let prog: &KernelProgram = prog;
-            lbist_exec::resilient_chunks_with_scratch(
-                &self.active,
-                &mut self.batch_det,
-                workers,
-                &mut self.kscratch,
-                || KernelScratch::new(prog, cc),
-                |idx_shard, det_shard, scratch| {
-                    kernel_replay_shard(
-                        prog,
-                        plan,
-                        cc,
-                        window,
-                        faults,
-                        good_frames,
-                        idx_shard,
-                        lane_mask,
-                        scratch,
-                        det_shard,
-                        cancel,
-                    );
-                },
-                &RetryPolicy::default(),
-                cancel,
-            );
-        } else {
-            lbist_exec::resilient_chunks_with_scratch(
-                &self.active,
-                &mut self.batch_det,
-                workers,
-                &mut self.scratch,
-                || ReplayScratch::new(cc),
-                |idx_shard, det_shard, scratch| {
-                    replay_shard(
-                        cc,
-                        window,
-                        faults,
-                        good_frames,
-                        idx_shard,
-                        lane_mask,
-                        scratch,
-                        det_shard,
-                        cancel,
-                    );
-                },
-                &RetryPolicy::default(),
-                cancel,
-            );
-        }
-        if cancel.is_some_and(|c| c.is_cancelled()) {
-            return None;
-        }
-        self.patterns_run += num_patterns as u64;
-
-        // Serial merge with swap-remove compaction (lockstep on the two
-        // aligned vectors).
-        let mut newly_dropped = 0usize;
-        let mut pos = 0usize;
-        while pos < self.active.len() {
-            let detected = self.batch_det[pos];
-            if detected.is_zero() {
-                pos += 1;
-                continue;
-            }
-            let fault_idx = self.active[pos] as usize;
-            self.detections[fault_idx] =
-                self.detections[fault_idx].saturating_add(detected.count_ones());
-            if self.detections[fault_idx] >= self.drop_after {
-                self.active.swap_remove(pos);
-                self.batch_det.swap_remove(pos);
-                newly_dropped += 1;
-            } else {
-                pos += 1;
-            }
-        }
-        Some(newly_dropped)
-    }
-
-    /// Restores the simulator to a checkpointed position: per-fault
-    /// detection counts plus the pattern counter; the active list is
-    /// rebuilt as every fault below the drop budget in the constructor's
-    /// level-major order (the batch merge is order-independent, so
-    /// resumed results are bit-identical — see
-    /// [`crate::WideStuckAtSim::restore`]).
-    ///
-    /// Call after [`WideTransitionSim::set_drop_after`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `detections` does not match the fault-list length.
-    pub fn restore(&mut self, detections: &[u32], patterns_run: u64) {
-        assert_eq!(
-            detections.len(),
-            self.faults.len(),
-            "restored detections must match the fault list"
-        );
-        self.detections = detections.to_vec();
-        self.patterns_run = patterns_run;
-        self.active = (0..self.faults.len() as u32)
-            .filter(|&i| self.detections[i as usize] < self.drop_after)
-            .collect();
-        self.active.sort_unstable_by_key(|&i| {
-            let f = &self.faults[i as usize];
-            (self.cc.level(f.node), f.node.index())
-        });
-        self.batch_det.clear();
-    }
-
-    /// Patterns graded so far (the counter captured by checkpoints).
-    pub fn patterns_run(&self) -> u64 {
-        self.patterns_run
-    }
-
-    fn compute_good_frames(&mut self, base: &[W]) {
-        let nframes = self.window.num_frames();
-        match &self.kernel {
+    /// Computes the fault-free window: F0 from `base`, then per frame
+    /// boundary the capturing domain's flip-flops load their `D` words.
+    fn evaluate(&mut self, cc: &CompiledCircuit, prog: Option<&KernelProgram>, base: &mut &[W]) {
+        match prog {
             Some(prog) => prog.execute_into(base, &mut self.good_frames[0]),
-            None => self.cc.eval2_into(base, &mut self.good_frames[0]),
+            None => cc.eval2_into(base, &mut self.good_frames[0]),
         }
-        for frame in 1..nframes {
+        for frame in 1..self.window.num_frames() {
             let (prev_slice, rest) = self.good_frames.split_at_mut(frame);
             let prev = &prev_slice[frame - 1];
             let cur = &mut rest[0];
@@ -523,89 +192,134 @@ impl<'a, W: LaneWord> WideTransitionSim<'a, W> {
                 .window
                 .capturing_domain(frame - 1)
                 .expect("every non-final frame boundary captures");
-            for (i, &ff) in self.cc.dffs().iter().enumerate() {
-                if self.cc.dff_domain(i) == dom {
-                    let d_src = self.cc.fanins(ff)[0];
+            for (i, &ff) in cc.dffs().iter().enumerate() {
+                if cc.dff_domain(i) == dom {
+                    let d_src = cc.fanins(ff)[0];
                     cur[ff.index()] = prev[d_src.index()];
                 }
             }
-            match &self.kernel {
+            match prog {
                 Some(prog) => prog.execute(cur),
-                None => self.cc.eval2(cur),
+                None => cc.eval2(cur),
             }
         }
     }
 
-    /// The fault-free value frame at the end of the capture window of
-    /// the **last graded batch** — the flip-flop states the unload then
-    /// shifts into the MISRs. This is what a signature-accumulating
-    /// caller compacts as the batch's fault-free response.
-    ///
-    /// Zeroed until the first [`WideTransitionSim::run_batch`].
-    pub fn last_good_frame(&self) -> &[W] {
-        self.good_frames.last().expect("a capture window spans at least one frame")
+    fn plan(
+        &self,
+        prog: &KernelProgram,
+        cc: &CompiledCircuit,
+        faults: &[Fault],
+    ) -> TransitionKernelPlan {
+        TransitionKernelPlan::build(prog, cc, faults)
     }
 
-    /// The faults being graded.
-    pub fn faults(&self) -> &[Fault] {
-        &self.faults
+    fn interp_shard(
+        &self,
+        batch: &Batch<'_, W>,
+        _base: &&[W],
+        shard: &[u32],
+        prop: &mut Propagator<W>,
+        out: &mut [W],
+    ) {
+        let step = &mut InterpStep { cc: batch.cc, prop };
+        replay_window(batch, &self.window, &self.good_frames, shard, out, step);
     }
 
-    /// Per-fault detection counts.
-    pub fn detections(&self) -> &[u32] {
-        &self.detections
+    fn kernel_shard(
+        &self,
+        batch: &Batch<'_, W>,
+        _base: &&[W],
+        prog: &KernelProgram,
+        plan: &TransitionKernelPlan,
+        shard: &[u32],
+        scratch: &mut KernelScratch<W>,
+        out: &mut [W],
+    ) {
+        let step = &mut KernelStep::new(prog, plan, scratch);
+        replay_window(batch, &self.window, &self.good_frames, shard, out, step);
     }
+}
 
-    /// Faults not yet detected.
-    pub fn undetected(&self) -> Vec<Fault> {
-        self.faults
-            .iter()
-            .zip(&self.detections)
-            .filter(|&(_, &d)| d == 0)
-            .map(|(f, _)| *f)
-            .collect()
+/// A worker's cross-frame replay state, reused across faults and
+/// batches without allocating.
+#[derive(Debug)]
+pub(crate) struct WindowState<W> {
+    /// Flip-flops currently holding a faulty word for the fault being
+    /// replayed.
+    overlay: HashMap<NodeId, W>,
+    /// Per-frame seed of overlay flip-flops that differ from the
+    /// fault-free frame.
+    dirty: Vec<(NodeId, W)>,
+    /// Per-at-speed-frame activation words of the fault being replayed
+    /// (indexed by frame).
+    activation: Vec<W>,
+}
+
+impl<W> WindowState<W> {
+    pub(crate) fn new() -> Self {
+        WindowState { overlay: HashMap::new(), dirty: Vec::new(), activation: Vec::new() }
     }
+}
 
-    /// Current coverage.
-    pub fn coverage(&self) -> CoverageReport {
-        CoverageReport::from_detections(&self.faults, &self.detections, self.patterns_run)
+/// Per-frame propagation inside [`replay_window`] — the one step where
+/// the interpreter and the kernel differ. Single-fault propagation is
+/// exact in level order, so both yield the same faulty words.
+pub(crate) trait WindowStep<W: LaneWord> {
+    /// The worker's cross-frame replay state.
+    fn window(&mut self) -> &mut WindowState<W>;
+    /// Starts a frame with no faulty word anywhere.
+    fn begin(&mut self);
+    /// `node`'s word under the fault in the current frame.
+    fn value(&self, node: NodeId, good: &[W]) -> W;
+    /// Gives `node` the faulty `word` and queues its consumers.
+    fn seed(&mut self, node: NodeId, word: W);
+    /// Propagates the seeded words through the frame; a `pin`ned node
+    /// keeps its seeded word even when other events reach it.
+    fn run(&mut self, good: &[W], pin: Option<NodeId>);
+}
+
+/// The interpreter step: event-driven [`Propagator`] over the netlist.
+struct InterpStep<'s, W: LaneWord> {
+    cc: &'s CompiledCircuit,
+    prop: &'s mut Propagator<W>,
+}
+
+impl<W: LaneWord> WindowStep<W> for InterpStep<'_, W> {
+    fn window(&mut self) -> &mut WindowState<W> {
+        &mut self.prop.window
     }
-
-    /// The window schedule in use.
-    pub fn window(&self) -> &CaptureWindow {
-        &self.window
+    fn begin(&mut self) {
+        self.prop.begin();
+    }
+    fn value(&self, node: NodeId, good: &[W]) -> W {
+        self.prop.value(node, good)
+    }
+    fn seed(&mut self, node: NodeId, word: W) {
+        self.prop.set(node, word);
+        self.prop.enqueue_fanouts(self.cc, node);
+    }
+    fn run(&mut self, good: &[W], pin: Option<NodeId>) {
+        self.prop.run(self.cc, good, pin, |_, _| {});
     }
 }
 
 /// Replays one shard of active faults across the capture window, writing
 /// each fault's multi-lane detection word into `out`. Reads only the
 /// shared fault-free frames; all mutable state is the worker's own
-/// scratch, so shard scheduling cannot affect results. Polls `cancel`
-/// every [`CANCEL_POLL_STRIDE`] faults and returns early when it fires
-/// (the caller discards the whole batch).
-#[allow(clippy::too_many_arguments)]
-fn replay_shard<W: LaneWord>(
-    cc: &CompiledCircuit,
+/// `step` scratch, so shard scheduling cannot affect results.
+fn replay_window<W: LaneWord>(
+    batch: &Batch<'_, W>,
     window: &CaptureWindow,
-    faults: &[Fault],
     good_frames: &[Vec<W>],
     shard: &[u32],
-    lane_mask: W,
-    scratch: &mut ReplayScratch<W>,
     out: &mut [W],
-    cancel: Option<&CancelToken>,
+    step: &mut impl WindowStep<W>,
 ) {
-    debug_assert_eq!(shard.len(), out.len());
+    let cc = batch.cc;
     let nframes = window.num_frames();
-    for (i, (&fault_idx, slot)) in shard.iter().zip(out.iter_mut()).enumerate() {
-        if i % CANCEL_POLL_STRIDE == 0 && cancel.is_some_and(|c| c.is_cancelled()) {
-            return;
-        }
-        let fault = faults[fault_idx as usize];
+    batch.each(shard, out, |fault| {
         let site = fault.node;
-        // Per-fault overlay of flip-flop states (faulty words).
-        scratch.overlay.clear();
-
         // Precompute the activation word of every at-speed frame: where
         // the launch pulse actually creates the fault's slow transition
         // at the site. Frames belonging to clock domains whose launch
@@ -614,8 +328,10 @@ fn replay_shard<W: LaneWord>(
         // last one once no faulty flip-flop state is left to carry — the
         // common case where only one domain is dirty then replays a
         // couple of frames instead of the whole window.
-        scratch.activation.clear();
-        scratch.activation.resize(nframes, W::zero());
+        let state = step.window();
+        state.overlay.clear();
+        state.activation.clear();
+        state.activation.resize(nframes, W::zero());
         let mut first_active = usize::MAX;
         let mut last_active = 0usize;
         for frame in 0..nframes {
@@ -625,62 +341,59 @@ fn replay_shard<W: LaneWord>(
             let prev = good_frames[frame - 1][site.index()];
             let cur = good_frames[frame][site.index()];
             let act = (match fault.kind {
-                crate::FaultKind::SlowToRise => prev.not().and(cur),
-                crate::FaultKind::SlowToFall => prev.and(cur.not()),
+                FaultKind::SlowToRise => prev.not().and(cur),
+                FaultKind::SlowToFall => prev.and(cur.not()),
                 _ => unreachable!(),
             })
-            .and(lane_mask);
+            .and(batch.lane_mask);
             if !act.is_zero() {
-                scratch.activation[frame] = act;
+                state.activation[frame] = act;
                 first_active = first_active.min(frame);
                 last_active = frame;
             }
         }
         if first_active == usize::MAX {
             // No launch excites the fault anywhere in the window.
-            *slot = W::zero();
-            continue;
+            return W::zero();
         }
 
         for frame in first_active..nframes {
-            let act = scratch.activation[frame];
-            if act.is_zero() && frame > last_active && scratch.overlay.is_empty() {
+            let good = &good_frames[frame];
+            let state = step.window();
+            let act = state.activation[frame];
+            if act.is_zero() && frame > last_active && state.overlay.is_empty() {
                 // Every remaining frame is activation-free and no faulty
                 // state survives: the rest of the window is fault-free.
                 break;
             }
-
-            scratch.dirty.clear();
-            for (&ff, &word) in &scratch.overlay {
-                let good = good_frames[frame][ff.index()];
-                if word != good {
-                    scratch.dirty.push((ff, word));
+            state.dirty.clear();
+            for (&ff, &word) in &state.overlay {
+                if word != good[ff.index()] {
+                    state.dirty.push((ff, word));
                 }
             }
-            if act.is_zero() && scratch.dirty.is_empty() {
+            if act.is_zero() && state.dirty.is_empty() {
                 continue; // nothing differs in this frame
             }
 
-            scratch.prop.begin();
-            for &(ff, word) in &scratch.dirty {
-                scratch.prop.set(ff, word);
-                scratch.prop.enqueue_fanouts(cc, ff);
+            step.begin();
+            for k in 0..step.window().dirty.len() {
+                let (ff, word) = step.window().dirty[k];
+                step.seed(ff, word);
             }
+            let mut pin = None;
             if !act.is_zero() {
                 // The site's faulty value: good with the launched
-                // transition undone on activated lanes. (If the site is
-                // also downstream of a dirty FF the propagation below may
-                // reach it; injecting before running keeps level order
-                // intact because the site's level precedes its fanouts,
-                // and the pin below keeps the injected value
-                // authoritative.)
-                let cur = scratch.prop.value(site, &good_frames[frame]);
-                scratch.prop.set(site, cur.xor(act));
-                scratch.prop.enqueue_fanouts(cc, site);
+                // transition undone on activated lanes, seeded after the
+                // flip-flop overlay so a dirty site reads its faulty
+                // word. The site's level precedes its fanouts, so level
+                // order stays intact, and the pin keeps the injected
+                // value authoritative if propagation reaches the site.
+                let cur = step.value(site, good);
+                step.seed(site, cur.xor(act));
+                pin = Some(site);
             }
-            let good = &good_frames[frame];
-            let pin = if act.is_zero() { None } else { Some(site) };
-            scratch.prop.run(cc, good, pin, |_, _| {});
+            step.run(good, pin);
 
             // Frame boundary: capture.
             if let Some(dom) = window.capturing_domain(frame) {
@@ -688,13 +401,12 @@ fn replay_shard<W: LaneWord>(
                     if cc.dff_domain(i) != dom {
                         continue;
                     }
-                    let d_src = cc.fanins(ff)[0];
-                    let faulty_d = scratch.prop.value(d_src, good);
-                    let good_next = good_frames[frame + 1][ff.index()];
-                    if faulty_d != good_next {
-                        scratch.overlay.insert(ff, faulty_d);
+                    let faulty_d = step.value(cc.fanins(ff)[0], good);
+                    let overlay = &mut step.window().overlay;
+                    if faulty_d != good_frames[frame + 1][ff.index()] {
+                        overlay.insert(ff, faulty_d);
                     } else {
-                        scratch.overlay.remove(&ff);
+                        overlay.remove(&ff);
                     }
                 }
             }
@@ -703,12 +415,9 @@ fn replay_shard<W: LaneWord>(
         // Detection: any flip-flop whose final state differs is shifted
         // out through the MISR.
         let final_frame = &good_frames[nframes - 1];
-        let mut detected = W::zero();
-        for (&ff, &word) in &scratch.overlay {
-            detected = detected.or(word.xor(final_frame[ff.index()]).and(lane_mask));
-        }
-        *slot = detected;
-    }
+        let overlay = &step.window().overlay;
+        overlay.iter().fold(W::zero(), |d, (&ff, &word)| d.or(word.xor(final_frame[ff.index()])))
+    });
 }
 
 #[cfg(test)]

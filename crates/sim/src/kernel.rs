@@ -48,15 +48,6 @@
 //! simulators in `lbist-fault` run the sparse equivalent (the
 //! precomputed forward cone of the patched slot) for speed, and
 //! property tests pin both to the full patched execution.
-//!
-//! # Backends
-//!
-//! [`KernelProgram`] is the kernel's IR as well as its default
-//! execution engine ([`KernelBackend::Bytecode`]). A native codegen
-//! backend can slot in behind the (currently empty) `codegen` cargo
-//! feature by translating the same instruction list and registering a
-//! new [`KernelBackend`] variant; every execution entry point routes
-//! through the backend match, so the seam is a single dispatch site.
 
 use crate::compiled::CompiledCircuit;
 use lbist_exec::LaneWord;
@@ -145,20 +136,6 @@ pub struct LowerStats {
     pub pool_words: usize,
 }
 
-/// The execution engine behind a [`KernelProgram`].
-///
-/// `Bytecode` is the portable interpreter of the lowered program. A
-/// JIT/codegen backend slots in as a new variant behind the `codegen`
-/// feature; all `execute*` entry points dispatch on this enum, so a
-/// backend swap touches exactly one match.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum KernelBackend {
-    /// Portable bytecode dispatch loop (always available).
-    #[default]
-    Bytecode,
-}
-
 /// How a patched instruction forces its destination word; see
 /// [`KernelProgram::execute_patched`].
 #[derive(Clone, Copy, Debug)]
@@ -194,7 +171,6 @@ pub struct KernelProgram {
     /// 1 = instr, 2 = fused, 3 = const0, 4 = const1.
     state: Vec<u8>,
     stats: LowerStats,
-    backend: KernelBackend,
 }
 
 /// Operand resolution during lowering: what a consumer should read for
@@ -267,7 +243,6 @@ impl KernelProgram {
             instr_of_node: vec![NO_INSTR; n],
             state: vec![0u8; n],
             stats: LowerStats::default(),
-            backend: KernelBackend::Bytecode,
         };
 
         for &node in cc.schedule() {
@@ -417,11 +392,6 @@ impl KernelProgram {
     /// Lowering statistics.
     pub fn stats(&self) -> &LowerStats {
         &self.stats
-    }
-
-    /// The execution backend in use.
-    pub fn backend(&self) -> KernelBackend {
-        self.backend
     }
 
     /// What the program did with a node's slot — replay planners use
@@ -598,13 +568,9 @@ impl KernelProgram {
     #[inline]
     pub fn execute_range<W: LaneWord>(&self, frame: &mut [W], lo: usize, hi: usize) {
         debug_assert_eq!(frame.len(), self.num_nodes);
-        match self.backend {
-            KernelBackend::Bytecode => {
-                for idx in lo..hi {
-                    let v = self.eval_instr(idx, |slot| frame[slot as usize]);
-                    frame[self.instrs[idx].dst as usize] = v;
-                }
-            }
+        for idx in lo..hi {
+            let v = self.eval_instr(idx, |slot| frame[slot as usize]);
+            frame[self.instrs[idx].dst as usize] = v;
         }
     }
 
@@ -623,19 +589,12 @@ impl KernelProgram {
     ) {
         debug_assert_eq!(frame1.len(), self.num_nodes);
         debug_assert_eq!(frame2.len(), self.num_nodes);
-        match self.backend {
-            KernelBackend::Bytecode => {
-                for idx in lo..hi {
-                    let (v1, v2) = self.eval_instr2(
-                        idx,
-                        |slot| frame1[slot as usize],
-                        |slot| frame2[slot as usize],
-                    );
-                    let dst = self.instrs[idx].dst as usize;
-                    frame1[dst] = v1;
-                    frame2[dst] = v2;
-                }
-            }
+        for idx in lo..hi {
+            let (v1, v2) =
+                self.eval_instr2(idx, |slot| frame1[slot as usize], |slot| frame2[slot as usize]);
+            let dst = self.instrs[idx].dst as usize;
+            frame1[dst] = v1;
+            frame2[dst] = v2;
         }
     }
 
@@ -658,22 +617,15 @@ impl KernelProgram {
     ) {
         debug_assert_eq!(frame1.len(), self.num_nodes);
         debug_assert_eq!(frame2.len(), self.num_nodes);
-        match self.backend {
-            KernelBackend::Bytecode => {
-                for idx in lo..hi {
-                    let (v1, v2) = self.eval_instr2(
-                        idx,
-                        |slot| frame1[slot as usize],
-                        |slot| frame2[slot as usize],
-                    );
-                    let dst = self.instrs[idx].dst as usize;
-                    if idx != skip1 {
-                        frame1[dst] = v1;
-                    }
-                    if idx != skip2 {
-                        frame2[dst] = v2;
-                    }
-                }
+        for idx in lo..hi {
+            let (v1, v2) =
+                self.eval_instr2(idx, |slot| frame1[slot as usize], |slot| frame2[slot as usize]);
+            let dst = self.instrs[idx].dst as usize;
+            if idx != skip1 {
+                frame1[dst] = v1;
+            }
+            if idx != skip2 {
+                frame2[dst] = v2;
             }
         }
     }
@@ -728,20 +680,16 @@ impl KernelProgram {
     ) {
         assert_eq!(frame.len(), self.num_nodes, "frame length mismatch");
         assert!(patched < self.instrs.len(), "patched instruction out of range");
-        match self.backend {
-            KernelBackend::Bytecode => {
-                for idx in 0..self.instrs.len() {
-                    let mut v = self.eval_instr(idx, |slot| frame[slot as usize]);
-                    if idx == patched {
-                        v = match patch {
-                            PatchKind::Force0 => W::zero(),
-                            PatchKind::Force1 => W::ones(),
-                            PatchKind::FlipLanes(m) => v.xor(m),
-                        };
-                    }
-                    frame[self.instrs[idx].dst as usize] = v;
-                }
+        for idx in 0..self.instrs.len() {
+            let mut v = self.eval_instr(idx, |slot| frame[slot as usize]);
+            if idx == patched {
+                v = match patch {
+                    PatchKind::Force0 => W::zero(),
+                    PatchKind::Force1 => W::ones(),
+                    PatchKind::FlipLanes(m) => v.xor(m),
+                };
             }
+            frame[self.instrs[idx].dst as usize] = v;
         }
     }
 }
@@ -1084,7 +1032,6 @@ mod tests {
         }
         assert_eq!(materialized, prog.num_instrs());
         assert_eq!(fused, prog.stats().fused_gates);
-        assert_eq!(prog.backend(), KernelBackend::Bytecode);
     }
 
     /// Telemetry lowering records compile time and shape counters.

@@ -54,7 +54,7 @@ mod seq;
 mod three;
 
 pub use compiled::{eval_gate, CompiledCircuit};
-pub use kernel::{KernelBackend, KernelProgram, LowerStats, PatchKind, SlotState};
+pub use kernel::{KernelProgram, LowerStats, PatchKind, SlotState};
 pub use logic::{pack_bits, unpack_bits, Logic};
 pub use seq::{SeqSim, WideSeqSim};
 pub use three::{Frame3, WideFrame3};
