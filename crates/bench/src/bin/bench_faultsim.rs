@@ -1,9 +1,9 @@
 //! Fault-simulation throughput benchmark: serial vs pool-sharded PPSFP
 //! and launch-on-capture transition grading on a generated CPU core,
 //! plus a worker-count sweep, a **grading-width sweep** (the whole
-//! fill → sim → detect → MISR pipeline at 64/128/256/512 lanes per
-//! pass), a **compiled-kernel vs interpreter** comparison and a
-//! lane-width PRPG-fill comparison.
+//! fill → sim → detect → MISR pipeline at 64 and 128 lanes per pass),
+//! a **compiled-kernel vs interpreter** comparison and a lane-width
+//! PRPG-fill comparison.
 //!
 //! Emits `BENCH_faultsim.json` (in the working directory) with
 //! patterns/sec, faults-graded/sec, the serial-vs-parallel speedup, a
@@ -12,12 +12,12 @@
 //! sweep (with cross-width coverage and signature identity asserted at
 //! run time), a `"kernel"` section (lowering time, program size, and
 //! interpreter-vs-kernel patterns/s with the digests asserted
-//! identical at run time) and the 64/128/256/512-lane fill throughput
-//! — the perf baseline later PRs compare against.
+//! identical at run time) and the 64/128-lane fill throughput — the
+//! perf baseline later PRs compare against.
 //!
 //! ```text
 //! cargo run --release --bin bench_faultsim [--scale N] [--batches N]
-//!           [--threads N] [--lanes {64,128,256,512}] [--out PATH]
+//!           [--threads N] [--lanes {64,128}] [--out PATH]
 //!           [--metrics-out PATH]
 //!           [--checkpoint PATH [--checkpoint-every N] [--resume]
 //!            [--kill-after-batches N]] [--deadline SECS]
@@ -33,8 +33,8 @@
 //! absorb vs batch wall time) under `"observability"` in the JSON.
 //!
 //! `--lanes` selects the frame width of the headline runs and the
-//! threads sweep; the grading-width sweep always covers all three
-//! widths over the identical pattern stream.
+//! threads sweep; the grading-width sweep always covers both widths
+//! over the identical pattern stream.
 //!
 //! Any of the fault-tolerance flags switches the binary into the
 //! **checkpointed flow**: one controlled stuck-at phase through
@@ -54,9 +54,8 @@ use lbist_bench::{
     write_metrics_snapshot, INTERRUPTED_EXIT_CODE,
 };
 use lbist_core::{
-    fill_frame_from_prpg, fill_frames_from_prpg_wide, outcome_digest, ControlledGradingOutcome,
-    GradingMetrics, RunControl, RunStatus, StumpsArchitecture, StumpsConfig, WideGradingOutcome,
-    WideGradingSession,
+    fill_frame_from_prpg, outcome_digest, ControlledGradingOutcome, GradingMetrics, RunControl,
+    RunStatus, StumpsArchitecture, StumpsConfig, WideGradingOutcome, WideGradingSession,
 };
 use lbist_exec::{CancelReason, LaneWord};
 use lbist_fault::{CaptureWindow, CoverageReport, Fault, FaultUniverse};
@@ -170,11 +169,7 @@ fn checkpointed_main(
     let t0 = Instant::now();
     let res = match lanes {
         64 => controlled_stuck_run::<u64>(core, cc, faults, batches, threads, control, metered),
-        128 => controlled_stuck_run::<u128>(core, cc, faults, batches, threads, control, metered),
-        256 => {
-            controlled_stuck_run::<[u64; 4]>(core, cc, faults, batches, threads, control, metered)
-        }
-        _ => controlled_stuck_run::<[u64; 8]>(core, cc, faults, batches, threads, control, metered),
+        _ => controlled_stuck_run::<u128>(core, cc, faults, batches, threads, control, metered),
     };
     let seconds = t0.elapsed().as_secs_f64();
 
@@ -324,19 +319,19 @@ fn transition_run<W: LaneWord>(
 
 fn main() {
     let scale = arg_positive("--scale").unwrap_or(100);
-    // Normalised to a multiple of 8 so 128-, 256- and 512-lane runs
-    // cover the identical pattern stream.
+    // Normalised to a multiple of 2 so 64- and 128-lane runs cover
+    // the identical pattern stream.
     let batches_requested = arg_positive("--batches").unwrap_or(16);
-    let batches = batches_requested.next_multiple_of(8);
+    let batches = batches_requested.next_multiple_of(2);
     if batches != batches_requested {
         eprintln!(
             "note: --batches {batches_requested} rounded up to {batches} \
-             (width sweep needs a multiple of 8)"
+             (width sweep needs a multiple of 2)"
         );
     }
     let lanes: usize = arg_value_strict("--lanes").unwrap_or(64);
-    if !matches!(lanes, 64 | 128 | 256 | 512) {
-        eprintln!("error: `--lanes` must be 64, 128, 256 or 512, got {lanes}");
+    if !matches!(lanes, 64 | 128) {
+        eprintln!("error: `--lanes` must be 64 or 128, got {lanes}");
         std::process::exit(2);
     }
     // The shared `--serial` / `--threads N` knobs (with the usual
@@ -397,18 +392,14 @@ fn main() {
     let stuck_at_on = |t: usize, kernel: bool| -> RunStats {
         match lanes {
             64 => stuck_run::<u64>(&core, &cc, &stuck_faults, batches, t, kernel),
-            128 => stuck_run::<u128>(&core, &cc, &stuck_faults, batches, t, kernel),
-            256 => stuck_run::<[u64; 4]>(&core, &cc, &stuck_faults, batches, t, kernel),
-            _ => stuck_run::<[u64; 8]>(&core, &cc, &stuck_faults, batches, t, kernel),
+            _ => stuck_run::<u128>(&core, &cc, &stuck_faults, batches, t, kernel),
         }
     };
     let stuck_at = |t: usize| stuck_at_on(t, true);
     let transition_on = |t: usize, kernel: bool| -> RunStats {
         match lanes {
             64 => transition_run::<u64>(&core, &cc, &transition_faults, batches, t, kernel),
-            128 => transition_run::<u128>(&core, &cc, &transition_faults, batches, t, kernel),
-            256 => transition_run::<[u64; 4]>(&core, &cc, &transition_faults, batches, t, kernel),
-            _ => transition_run::<[u64; 8]>(&core, &cc, &transition_faults, batches, t, kernel),
+            _ => transition_run::<u128>(&core, &cc, &transition_faults, batches, t, kernel),
         }
     };
     let transition = |t: usize| transition_on(t, true);
@@ -457,11 +448,11 @@ fn main() {
         );
     }
 
-    // Grading-width sweep: the whole pipeline at 64/128/256/512 lanes
-    // over the identical pattern stream, both fault models. The
-    // detected sets and accumulated MISR signatures must be identical
-    // at every width — asserted here, recorded in the JSON.
-    println!("grading-width sweep (64/128/256/512 lanes, both models)...");
+    // Grading-width sweep: the whole pipeline at 64 and 128 lanes over
+    // the identical pattern stream, both fault models. The detected
+    // sets and accumulated MISR signatures must be identical at both
+    // widths — asserted here, recorded in the JSON.
+    println!("grading-width sweep (64/128 lanes, both models)...");
     let t = parallel_threads;
     let width_sweep: Vec<(usize, RunStats, RunStats)> = vec![
         (
@@ -473,16 +464,6 @@ fn main() {
             128,
             stuck_run::<u128>(&core, &cc, &stuck_faults, batches, t, true),
             transition_run::<u128>(&core, &cc, &transition_faults, batches, t, true),
-        ),
-        (
-            256,
-            stuck_run::<[u64; 4]>(&core, &cc, &stuck_faults, batches, t, true),
-            transition_run::<[u64; 4]>(&core, &cc, &transition_faults, batches, t, true),
-        ),
-        (
-            512,
-            stuck_run::<[u64; 8]>(&core, &cc, &stuck_faults, batches, t, true),
-            transition_run::<[u64; 8]>(&core, &cc, &transition_faults, batches, t, true),
         ),
     ];
     let (_, base_stuck, base_tr) = &width_sweep[0];
@@ -545,40 +526,31 @@ fn main() {
     let kernel_tr_speedup = interp_tr.seconds / tr_serial.seconds.max(1e-9);
 
     // Lane-width PRPG fill throughput: identical pattern streams filled
-    // 64, 128, 256 and 512 lanes per pass (bit-identity is enforced by
-    // the lane_width_equivalence property tests; here we time it).
+    // 64 and 128 lanes per pass through the one frame fill (bit-identity
+    // is enforced by the lane_width_equivalence property tests; here we
+    // time it).
     struct FillStats {
         seconds: f64,
         patterns: u64,
     }
-    let fill_passes_64 = (batches.max(8) * 16).next_multiple_of(4);
-    let fill_64 = {
-        let mut arch = StumpsArchitecture::build(&core, &StumpsConfig::default());
-        let mut frame = cc.new_frame();
-        let t0 = Instant::now();
-        for _ in 0..fill_passes_64 {
-            fill_frame_from_prpg(&mut arch, &core, &mut frame);
-        }
-        FillStats { seconds: t0.elapsed().as_secs_f64(), patterns: fill_passes_64 as u64 * 64 }
-    };
-    fn fill_wide<W: LaneWord>(
+    fn fill_run<W: LaneWord>(
         core: &lbist_dft::BistReadyCore,
         cc: &CompiledCircuit,
         total_patterns: u64,
     ) -> FillStats {
         let mut arch = StumpsArchitecture::build(core, &StumpsConfig::default());
-        let mut frames: Vec<Vec<u64>> = (0..W::WORDS).map(|_| cc.new_frame()).collect();
+        let mut frame: Vec<W> = cc.new_wide_frame();
         let passes = total_patterns / W::LANES as u64;
         let t0 = Instant::now();
         for _ in 0..passes {
-            fill_frames_from_prpg_wide::<W>(&mut arch, core, &mut frames);
+            fill_frame_from_prpg(&mut arch, core, &mut frame);
         }
         FillStats { seconds: t0.elapsed().as_secs_f64(), patterns: passes * W::LANES as u64 }
     }
-    println!("PRPG fill sweep (64/128/256/512 lanes)...");
-    let fill_128 = fill_wide::<u128>(&core, &cc, fill_64.patterns);
-    let fill_256 = fill_wide::<[u64; 4]>(&core, &cc, fill_64.patterns);
-    let fill_512 = fill_wide::<[u64; 8]>(&core, &cc, fill_64.patterns);
+    println!("PRPG fill sweep (64/128 lanes)...");
+    let fill_patterns = batches.max(8) as u64 * 16 * 64;
+    let fill_64 = fill_run::<u64>(&core, &cc, fill_patterns);
+    let fill_128 = fill_run::<u128>(&core, &cc, fill_patterns);
 
     // Observability: the same headline parallel run with the full
     // telemetry layer live (phase spans + counters into the global
@@ -589,9 +561,7 @@ fn main() {
     println!("observability: instrumented stuck-at run ({parallel_threads} threads)...");
     let instrumented = match lanes {
         64 => stuck_run_metered::<u64>(&core, &cc, &stuck_faults, batches, parallel_threads),
-        128 => stuck_run_metered::<u128>(&core, &cc, &stuck_faults, batches, parallel_threads),
-        256 => stuck_run_metered::<[u64; 4]>(&core, &cc, &stuck_faults, batches, parallel_threads),
-        _ => stuck_run_metered::<[u64; 8]>(&core, &cc, &stuck_faults, batches, parallel_threads),
+        _ => stuck_run_metered::<u128>(&core, &cc, &stuck_faults, batches, parallel_threads),
     };
     assert_eq!(
         outcome_digest(&instrumented.undetected, &instrumented.signatures),
@@ -725,9 +695,7 @@ fn main() {
     };
     let _ = writeln!(json, "  \"prpg_fill\": {{");
     let _ = writeln!(json, "    \"lanes_64\": {},", json_fill(&fill_64));
-    let _ = writeln!(json, "    \"lanes_128\": {},", json_fill(&fill_128));
-    let _ = writeln!(json, "    \"lanes_256\": {},", json_fill(&fill_256));
-    let _ = writeln!(json, "    \"lanes_512\": {}", json_fill(&fill_512));
+    let _ = writeln!(json, "    \"lanes_128\": {}", json_fill(&fill_128));
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"observability\": {{");
     let _ = writeln!(json, "    \"instrumented\": {},", json_run(&instrumented));
@@ -765,8 +733,8 @@ fn main() {
         sweep.iter().map(|(t, s)| format!("{t}t: {:.0}", s.faults_graded_per_sec())).collect();
     println!("stuck-at sweep (faults-graded/s): {}", sweep_summary.join(", "));
     // Patterns/s is the cross-width metric: the faults-graded counter
-    // shrinks with the batch count (one wide batch scans the active
-    // list once for 4× the patterns).
+    // shrinks with the batch count (one 128-lane batch scans the active
+    // list once for 2× the patterns).
     let width_summary: Vec<String> = width_sweep
         .iter()
         .map(|(w, s, t)| format!("{w}l: {:.0}/{:.0}", s.patterns_per_sec(), t.patterns_per_sec()))
@@ -780,11 +748,9 @@ fn main() {
         kernel_compile_seconds * 1e3,
     );
     println!(
-        "prpg fill: {:.0}/{:.0}/{:.0}/{:.0} patterns/s at 64/128/256/512 lanes",
+        "prpg fill: {:.0}/{:.0} patterns/s at 64/128 lanes",
         fill_64.patterns as f64 / fill_64.seconds.max(1e-9),
         fill_128.patterns as f64 / fill_128.seconds.max(1e-9),
-        fill_256.patterns as f64 / fill_256.seconds.max(1e-9),
-        fill_512.patterns as f64 / fill_512.seconds.max(1e-9),
     );
     println!("wrote {out_path}");
     if let Some(path) = &metrics_out {

@@ -51,6 +51,7 @@ use lbist_reseed::{
     DomainChannel, PackStrategy, ReseedPlan, ReseedPlanner, ScanLinearMap, SeedWindow,
 };
 use lbist_sim::CompiledCircuit;
+use lbist_tpg::LfsrPoly;
 use std::fmt::Write as _;
 
 struct FlowConfig {
@@ -380,6 +381,14 @@ fn main() {
     let threads = cli_thread_budget();
 
     let profile = CoreProfile::core_x().scaled(scale);
+    // Chains never cross clock domains, so every domain needs its own.
+    if chains < profile.num_domains {
+        eprintln!(
+            "error: `--chains {chains}` cannot cover the core's {} clock domains",
+            profile.num_domains
+        );
+        std::process::exit(2);
+    }
     println!("generating {} (scale {scale})...", profile.name);
     let netlist = CpuCoreGenerator::new(profile, gen_seed).generate();
     let core = prepare_core(
@@ -391,6 +400,19 @@ fn main() {
             ..PrepConfig::default()
         },
     );
+    // The expander TPG drives a domain's chains from at most `degree`
+    // PRPG channels through one- and two-input XOR combinations, so a
+    // short PRPG cannot feed the widest domain (`SpaceExpander::new`).
+    let degree = LfsrPoly::nearest_maximal(prpg_length).degree();
+    let domain_chains = core.chains.chains().chunk_by(|a, b| a.domain == b.domain);
+    let widest_domain = domain_chains.map(<[_]>::len).max().unwrap_or(0);
+    if widest_domain > degree + degree * (degree - 1) / 2 {
+        eprintln!(
+            "error: `--prpg {prpg_length}` is too short to expand into the {widest_domain} chains \
+             of the widest clock domain"
+        );
+        std::process::exit(2);
+    }
     let cc = CompiledCircuit::compile(&core.netlist).expect("core compiles");
     let universe = lbist_fault::FaultUniverse::stuck_at(&core.netlist);
     let faults = universe.representatives();

@@ -1,7 +1,10 @@
 //! Numeric flags of the experiment binaries, exercised against the real
 //! binaries: a missing, unparsable or zero value is a usage error
 //! (diagnostic + exit 2), never a panic or a silent default. Every case
-//! fails at argument-parsing time, before a core is generated.
+//! fails before any grading; all but `bench_reseed --prpg` fail at
+//! argument-parsing time, before a core is generated (a PRPG too short
+//! for the widest domain is only known once the core's chains are
+//! stitched).
 
 use std::process::{Command, Output};
 
@@ -37,6 +40,9 @@ fn bench_reseed_rejects_bad_numeric_flags() {
     assert_usage_error(exe, &["--random", "x"], "could not parse");
     assert_usage_error(exe, &["--seed", "-3"], "could not parse");
     assert_usage_error(exe, &["--backtrack"], "expects a value");
+    // Valid numbers the architecture cannot build.
+    assert_usage_error(exe, &["--scale", "800", "--chains", "1"], "`--chains 1`");
+    assert_usage_error(exe, &["--scale", "800", "--prpg", "3"], "`--prpg 3`");
 }
 
 #[test]
@@ -47,7 +53,9 @@ fn bench_faultsim_rejects_bad_numeric_flags() {
         assert_usage_error(exe, &[flag, "abc"], "could not parse");
     }
     assert_usage_error(exe, &["--lanes", "abc"], "could not parse");
-    assert_usage_error(exe, &["--lanes", "96"], "must be 64, 128, 256 or 512");
+    for lanes in ["96", "256", "512"] {
+        assert_usage_error(exe, &["--lanes", lanes], "must be 64 or 128");
+    }
     assert_usage_error(exe, &["--out"], "expects a value");
 }
 

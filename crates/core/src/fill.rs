@@ -1,5 +1,5 @@
 //! Architecture-level PRPG frame fills: turning the per-domain PRPG
-//! streams into simulation frames of scan states, at any lane width.
+//! streams into simulation frames of scan states, at 64 or 128 lanes.
 //!
 //! These used to live in the bench harness, but they are properties of
 //! the STUMPS architecture, not of any experiment: a *fill* is what the
@@ -12,21 +12,21 @@ use crate::architecture::StumpsArchitecture;
 use lbist_dft::BistReadyCore;
 use lbist_exec::LaneWord;
 
-/// Fills 64 lanes of `frame` with genuine PRPG-generated scan states —
-/// [`fill_wide_frame_from_prpg`] at the default 64-lane width, kept as
-/// its own entry point because the 64-lane PRPG scratch is cached
-/// inside each [`lbist_tpg::Prpg`]: steady-state batch fills perform
-/// **no heap allocation**. Primary inputs are held at zero
-/// (`test_mode` high), as in BIST mode.
-pub fn fill_frame_from_prpg(
+/// Fills all `W::LANES` lanes of `frame` (one `W` word per node) with
+/// consecutive PRPG scan loads: lane `ℓ` is what the chains hold after
+/// the `ℓ`-th full shift-in of the stream. Primary inputs are held at
+/// zero (`test_mode` high), as in BIST mode. By the [`LaneWord`]
+/// sub-word layout, `frame[node].word(k)` of a 128-lane fill is
+/// bit-identical to the `k`-th of two consecutive 64-lane fills
+/// (property-tested in the bench crate). The lane machinery is built
+/// per call ([`lbist_tpg::Prpg::fill_lanes`]).
+pub fn fill_frame_from_prpg<W: LaneWord>(
     arch: &mut StumpsArchitecture,
     core: &BistReadyCore,
-    frame: &mut [u64],
+    frame: &mut [W],
 ) {
-    for w in frame.iter_mut() {
-        *w = 0;
-    }
-    frame[core.test_mode().index()] = !0;
+    frame.fill(W::zero());
+    frame[core.test_mode().index()] = W::ones();
     let shift_cycles = arch.max_chain_length().max(1);
     for db in arch.domains_mut() {
         let chains = &db.chains;
@@ -39,81 +39,6 @@ pub fn fill_frame_from_prpg(
             for (chain, &word) in chains.iter().zip(words) {
                 if let Some(&cell) = chain.cells.get(cell_pos) {
                     frame[cell.index()] = word;
-                }
-            }
-        });
-    }
-}
-
-/// Fills all `W::LANES` lanes of one **wide** frame (one `W` word per
-/// node) with consecutive PRPG scan loads: lane `ℓ` is what the chains
-/// hold after the `ℓ`-th full shift-in of the stream. This is the fill
-/// the lane-width-generic graders consume directly — no de-staging of
-/// a wide PRPG pass into stacks of 64-lane frames. By the
-/// [`LaneWord`] sub-word layout, `frame[node].word(k)` is bit-identical
-/// to the `k`-th of `W::WORDS` consecutive [`fill_frame_from_prpg`]
-/// frames (property-tested in the bench crate).
-///
-/// The wide lane machinery is built per call
-/// ([`lbist_tpg::Prpg::fill_lanes_wide`]); a pass amortises it over
-/// 2–4× more patterns than the cached 64-lane path.
-pub fn fill_wide_frame_from_prpg<W: LaneWord>(
-    arch: &mut StumpsArchitecture,
-    core: &BistReadyCore,
-    frame: &mut [W],
-) {
-    for w in frame.iter_mut() {
-        *w = W::zero();
-    }
-    frame[core.test_mode().index()] = W::ones();
-    let shift_cycles = arch.max_chain_length().max(1);
-    for db in arch.domains_mut() {
-        let chains = &db.chains;
-        db.prpg.fill_lanes_wide::<W>(shift_cycles, |cycle, words| {
-            let cell_pos = shift_cycles - 1 - cycle;
-            for (chain, &word) in chains.iter().zip(words) {
-                if let Some(&cell) = chain.cells.get(cell_pos) {
-                    frame[cell.index()] = word;
-                }
-            }
-        });
-    }
-}
-
-/// The de-staged wide batch fill: one PRPG pass produces `W::LANES`
-/// consecutive scan loads delivered as `W::WORDS` standard 64-lane
-/// frames (`frames[k]` carries loads `64k..64k+63`). Bit-identical to
-/// `W::WORDS` consecutive [`fill_frame_from_prpg`] calls — and to one
-/// [`fill_wide_frame_from_prpg`] call split sub-word by sub-word.
-/// Kept for consumers that still want `u64` frames (the fill-throughput
-/// bench and the lane-width property tests); the graders now take the
-/// wide frame directly.
-///
-/// # Panics
-///
-/// Panics if `frames.len() != W::WORDS`.
-pub fn fill_frames_from_prpg_wide<W: LaneWord>(
-    arch: &mut StumpsArchitecture,
-    core: &BistReadyCore,
-    frames: &mut [Vec<u64>],
-) {
-    assert_eq!(frames.len(), W::WORDS, "one 64-lane frame per LaneWord sub-word");
-    for frame in frames.iter_mut() {
-        for w in frame.iter_mut() {
-            *w = 0;
-        }
-        frame[core.test_mode().index()] = !0;
-    }
-    let shift_cycles = arch.max_chain_length().max(1);
-    for db in arch.domains_mut() {
-        let chains = &db.chains;
-        db.prpg.fill_lanes_wide::<W>(shift_cycles, |cycle, words| {
-            let cell_pos = shift_cycles - 1 - cycle;
-            for (chain, &word) in chains.iter().zip(words) {
-                if let Some(&cell) = chain.cells.get(cell_pos) {
-                    for (k, frame) in frames.iter_mut().enumerate() {
-                        frame[cell.index()] = word.word(k);
-                    }
                 }
             }
         });
@@ -172,38 +97,28 @@ mod tests {
         )
     }
 
-    /// The wide single-frame fill is, sub-word for sub-word, the
-    /// de-staged multi-frame fill (and hence the 64-lane stream).
+    /// One 128-lane fill is, sub-word for sub-word, two consecutive
+    /// 64-lane fills, and leaves the PRPGs at the same stream position.
     #[test]
     fn wide_frame_fill_matches_destaged_frames() {
-        fn check<W: LaneWord>() {
-            let core = small_core();
-            let cc = CompiledCircuit::compile(&core.netlist).unwrap();
-            let stumps = StumpsConfig::default();
-            let mut arch_wide = StumpsArchitecture::build(&core, &stumps);
-            let mut arch_destaged = StumpsArchitecture::build(&core, &stumps);
-            for batch in 0..2 {
-                let mut wide: Vec<W> = cc.new_wide_frame();
-                fill_wide_frame_from_prpg(&mut arch_wide, &core, &mut wide);
-                let mut frames: Vec<Vec<u64>> = (0..W::WORDS).map(|_| cc.new_frame()).collect();
-                fill_frames_from_prpg_wide::<W>(&mut arch_destaged, &core, &mut frames);
-                for (k, frame) in frames.iter().enumerate() {
-                    for idx in 0..frame.len() {
-                        assert_eq!(
-                            wide[idx].word(k),
-                            frame[idx],
-                            "{} lanes: batch {batch} node {idx} sub-word {k}",
-                            W::LANES
-                        );
-                    }
+        let core = small_core();
+        let cc = CompiledCircuit::compile(&core.netlist).unwrap();
+        let stumps = StumpsConfig::default();
+        let mut arch_wide = StumpsArchitecture::build(&core, &stumps);
+        let mut arch_64 = StumpsArchitecture::build(&core, &stumps);
+        for batch in 0..2 {
+            let mut wide: Vec<u128> = cc.new_wide_frame();
+            fill_frame_from_prpg(&mut arch_wide, &core, &mut wide);
+            for k in 0..2 {
+                let mut frame = cc.new_frame();
+                fill_frame_from_prpg(&mut arch_64, &core, &mut frame);
+                for (idx, (w, &f)) in wide.iter().zip(&frame).enumerate() {
+                    assert_eq!(w.word(k), f, "batch {batch} node {idx} sub-word {k}");
                 }
             }
-            for (a, b) in arch_wide.domains().iter().zip(arch_destaged.domains()) {
-                assert_eq!(a.prpg.lfsr().state(), b.prpg.lfsr().state());
-            }
         }
-        check::<u64>();
-        check::<u128>();
-        check::<[u64; 4]>();
+        for (a, b) in arch_wide.domains().iter().zip(arch_64.domains()) {
+            assert_eq!(a.prpg.lfsr().state(), b.prpg.lfsr().state());
+        }
     }
 }

@@ -1,13 +1,13 @@
 //! The lane-width-generic grading pipeline: PRPG fill → bit-parallel
 //! fault simulation → detection → MISR signature compaction, end to
-//! end at 64, 128 or 256 lanes per pass.
+//! end at 64 or 128 lanes per pass.
 //!
 //! PR 4 made pattern *generation* width-generic; this module closes the
 //! loop on the grade side. A [`WideGradingSession`] owns the STUMPS
 //! architecture and drives whole self-test random phases through the
 //! width-generic engines:
 //!
-//! * **Fill** — [`crate::fill_wide_frame_from_prpg`] packs `W::LANES`
+//! * **Fill** — [`crate::fill_frame_from_prpg`] packs `W::LANES`
 //!   consecutive scan loads into one wide frame, fed to the graders
 //!   directly (no de-staging into 64-lane frames).
 //! * **Pipeline** — PRPG fill of batch *k+1* runs on the `lbist-exec`
@@ -21,16 +21,16 @@
 //!   domain's [`SpaceCompactor`] (word-level) into a [`LaneMisr`] bank;
 //!   the per-lane signatures fold into one accumulated signature per
 //!   domain. Linearity of the MISR makes the accumulated signature
-//!   **width-invariant**: 64-, 128- and 256-lane runs over the same
-//!   pattern stream produce bit-identical signatures (property-tested
-//!   in the bench crate), so a signature regression caught at 256
-//!   lanes is a real regression, not a width artifact.
+//!   **width-invariant**: 64- and 128-lane runs over the same pattern
+//!   stream produce bit-identical signatures (property-tested in the
+//!   bench crate), so a signature regression caught at 128 lanes is a
+//!   real regression, not a width artifact.
 
 use crate::architecture::{StumpsArchitecture, StumpsConfig};
 use crate::checkpoint::{
     expect_field, faults_fingerprint, GradingCheckpoint, ModelTag, RunControl, RunStatus,
 };
-use crate::fill::fill_wide_frame_from_prpg;
+use crate::fill::fill_frame_from_prpg;
 use lbist_ckpt::CkptError;
 use lbist_dft::BistReadyCore;
 use lbist_exec::LaneWord;
@@ -230,11 +230,11 @@ struct DomainUnload {
 /// let core = prepare_core(&nl, &PrepConfig::default());
 /// let cc = CompiledCircuit::compile(&core.netlist).unwrap();
 /// let faults = FaultUniverse::stuck_at(&core.netlist).representatives();
-/// // 256 lanes per pass: 4 batches grade 1024 patterns.
-/// let mut session: WideGradingSession<'_, [u64; 4]> =
+/// // 128 lanes per pass: 4 batches grade 512 patterns.
+/// let mut session: WideGradingSession<'_, u128> =
 ///     WideGradingSession::new(&core, &cc, &StumpsConfig::default());
 /// let outcome = session.run_stuck_at(faults, 4);
-/// assert_eq!(outcome.patterns, 1024);
+/// assert_eq!(outcome.patterns, 512);
 /// ```
 #[derive(Debug)]
 pub struct WideGradingSession<'a, W: LaneWord = u64> {
@@ -516,7 +516,7 @@ impl<'a, W: LaneWord> WideGradingSession<'a, W> {
         let mut next: Vec<W> = cc.new_wide_frame();
         if start_batch < total {
             let _fill_span = metrics.fill_ns.start();
-            fill_wide_frame_from_prpg(arch, core, &mut cur);
+            fill_frame_from_prpg(arch, core, &mut cur);
         }
         for batch in start_batch..total {
             if budget_limit.is_some_and(|limit| batches_done >= limit) {
@@ -540,7 +540,7 @@ impl<'a, W: LaneWord> WideGradingSession<'a, W> {
                 let graded = M::grade(&mut sim, &mut cur);
                 if graded.is_some() && !last {
                     let _fill_span = metrics.fill_ns.start();
-                    fill_wide_frame_from_prpg(arch, core, &mut next);
+                    fill_frame_from_prpg(arch, core, &mut next);
                 }
                 graded
             } else {
@@ -555,7 +555,7 @@ impl<'a, W: LaneWord> WideGradingSession<'a, W> {
                     || M::grade(sim, cur),
                     || {
                         let _fill_span = fill_ns.start();
-                        fill_wide_frame_from_prpg(arch, core, next)
+                        fill_frame_from_prpg(arch, core, next)
                     },
                 );
                 graded
@@ -1082,12 +1082,12 @@ mod tests {
         let c = core();
         let cc = CompiledCircuit::compile(&c.netlist).unwrap();
         let faults = FaultUniverse::stuck_at(&c.netlist).representatives();
-        let mut session: WideGradingSession<'_, [u64; 4]> =
+        let mut session: WideGradingSession<'_, u128> =
             WideGradingSession::new(&c, &cc, &StumpsConfig::default());
         let a = session.run_stuck_at(faults.clone(), 2);
         let b = session.run_stuck_at(faults, 2);
         assert_eq!(a, b);
-        assert_eq!(a.patterns, 512);
-        assert_eq!(a.lanes, 256);
+        assert_eq!(a.patterns, 256);
+        assert_eq!(a.lanes, 128);
     }
 }

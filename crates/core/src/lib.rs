@@ -27,9 +27,9 @@
 //!   instructions for starting self-test, polling status, loading PRPG
 //!   seeds and reading signatures (the paper's fault-diagnosis path).
 //! * [`WideGradingSession`] — the lane-width-generic grading pipeline:
-//!   PRPG fill ([`fill_wide_frame_from_prpg`]) → bit-parallel fault
+//!   PRPG fill ([`fill_frame_from_prpg`]) → bit-parallel fault
 //!   simulation → detection → [`lbist_tpg::LaneMisr`] signature
-//!   compaction, 64/128/256 lanes per pass, with batch *k+1*'s fill
+//!   compaction, 64 or 128 lanes per pass, with batch *k+1*'s fill
 //!   pipelined against batch *k*'s grading on the `lbist-exec` pool.
 
 #![forbid(unsafe_code)]
@@ -53,10 +53,7 @@ pub use checkpoint::{
 };
 pub use controller::{BistController, BistPhase, ControllerConfig};
 pub use diag::{diagnose_first_failing_interval, DiagnosisReport};
-pub use fill::{
-    fill_frame_from_prpg, fill_frames_from_prpg_wide, fill_lane_from_prpg,
-    fill_wide_frame_from_prpg,
-};
+pub use fill::{fill_frame_from_prpg, fill_lane_from_prpg};
 pub use grading::{
     outcome_digest, ControlledGradingOutcome, GradingMetrics, WideGradingOutcome,
     WideGradingSession,

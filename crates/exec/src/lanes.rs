@@ -6,15 +6,16 @@
 //! bit-sliced LFSR stepping, phase-shifter/expander XOR networks, PRPG
 //! frame fills **and the whole grading kernel** (gate evaluation,
 //! fault propagation, detection popcounts, MISR accumulation) are
-//! generic over the lane count: `u64` (64), `u128` (128), `[u64; 4]`
-//! (256) and `[u64; 8]` (512 lanes per pass).
+//! generic over the lane count: `u64` (64) and `u128` (128 lanes per
+//! pass). No wider word measured faster than 64 lanes; `u128` is kept
+//! so every width-invariance test has a second width to compare.
 //!
 //! Every `LaneWord` is, bit for bit, a sequence of [`LaneWord::WORDS`]
 //! 64-lane `u64` sub-words ([`LaneWord::word`]): lane `ℓ` of the wide
 //! word is lane `ℓ % 64` of sub-word `ℓ / 64`. That layout is what
-//! makes wide fills drop-in: one 256-lane PRPG pass produces exactly
-//! the four consecutive 64-lane frames the graders already consume
-//! (enforced by property tests in the bench crate).
+//! makes wide fills drop-in: one 128-lane PRPG pass produces exactly
+//! the two consecutive 64-lane frames of two 64-lane passes (enforced
+//! by property tests in the bench crate).
 
 /// A packed multi-lane bit word: the unit of bit-parallel simulation.
 ///
@@ -31,8 +32,6 @@
 /// }
 /// assert_eq!(ones::<u64>(), 2);
 /// assert_eq!(ones::<u128>(), 2);
-/// assert_eq!(ones::<[u64; 4]>(), 2);
-/// assert_eq!(ones::<[u64; 8]>(), 2);
 /// ```
 pub trait LaneWord: Copy + Send + Sync + Eq + std::fmt::Debug + 'static {
     /// Patterns carried per word.
@@ -268,130 +267,6 @@ impl LaneWord for u128 {
     }
 }
 
-impl LaneWord for [u64; 4] {
-    const LANES: usize = 256;
-    const WORDS: usize = 4;
-
-    #[inline]
-    fn zero() -> Self {
-        [0; 4]
-    }
-
-    #[inline]
-    fn ones() -> Self {
-        [!0; 4]
-    }
-
-    #[inline]
-    fn xor(self, rhs: Self) -> Self {
-        [self[0] ^ rhs[0], self[1] ^ rhs[1], self[2] ^ rhs[2], self[3] ^ rhs[3]]
-    }
-
-    #[inline]
-    fn and(self, rhs: Self) -> Self {
-        [self[0] & rhs[0], self[1] & rhs[1], self[2] & rhs[2], self[3] & rhs[3]]
-    }
-
-    #[inline]
-    fn or(self, rhs: Self) -> Self {
-        [self[0] | rhs[0], self[1] | rhs[1], self[2] | rhs[2], self[3] | rhs[3]]
-    }
-
-    #[inline]
-    fn not(self) -> Self {
-        [!self[0], !self[1], !self[2], !self[3]]
-    }
-
-    #[inline]
-    fn get_lane(self, lane: usize) -> bool {
-        assert!(lane < 256);
-        (self[lane / 64] >> (lane % 64)) & 1 == 1
-    }
-
-    #[inline]
-    fn set_lane(&mut self, lane: usize) {
-        assert!(lane < 256);
-        self[lane / 64] |= 1u64 << (lane % 64);
-    }
-
-    #[inline]
-    fn word(self, k: usize) -> u64 {
-        self[k]
-    }
-
-    #[inline]
-    fn set_word(&mut self, k: usize, sub: u64) {
-        self[k] = sub;
-    }
-
-    #[inline]
-    fn count_ones(self) -> u32 {
-        self[0].count_ones() + self[1].count_ones() + self[2].count_ones() + self[3].count_ones()
-    }
-}
-
-impl LaneWord for [u64; 8] {
-    const LANES: usize = 512;
-    const WORDS: usize = 8;
-
-    #[inline]
-    fn zero() -> Self {
-        [0; 8]
-    }
-
-    #[inline]
-    fn ones() -> Self {
-        [!0; 8]
-    }
-
-    #[inline]
-    fn xor(self, rhs: Self) -> Self {
-        std::array::from_fn(|k| self[k] ^ rhs[k])
-    }
-
-    #[inline]
-    fn and(self, rhs: Self) -> Self {
-        std::array::from_fn(|k| self[k] & rhs[k])
-    }
-
-    #[inline]
-    fn or(self, rhs: Self) -> Self {
-        std::array::from_fn(|k| self[k] | rhs[k])
-    }
-
-    #[inline]
-    fn not(self) -> Self {
-        std::array::from_fn(|k| !self[k])
-    }
-
-    #[inline]
-    fn get_lane(self, lane: usize) -> bool {
-        assert!(lane < 512);
-        (self[lane / 64] >> (lane % 64)) & 1 == 1
-    }
-
-    #[inline]
-    fn set_lane(&mut self, lane: usize) {
-        assert!(lane < 512);
-        self[lane / 64] |= 1u64 << (lane % 64);
-    }
-
-    #[inline]
-    fn word(self, k: usize) -> u64 {
-        self[k]
-    }
-
-    #[inline]
-    fn set_word(&mut self, k: usize, sub: u64) {
-        self[k] = sub;
-    }
-
-    #[inline]
-    fn count_ones(self) -> u32 {
-        self.iter().map(|w| w.count_ones()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -455,15 +330,5 @@ mod tests {
     #[test]
     fn u128_roundtrip() {
         roundtrip::<u128>();
-    }
-
-    #[test]
-    fn quad_roundtrip() {
-        roundtrip::<[u64; 4]>();
-    }
-
-    #[test]
-    fn octo_roundtrip() {
-        roundtrip::<[u64; 8]>();
     }
 }

@@ -1,12 +1,11 @@
-//! The persistent work-stealing thread pool.
+//! The persistent thread pool.
 //!
 //! One [`ThreadPool`] owns a fixed set of worker threads spawned once
-//! and parked when idle. Work enters through [`Scope::spawn`]: a worker
-//! pushes onto its own deque (popped LIFO for cache warmth), any other
-//! thread pushes onto the shared injector, and idle workers steal FIFO
-//! from whichever queue has work. A thread waiting for a scope to
-//! finish *helps* — it executes queued tasks instead of blocking — so
-//! nested scopes cannot deadlock even on a one-worker pool.
+//! and parked when idle. Work enters through [`Scope::spawn`], which
+//! appends to the pool's one FIFO task queue; workers pop from its
+//! front. A thread waiting for a scope to finish *helps* — it pops and
+//! executes queued tasks instead of blocking — so nested scopes cannot
+//! deadlock even on a one-worker pool.
 //!
 //! Structured concurrency makes the borrowed-task lifetimes sound: a
 //! scope's tasks may borrow the caller's stack, and [`scope`] does not
@@ -28,42 +27,20 @@ use std::time::Duration;
 /// names in the global registry (a fresh pool's stats start at zero).
 static NEXT_POOL_ID: AtomicUsize = AtomicUsize::new(0);
 
-/// Telemetry handles for one execution identity — a worker thread, or
-/// the pooled "external" identity for non-worker threads that help.
-#[derive(Debug)]
-struct WorkerCounters {
-    /// Tasks this identity picked up and executed.
-    tasks_run: Counter,
-    /// Tasks it took from *another* worker's deque.
-    steals: Counter,
-}
-
-impl WorkerCounters {
-    fn register(pool_id: usize, who: &str) -> Self {
-        let registry = lbist_obs::global();
-        WorkerCounters {
-            tasks_run: registry.counter(&format!("exec.pool{pool_id}.{who}.tasks_run")),
-            steals: registry.counter(&format!("exec.pool{pool_id}.{who}.steals")),
-        }
-    }
-}
-
 /// Observed execution counts for one worker (or the external identity).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerStats {
     /// Tasks picked up and executed.
     pub tasks_run: u64,
-    /// Tasks taken from another worker's deque.
-    pub steals: u64,
 }
 
 /// Point-in-time execution counts for a whole pool, from
 /// [`ThreadPool::stats`]. The same numbers are exported by name
-/// (`exec.pool<id>.worker<i>.tasks_run` / `.steals`) through
-/// `lbist_obs::global()` snapshots.
+/// (`exec.pool<id>.worker<i>.tasks_run`, `exec.pool<id>.external.tasks_run`)
+/// through `lbist_obs::global()` snapshots.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// One entry per worker thread, by deque index.
+    /// One entry per worker thread, by worker index.
     pub workers: Vec<WorkerStats>,
     /// Tasks executed by non-worker threads helping a scope join.
     pub external: WorkerStats,
@@ -73,11 +50,6 @@ impl PoolStats {
     /// Tasks executed across all workers plus helping threads.
     pub fn total_tasks(&self) -> u64 {
         self.workers.iter().map(|w| w.tasks_run).sum::<u64>() + self.external.tasks_run
-    }
-
-    /// Steals across all workers plus helping threads.
-    pub fn total_steals(&self) -> u64 {
-        self.workers.iter().map(|w| w.steals).sum::<u64>() + self.external.steals
     }
 }
 
@@ -132,7 +104,7 @@ impl ScopeLatch {
 
     /// Parks briefly until the scope completes or the timeout elapses
     /// (the caller re-runs its help loop either way, so a spurious or
-    /// timed-out wake only costs one queue scan).
+    /// timed-out wake only costs one queue check).
     fn wait_done_briefly(&self) {
         let st = self.state.lock().expect("latch poisoned");
         if st.pending > 0 {
@@ -154,105 +126,46 @@ fn run_task(task: QueuedTask) {
 
 /// State shared between the pool handle, its workers, and live scopes.
 struct PoolShared {
-    /// Per-worker deques: the owner pushes/pops the back, thieves steal
-    /// the front.
-    worker_queues: Vec<Mutex<VecDeque<QueuedTask>>>,
-    /// Spawns from threads outside the pool land here.
-    injector: Mutex<VecDeque<QueuedTask>>,
-    /// Idle-parking: guards the count of parked workers. Workers
-    /// re-check the queues and bump the count under this lock before
-    /// waiting, and pushes notify under it, so a wakeup cannot race
-    /// past a worker that already decided the queues were empty.
-    idle_lock: Mutex<usize>,
-    idle_cv: Condvar,
+    /// Every queued task, oldest first. Workers and helping threads pop
+    /// the front; spawns append to the back.
+    queue: Mutex<VecDeque<QueuedTask>>,
+    /// Wakes a parked worker: notified once per push and by shutdown.
+    /// Workers check the queue and the shutdown flag under the queue
+    /// lock before waiting, so neither wakeup can be lost.
+    task_ready: Condvar,
     shutdown: AtomicBool,
     /// Workers currently alive (decremented on worker exit) — the
     /// teardown regression tests read this.
     alive: AtomicUsize,
-    /// Per-worker telemetry (indexed like `worker_queues`) plus the
-    /// pooled identity for helping non-worker threads.
-    worker_counters: Vec<WorkerCounters>,
-    external_counters: WorkerCounters,
+    /// `tasks_run` per worker thread, by worker index, plus the pooled
+    /// identity for helping non-worker threads.
+    worker_tasks: Vec<Counter>,
+    external_tasks: Counter,
 }
 
 impl PoolShared {
-    fn counters_for(&self, own: Option<usize>) -> &WorkerCounters {
-        match own {
-            Some(idx) => &self.worker_counters[idx],
-            None => &self.external_counters,
+    /// Pops the oldest queued task and charges it to the identity that
+    /// runs it: worker `who`, or the external identity for `None`.
+    fn pop(&self, who: Option<usize>) -> Option<QueuedTask> {
+        let task = self.queue.lock().expect("queue poisoned").pop_front()?;
+        match who {
+            Some(idx) => self.worker_tasks[idx].inc(),
+            None => self.external_tasks.inc(),
         }
+        Some(task)
     }
 
-    /// Pops one task: the hinted worker's own deque (LIFO), then the
-    /// injector, then a FIFO steal sweep over the other workers. Every
-    /// caller immediately executes what it finds, so the task and steal
-    /// counts are charged here, to the finding identity.
-    fn find_task(&self, own: Option<usize>) -> Option<QueuedTask> {
-        if let Some(idx) = own {
-            if let Some(t) = self.worker_queues[idx].lock().expect("queue poisoned").pop_back() {
-                self.worker_counters[idx].tasks_run.inc();
-                return Some(t);
-            }
-        }
-        if let Some(t) = self.injector.lock().expect("queue poisoned").pop_front() {
-            self.counters_for(own).tasks_run.inc();
-            return Some(t);
-        }
-        let n = self.worker_queues.len();
-        let start = own.map_or(0, |i| i + 1);
-        for off in 0..n {
-            let q = &self.worker_queues[(start + off) % n];
-            if Some((start + off) % n) == own {
-                continue;
-            }
-            if let Some(t) = q.lock().expect("queue poisoned").pop_front() {
-                let counters = self.counters_for(own);
-                counters.tasks_run.inc();
-                counters.steals.inc();
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    fn have_queued(&self) -> bool {
-        if !self.injector.lock().expect("queue poisoned").is_empty() {
-            return true;
-        }
-        self.worker_queues.iter().any(|q| !q.lock().expect("queue poisoned").is_empty())
-    }
-
-    /// Enqueues a task — onto the calling worker's own deque when the
-    /// caller belongs to this pool, else onto the injector — and wakes
-    /// a parked worker.
-    fn push(self: &Arc<Self>, task: QueuedTask) {
-        let own = WORKER.with(|w| {
-            let w = w.borrow();
-            match &*w {
-                Some((shared, idx)) if Arc::ptr_eq(shared, self) => Some(*idx),
-                _ => None,
-            }
-        });
-        match own {
-            Some(idx) => self.worker_queues[idx].lock().expect("queue poisoned").push_back(task),
-            None => self.injector.lock().expect("queue poisoned").push_back(task),
-        }
-        // One task was pushed: wake at most one parked worker (a
-        // thundering notify_all would wake the whole pool per task on
-        // the hottest dispatch path). Skipping the notify when nobody
-        // is parked is safe — a non-parked worker re-checks the queues
-        // under this lock before it ever waits.
-        let parked = self.idle_lock.lock().expect("idle lock poisoned");
-        if *parked > 0 {
-            self.idle_cv.notify_one();
-        }
+    /// Appends a task to the queue and wakes one parked worker.
+    fn push(&self, task: QueuedTask) {
+        self.queue.lock().expect("queue poisoned").push_back(task);
+        self.task_ready.notify_one();
     }
 }
 
 thread_local! {
     /// Set for the lifetime of a worker thread: which pool it belongs
-    /// to and its deque index (spawns from a worker go to its own
-    /// deque; its helping loops pop LIFO from there first).
+    /// to and its worker index (the identity its helping loops charge
+    /// executed tasks to).
     static WORKER: std::cell::RefCell<Option<(Arc<PoolShared>, usize)>> =
         const { std::cell::RefCell::new(None) };
     /// Stack of pools installed via [`ThreadPool::install`] (workers
@@ -264,27 +177,24 @@ thread_local! {
 fn worker_loop(shared: Arc<PoolShared>, index: usize) {
     WORKER.with(|w| *w.borrow_mut() = Some((Arc::clone(&shared), index)));
     INSTALLED.with(|s| s.borrow_mut().push(Arc::clone(&shared)));
+    let mut queue = shared.queue.lock().expect("queue poisoned");
     loop {
-        if let Some(task) = shared.find_task(Some(index)) {
+        if let Some(task) = queue.pop_front() {
+            drop(queue);
+            shared.worker_tasks[index].inc();
             run_task(task);
-            continue;
-        }
-        let mut parked = shared.idle_lock.lock().expect("idle lock poisoned");
-        if shared.shutdown.load(Ordering::SeqCst) {
+            queue = shared.queue.lock().expect("queue poisoned");
+        } else if shared.shutdown.load(Ordering::SeqCst) {
             break;
+        } else {
+            queue = shared.task_ready.wait(queue).expect("queue poisoned");
         }
-        // Re-check under the lock (pushes notify under it), then park.
-        if shared.have_queued() {
-            continue;
-        }
-        *parked += 1;
-        let mut parked = shared.idle_cv.wait(parked).expect("idle lock poisoned");
-        *parked -= 1;
     }
+    drop(queue);
     shared.alive.fetch_sub(1, Ordering::SeqCst);
 }
 
-/// A persistent work-stealing thread pool.
+/// A persistent thread pool with one FIFO task queue.
 ///
 /// Workers are spawned at construction and live until the pool is
 /// dropped; [`Drop`] signals shutdown and **joins every worker**, so a
@@ -327,17 +237,15 @@ impl ThreadPool {
     pub fn new(threads: usize) -> Self {
         assert!(threads > 0, "a thread pool needs at least one worker");
         let pool_id = NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed);
+        let tasks_run =
+            |who: &str| lbist_obs::global().counter(&format!("exec.pool{pool_id}.{who}.tasks_run"));
         let shared = Arc::new(PoolShared {
-            worker_queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            injector: Mutex::new(VecDeque::new()),
-            idle_lock: Mutex::new(0),
-            idle_cv: Condvar::new(),
+            queue: Mutex::new(VecDeque::new()),
+            task_ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
             alive: AtomicUsize::new(threads),
-            worker_counters: (0..threads)
-                .map(|i| WorkerCounters::register(pool_id, &format!("worker{i}")))
-                .collect(),
-            external_counters: WorkerCounters::register(pool_id, "external"),
+            worker_tasks: (0..threads).map(|i| tasks_run(&format!("worker{i}"))).collect(),
+            external_tasks: tasks_run("external"),
         });
         let handles = (0..threads)
             .map(|i| {
@@ -362,23 +270,20 @@ impl ThreadPool {
         self.shared.alive.load(Ordering::SeqCst)
     }
 
-    /// Point-in-time per-worker execution counts (tasks run, steals).
+    /// Point-in-time per-worker execution counts (tasks run).
     /// Purely observational: reading them never perturbs scheduling.
     pub fn stats(&self) -> PoolStats {
-        let read = |c: &WorkerCounters| WorkerStats {
-            tasks_run: c.tasks_run.value(),
-            steals: c.steals.value(),
-        };
+        let read = |c: &Counter| WorkerStats { tasks_run: c.value() };
         PoolStats {
-            workers: self.shared.worker_counters.iter().map(read).collect(),
-            external: read(&self.shared.external_counters),
+            workers: self.shared.worker_tasks.iter().map(read).collect(),
+            external: read(&self.shared.external_tasks),
         }
     }
 
     /// Runs `f` with this pool installed as the calling thread's
-    /// current pool: [`scope`], [`join`], [`parallel_chunks`] and
-    /// [`current_num_threads`] inside `f` target it instead of the
-    /// global pool.
+    /// current pool: [`scope`], [`join`],
+    /// [`parallel_chunks_with_scratch`] and [`current_num_threads`]
+    /// inside `f` target it instead of the global pool.
     pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
         struct PopGuard;
         impl Drop for PopGuard {
@@ -405,9 +310,9 @@ impl ThreadPool {
 impl Drop for ThreadPool {
     fn drop(&mut self) {
         {
-            let _guard = self.shared.idle_lock.lock().expect("idle lock poisoned");
+            let _queue = self.shared.queue.lock().expect("queue poisoned");
             self.shared.shutdown.store(true, Ordering::SeqCst);
-            self.shared.idle_cv.notify_all();
+            self.shared.task_ready.notify_all();
         }
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -449,7 +354,7 @@ fn current_shared() -> Arc<PoolShared> {
 /// Worker-thread budget of the current pool (installed pool if any,
 /// else the global pool).
 pub fn current_num_threads() -> usize {
-    current_shared().worker_queues.len()
+    current_shared().worker_tasks.len()
 }
 
 /// A scope in which borrowed-data tasks can be spawned onto the pool;
@@ -501,15 +406,12 @@ impl<'scope, 'env> Scope<'scope, 'env> {
     /// it blocking, which is what lets nested scopes progress on small
     /// pools.
     fn wait_all(&self) {
-        let own = WORKER.with(|w| {
-            let w = w.borrow();
-            match &*w {
-                Some((shared, idx)) if Arc::ptr_eq(shared, &self.shared) => Some(*idx),
-                _ => None,
-            }
+        let who = WORKER.with(|w| match &*w.borrow() {
+            Some((shared, idx)) if Arc::ptr_eq(shared, &self.shared) => Some(*idx),
+            _ => None,
         });
         while !self.latch.is_done() {
-            match self.shared.find_task(own) {
+            match self.shared.pop(who) {
                 Some(task) => run_task(task),
                 None => self.latch.wait_done_briefly(),
             }
@@ -567,34 +469,6 @@ where
         a()
     });
     (ra, rb.expect("joined task completed"))
-}
-
-/// Splits `items` into at most `max_workers` contiguous chunks and
-/// processes them in parallel on the current pool: `f(chunk_index,
-/// chunk)` per chunk, chunk boundaries deterministic in `items.len()`
-/// and `max_workers` alone. A budget of 1 (or a single-chunk split)
-/// runs inline on the caller — the `--serial` escape hatch.
-pub fn parallel_chunks<T, F>(items: &mut [T], max_workers: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return;
-    }
-    let workers = max_workers.clamp(1, n);
-    if workers == 1 {
-        f(0, items);
-        return;
-    }
-    let chunk = n.div_ceil(workers);
-    scope(|s| {
-        for (i, c) in items.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            s.spawn(move |_| f(i, c));
-        }
-    });
 }
 
 /// The shared worker-budget rule of every sharded consumer: engage
@@ -755,20 +629,6 @@ mod tests {
         let pool = ThreadPool::new(2);
         let ((a, b), (c, d)) = pool.install(|| join(|| join(|| 1, || 2), || join(|| 3, || 4)));
         assert_eq!((a, b, c, d), (1, 2, 3, 4));
-    }
-
-    #[test]
-    fn parallel_chunks_covers_every_item() {
-        let mut buf = vec![0u32; 101];
-        parallel_chunks(&mut buf, 8, |ci, chunk| {
-            for v in chunk.iter_mut() {
-                *v = ci as u32 + 1;
-            }
-        });
-        assert!(buf.iter().all(|&v| v > 0));
-        // Deterministic chunking: 101 items over 8 workers -> 13/chunk.
-        assert_eq!(buf[12], 1);
-        assert_eq!(buf[13], 2);
     }
 
     #[test]

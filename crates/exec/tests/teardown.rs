@@ -24,9 +24,13 @@ fn dropped_pools_leave_no_os_threads_behind() {
         let pool = ThreadPool::new(3);
         let mut acc = vec![0u64; 256];
         pool.install(|| {
-            lbist_exec::parallel_chunks(&mut acc, 3, |ci, chunk| {
-                for v in chunk.iter_mut() {
-                    *v = ci as u64 + round + 1;
+            lbist_exec::scope(|s| {
+                for (ci, chunk) in acc.chunks_mut(86).enumerate() {
+                    s.spawn(move |_| {
+                        for v in chunk.iter_mut() {
+                            *v = ci as u64 + round + 1;
+                        }
+                    });
                 }
             });
         });

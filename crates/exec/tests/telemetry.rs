@@ -59,11 +59,6 @@ fn every_executed_task_is_charged_to_a_worker() {
     // totals are exact, not deltas: every task ran exactly once,
     // whoever picked it up.
     assert_eq!(stats.total_tasks(), TASKS as u64, "stats: {stats:?}");
-    // Steals are scheduling-dependent, but never exceed tasks run.
-    assert!(stats.total_steals() <= stats.total_tasks());
-    for w in &stats.workers {
-        assert!(w.steals <= w.tasks_run);
-    }
 }
 
 #[test]

@@ -31,7 +31,7 @@ impl FaultDictionary {
     /// batches, at any lane width. `batches` yields filled source frames
     /// (as for [`StuckAtSim::run_batch`]) plus the live pattern count per
     /// batch; pattern indices advance by `num_patterns` per batch, so a
-    /// 256-lane batch contributes the same dictionary columns as four
+    /// 128-lane batch contributes the same dictionary columns as two
     /// 64-lane batches over the same stream.
     pub fn build<W: LaneWord>(
         cc: &CompiledCircuit,

@@ -14,7 +14,7 @@
 //!   reported over collapsed classes, as testers do.
 //! * [`FaultSim`] — the one batch-grading core both fault models run
 //!   on: one [`lbist_exec::LaneWord`] of patterns per pass (64 for the
-//!   default `u64` frames, 128/256 for `u128`/`[u64; 4]`), sharded
+//!   default `u64` frames, 128 for `u128`), sharded
 //!   per-fault replay on the gate interpreter or the compiled kernel,
 //!   fault dropping and n-detect counting.
 //! * [`StuckAtSim`] / [`WideStuckAtSim`] — PPSFP under the [`StuckAt`]

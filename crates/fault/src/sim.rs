@@ -119,8 +119,8 @@ impl<W: LaneWord> Batch<'_, W> {
 }
 
 /// Parallel-pattern fault simulator, generic over the fault model and
-/// the lane width (64/128/256/512 patterns per pass for `u64`/`u128`/
-/// `[u64; 4]`/`[u64; 8]` frames). Use it through the aliases
+/// the lane width (64/128 patterns per pass for `u64`/`u128` frames).
+/// Use it through the aliases
 /// [`crate::StuckAtSim`]/[`crate::WideStuckAtSim`] and
 /// [`crate::TransitionSim`]/[`crate::WideTransitionSim`].
 ///
@@ -136,7 +136,7 @@ impl<W: LaneWord> Batch<'_, W> {
 ///
 /// Faults are graded independently against the shared fault-free
 /// evaluation, so the simulator shards the **active-fault list** across
-/// the persistent `lbist-exec` work-stealing pool. Each worker owns a
+/// the persistent `lbist-exec` pool. Each worker owns a
 /// replay scratch (reused across batches) and writes per-fault
 /// detection words into its own slice of the batch result; the serial
 /// merge then updates n-detect counts and compacts the active list

@@ -453,7 +453,6 @@ mod tests {
             assert_eq!(wide.coverage().detected, narrow.coverage().detected);
         }
         check::<u128>();
-        check::<[u64; 4]>();
     }
 
     /// The kernel path (compiled program + event-driven replay) reports exactly

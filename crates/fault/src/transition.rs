@@ -23,7 +23,7 @@
 //! flip-flops, which the simulator carries in a per-fault state overlay.
 //!
 //! Grading runs on the shared [`FaultSim`] core, so it is sharded across
-//! the persistent `lbist-exec` work-stealing pool exactly like stuck-at
+//! the persistent `lbist-exec` pool exactly like stuck-at
 //! grading: the fault-free window frames are computed once and shared
 //! read-only; each worker replays faults from its shard with its own
 //! propagation scratch and flip-flop overlay, so parallel and serial
@@ -629,7 +629,6 @@ mod tests {
             assert!(wide.detections().iter().any(|&d| d > 0), "scenario must detect something");
         }
         check::<u128>();
-        check::<[u64; 4]>();
     }
 
     /// The kernel path replays the capture window bit-identically to the

@@ -63,7 +63,7 @@ impl Snapshot {
     ///
     /// ```json
     /// {
-    ///   "counters": { "exec.steals": 12 },
+    ///   "counters": { "exec.shard_retries": 12 },
     ///   "gauges": { "serve.queue_depth": 3 },
     ///   "histograms": {
     ///     "grading.fill_ns": { "count": 8, "sum": 91235, "buckets": [[14, 8]] }

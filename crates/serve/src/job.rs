@@ -28,7 +28,7 @@ pub struct JobSpec {
     pub model: ModelTag,
     /// Total batches to grade (`batches · lanes` patterns).
     pub batches: u64,
-    /// Lanes per pass: 64, 128 or 256. Anything else is rejected at
+    /// Lanes per pass: 64 or 128. Anything else is rejected at
     /// admission.
     pub lanes: usize,
     /// Scan chains to stitch when preparing the submitted netlist.

@@ -422,8 +422,8 @@ impl ControlPlane {
         if tenant.0 >= self.tenants.len() {
             return Err(format!("unknown tenant {}", tenant.0));
         }
-        if !matches!(spec.lanes, 64 | 128 | 256) {
-            return Err(format!("unsupported lane width {} (want 64, 128 or 256)", spec.lanes));
+        if !matches!(spec.lanes, 64 | 128) {
+            return Err(format!("unsupported lane width {} (want 64 or 128)", spec.lanes));
         }
         if spec.batches == 0 {
             return Err("zero-batch job".to_string());
@@ -678,8 +678,7 @@ fn run_controlled_slice(
 ) -> Result<ControlledGradingOutcome, CkptError> {
     match job.spec.lanes {
         64 => run_controlled::<u64>(job, control, cfg),
-        128 => run_controlled::<u128>(job, control, cfg),
-        _ => run_controlled::<[u64; 4]>(job, control, cfg),
+        _ => run_controlled::<u128>(job, control, cfg),
     }
 }
 

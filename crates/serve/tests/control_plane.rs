@@ -74,11 +74,13 @@ fn admission_rejects_bad_jobs_with_reasons() {
     let id = plane.submit(tenant, JobSpec::stuck_at(1), &torn);
     assert_eq!(plane.verdict(id).unwrap().disposition, Disposition::Rejected);
 
-    // Bad lane width.
-    let id = plane.submit(tenant, JobSpec { lanes: 32, ..JobSpec::stuck_at(1) }, &good);
-    let v = plane.verdict(id).unwrap();
-    assert_eq!(v.disposition, Disposition::Rejected);
-    assert!(v.reason.as_ref().unwrap().contains("lane width"), "{:?}", v.reason);
+    // Bad lane widths.
+    for lanes in [32, 256] {
+        let id = plane.submit(tenant, JobSpec { lanes, ..JobSpec::stuck_at(1) }, &good);
+        let v = plane.verdict(id).unwrap();
+        assert_eq!(v.disposition, Disposition::Rejected);
+        assert!(v.reason.as_ref().unwrap().contains("lane width"), "{:?}", v.reason);
+    }
 
     // Zero batches.
     let id = plane.submit(tenant, JobSpec::stuck_at(0), &good);
@@ -123,8 +125,8 @@ fn admission_rejects_bad_jobs_with_reasons() {
     assert_eq!(plane.verdict(id).unwrap().disposition, Disposition::Rejected);
 
     let m = plane.metrics();
-    assert_eq!(m.submitted, 8);
-    assert_eq!(m.rejected, 8);
+    assert_eq!(m.submitted, 9);
+    assert_eq!(m.rejected, 9);
     assert_eq!(m.accepted, 0);
     // Rejection happens before preparation wherever possible: only the
     // structurally valid submissions cost a cache build.

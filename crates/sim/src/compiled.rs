@@ -15,9 +15,9 @@ use lbist_netlist::{DomainId, Fanouts, GateKind, Levelization, Netlist, NetlistE
 /// [`LaneWord`] holding `W::LANES` independent patterns; lane `p` of
 /// every word belongs to pattern `p`. The evaluation entry points
 /// ([`CompiledCircuit::eval2`], [`eval_gate`]) are generic over the
-/// word, so the same compiled circuit grades 64 (`u64`), 128 (`u128`)
-/// or 256 (`[u64; 4]`) patterns per pass; `u64` remains the default
-/// frame width ([`CompiledCircuit::new_frame`]).
+/// word, so the same compiled circuit grades 64 (`u64`) or 128
+/// (`u128`) patterns per pass; `u64` remains the default frame width
+/// ([`CompiledCircuit::new_frame`]).
 #[derive(Clone, Debug)]
 pub struct CompiledCircuit {
     num_nodes: usize,
@@ -385,8 +385,6 @@ mod tests {
         }
         check::<u64>();
         check::<u128>();
-        check::<[u64; 4]>();
-        check::<[u64; 8]>();
     }
 
     #[test]

@@ -1003,8 +1003,6 @@ mod tests {
             }
         }
         check::<u128>();
-        check::<[u64; 4]>();
-        check::<[u64; 8]>();
     }
 
     /// Slot-state bookkeeping: sources report `Source`, kept nodes

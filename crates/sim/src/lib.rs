@@ -10,8 +10,8 @@
 //!   schedule) that simulators iterate without touching the arena.
 //! * **2-valued** simulation ([`CompiledCircuit::eval2`]): one
 //!   [`lbist_exec::LaneWord`] per net carries `W::LANES` independent test
-//!   patterns — 64 (`u64`, the default frame width), 128 (`u128`) or 256
-//!   (`[u64; 4]`) per pass.
+//!   patterns — 64 (`u64`, the default frame width) or 128 (`u128`) per
+//!   pass.
 //! * **3-valued** simulation ([`CompiledCircuit::eval3`]): a
 //!   `(value, x-mask)` word pair per net tracks unknowns pessimistically —
 //!   used to prove X-bounding actually blocks every X source.

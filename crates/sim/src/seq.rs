@@ -233,7 +233,6 @@ mod tests {
             assert_eq!(sim.value(ff), W::zero(), "{} lanes: even toggle count", W::LANES);
         }
         check::<u128>();
-        check::<[u64; 4]>();
     }
 
     #[test]

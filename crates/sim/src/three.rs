@@ -331,7 +331,6 @@ mod tests {
             }
         }
         check::<u128>();
-        check::<[u64; 4]>();
     }
 
     #[test]

@@ -192,6 +192,5 @@ mod tests {
         }
         check::<u64>();
         check::<u128>();
-        check::<[u64; 4]>();
     }
 }

@@ -107,7 +107,7 @@ impl SpaceExpander {
     /// Expands one cycle of multi-lane channel words to chain words:
     /// `out[i]` = XOR of the channel words in chain `i`'s combination.
     /// Linear in GF(2), so it distributes over the packed lanes at any
-    /// width ([`lbist_exec::LaneWord`]: `u64`/`u128`/`[u64; 4]`).
+    /// width ([`lbist_exec::LaneWord`]: `u64`/`u128`).
     /// Allocation-free.
     ///
     /// # Panics

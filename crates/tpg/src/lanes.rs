@@ -19,11 +19,10 @@
 //! words drop straight into simulation frames with no per-lane
 //! allocation.
 //!
-//! The width is a type parameter (`u64` 64 lanes — the default and the
-//! frame width the graders consume — `u128` for 128, `[u64; 4]` for
-//! 256 lanes per pass); the stream semantics are identical at every
-//! width, enforced by the tests below and by property tests in the
-//! bench crate.
+//! The width is a type parameter (`u64` 64 lanes — the default — or
+//! `u128` for 128 lanes per pass); the stream semantics are identical
+//! at both widths, enforced by the tests below and by property tests in
+//! the bench crate.
 
 use crate::{Gf2Matrix, Gf2Vec, Lfsr};
 use lbist_exec::LaneWord;
@@ -59,7 +58,6 @@ pub struct LaneLfsr<W: LaneWord = u64> {
     /// Transition matrix raised to `stride` — advances one lane state to
     /// the next lane's start state.
     jump: Gf2Matrix,
-    stride: u64,
 }
 
 impl<W: LaneWord> LaneLfsr<W> {
@@ -77,7 +75,7 @@ impl<W: LaneWord> LaneLfsr<W> {
         let mask = lfsr.poly().feedback_mask();
         let taps = (0..degree).filter(|&j| mask.get(j)).collect();
         let jump = lfsr.transition_matrix().pow(stride);
-        let mut lanes = LaneLfsr { sliced: vec![W::zero(); degree], taps, jump, stride };
+        let mut lanes = LaneLfsr { sliced: vec![W::zero(); degree], taps, jump };
         lanes.reload(lfsr);
         lanes
     }
@@ -104,11 +102,6 @@ impl<W: LaneWord> LaneLfsr<W> {
     /// Register width.
     pub fn degree(&self) -> usize {
         self.sliced.len()
-    }
-
-    /// The lane phase separation, in LFSR cycles.
-    pub fn stride(&self) -> u64 {
-        self.stride
     }
 
     /// Stage `j` of all lanes as a packed word.
@@ -187,7 +180,7 @@ mod tests {
 
     /// Every lane width replays the identical scalar stream: lane `ℓ`
     /// of width `W` equals the scalar stream delayed `ℓ·stride` cycles,
-    /// for 64, 128 and 256 lanes.
+    /// for 64 and 128 lanes.
     #[test]
     fn wide_lanes_match_scalar_stream() {
         fn check<W: LaneWord>() {
@@ -210,7 +203,6 @@ mod tests {
         }
         check::<u64>();
         check::<u128>();
-        check::<[u64; 4]>();
     }
 
     #[test]
@@ -229,22 +221,22 @@ mod tests {
         assert_eq!(lanes.lane_state(63), *reference.state());
     }
 
-    /// The wide equivalent: the last lane of a 256-lane fork ends a
-    /// batch at the 256-load advance point.
+    /// The wide equivalent: the last lane of a 128-lane fork ends a
+    /// batch at the 128-load advance point.
     #[test]
     fn last_wide_lane_end_state_is_full_batch_advance() {
         let poly = LfsrPoly::maximal(11).unwrap();
         let scalar = Lfsr::with_ones_seed(poly.clone());
         let stride = 4u64;
-        let mut lanes: LaneLfsr<[u64; 4]> = LaneLfsr::fork(&scalar, stride);
+        let mut lanes: LaneLfsr<u128> = LaneLfsr::fork(&scalar, stride);
         for _ in 0..stride {
             lanes.step();
         }
         let mut reference = Lfsr::with_ones_seed(poly);
-        for _ in 0..256 * stride {
+        for _ in 0..128 * stride {
             reference.step();
         }
-        assert_eq!(lanes.lane_state(255), *reference.state());
+        assert_eq!(lanes.lane_state(127), *reference.state());
     }
 
     #[test]

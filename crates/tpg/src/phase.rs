@@ -126,7 +126,7 @@ impl PhaseShifter {
     /// `out[c]` receives the multi-lane pattern word of channel `c`
     /// (lane `ℓ` = what [`PhaseShifter::outputs`] bit `c` would be for
     /// lane `ℓ`'s LFSR state). Generic over the lane width
-    /// ([`lbist_exec::LaneWord`]: `u64`/`u128`/`[u64; 4]`) and
+    /// ([`lbist_exec::LaneWord`]: `u64`/`u128`) and
     /// allocation-free: the XOR tree is evaluated straight onto the
     /// caller's buffer.
     ///

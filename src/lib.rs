@@ -14,7 +14,7 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`exec`] | persistent work-stealing pool + lane-width-generic frame words |
+//! | [`exec`] | persistent thread pool + 64/128-lane frame words |
 //! | [`netlist`] | gate-level circuits, levelization, `.bench` I/O |
 //! | [`sim`] | 64-way bit-parallel 2-/3-valued and sequential simulation |
 //! | [`tpg`] | LFSR/PRPG, phase shifters, space expanders, MISRs, compactors |
