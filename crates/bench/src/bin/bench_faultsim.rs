@@ -2,8 +2,8 @@
 //! and launch-on-capture transition grading on a generated CPU core,
 //! plus a worker-count sweep, a **grading-width sweep** (the whole
 //! fill → sim → detect → MISR pipeline at 64 and 128 lanes per pass),
-//! a **compiled-kernel vs interpreter** comparison and a lane-width
-//! PRPG-fill comparison.
+//! a **compiled-kernel reference check** and a lane-width PRPG-fill
+//! comparison.
 //!
 //! Emits `BENCH_faultsim.json` (in the working directory) with
 //! patterns/sec, faults-graded/sec, the serial-vs-parallel speedup, a
@@ -11,8 +11,9 @@
 //! `available_parallelism` are skipped and listed), the grading-width
 //! sweep (with cross-width coverage and signature identity asserted at
 //! run time), a `"kernel"` section (lowering time, program size, and
-//! interpreter-vs-kernel patterns/s with the digests asserted
-//! identical at run time) and the 64/128-lane fill throughput — the
+//! the first headline batch of each model graded with no dropping and
+//! asserted identical, fault by fault, to the slow reference grader
+//! `lbist_fault::oracle`) and the 64/128-lane fill throughput — the
 //! perf baseline later PRs compare against.
 //!
 //! ```text
@@ -58,7 +59,10 @@ use lbist_core::{
     RunStatus, StumpsArchitecture, StumpsConfig, WideGradingOutcome, WideGradingSession,
 };
 use lbist_exec::{CancelReason, LaneWord};
-use lbist_fault::{CaptureWindow, CoverageReport, Fault, FaultUniverse};
+use lbist_fault::{
+    oracle, CaptureWindow, CoverageReport, Fault, FaultUniverse, StuckAtSim, WideStuckAtSim,
+    WideTransitionSim,
+};
 use lbist_sim::{CompiledCircuit, KernelProgram};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -239,16 +243,13 @@ fn checkpointed_main(
 }
 
 /// One whole stuck-at random phase at width `W` through the grading
-/// pipeline (PRPG fill → sim → detection → MISR), timed. `use_kernel =
-/// false` grades on the per-gate interpreter — the reference the
-/// compiled kernel is diffed (and speedup-measured) against.
+/// pipeline (PRPG fill → sim → detection → MISR), timed.
 fn stuck_run<W: LaneWord>(
     core: &lbist_dft::BistReadyCore,
     cc: &CompiledCircuit,
     faults: &[Fault],
     batches_64: usize,
     threads: usize,
-    use_kernel: bool,
 ) -> RunStats {
     let mut session: WideGradingSession<'_, W> =
         WideGradingSession::new(core, cc, &StumpsConfig::default());
@@ -257,9 +258,6 @@ fn stuck_run<W: LaneWord>(
         // A true serial baseline: no fill/grade overlap either, so the
         // 1-thread timing stays comparable to the pre-pipeline runs.
         session.sequential();
-    }
-    if !use_kernel {
-        session.use_interpreter();
     }
     let batches = (batches_64 * 64) / W::LANES;
     let t0 = Instant::now();
@@ -291,15 +289,13 @@ fn stuck_run_metered<W: LaneWord>(
     RunStats::from_outcome(outcome, t0.elapsed().as_secs_f64())
 }
 
-/// One whole transition random phase at width `W`, timed. `use_kernel`
-/// as in [`stuck_run`].
+/// One whole transition random phase at width `W`, timed.
 fn transition_run<W: LaneWord>(
     core: &lbist_dft::BistReadyCore,
     cc: &CompiledCircuit,
     faults: &[Fault],
     batches_64: usize,
     threads: usize,
-    use_kernel: bool,
 ) -> RunStats {
     let mut session: WideGradingSession<'_, W> =
         WideGradingSession::new(core, cc, &StumpsConfig::default());
@@ -307,14 +303,49 @@ fn transition_run<W: LaneWord>(
     if threads == 1 {
         session.sequential();
     }
-    if !use_kernel {
-        session.use_interpreter();
-    }
     let window = CaptureWindow::all_domains(core.netlist.num_domains().max(1));
     let batches = (batches_64 * 64) / W::LANES;
     let t0 = Instant::now();
     let outcome = session.run_transition(faults.to_vec(), window, batches);
     RunStats::from_outcome(outcome, t0.elapsed().as_secs_f64())
+}
+
+/// Grades the first headline batch (the first PRPG fill at width `W`)
+/// of each model with a fresh simulator and no dropping, and asserts
+/// that every fault's detection count equals the popcount of its
+/// `lbist_fault::oracle` detection word.
+fn check_against_reference<W: LaneWord>(
+    core: &lbist_dft::BistReadyCore,
+    cc: &CompiledCircuit,
+    stuck_faults: &[Fault],
+    transition_faults: &[Fault],
+) {
+    let mut arch = StumpsArchitecture::build(core, &StumpsConfig::default());
+    let mut frame: Vec<W> = cc.new_wide_frame();
+    fill_frame_from_prpg(&mut arch, core, &mut frame);
+    let assert_identical = |model: &str, detections: &[u32], reference: Vec<W>| {
+        for (i, (&got, want)) in detections.iter().zip(reference).enumerate() {
+            assert_eq!(
+                got,
+                want.count_ones(),
+                "{model} fault {i}: kernel detections differ from the reference oracle"
+            );
+        }
+    };
+
+    let observed = StuckAtSim::observe_all_captures(cc);
+    let reference = oracle::stuck_at(cc, stuck_faults, &observed, &frame, W::LANES);
+    let mut sim = WideStuckAtSim::<W>::new(cc, stuck_faults.to_vec(), observed);
+    sim.set_drop_after(u32::MAX);
+    sim.run_batch(&mut frame.clone(), W::LANES);
+    assert_identical("stuck-at", sim.detections(), reference);
+
+    let window = CaptureWindow::all_domains(core.netlist.num_domains().max(1));
+    let reference = oracle::transition(cc, transition_faults, &window, &frame, W::LANES);
+    let mut sim = WideTransitionSim::<W>::new(cc, transition_faults.to_vec(), window);
+    sim.set_drop_after(u32::MAX);
+    sim.run_batch(&frame, W::LANES);
+    assert_identical("transition", sim.detections(), reference);
 }
 
 fn main() {
@@ -389,20 +420,18 @@ fn main() {
 
     // Each run builds a fresh (reset) grading session so every
     // configuration grades the identical PRPG pattern stream.
-    let stuck_at_on = |t: usize, kernel: bool| -> RunStats {
+    let stuck_at = |t: usize| -> RunStats {
         match lanes {
-            64 => stuck_run::<u64>(&core, &cc, &stuck_faults, batches, t, kernel),
-            _ => stuck_run::<u128>(&core, &cc, &stuck_faults, batches, t, kernel),
+            64 => stuck_run::<u64>(&core, &cc, &stuck_faults, batches, t),
+            _ => stuck_run::<u128>(&core, &cc, &stuck_faults, batches, t),
         }
     };
-    let stuck_at = |t: usize| stuck_at_on(t, true);
-    let transition_on = |t: usize, kernel: bool| -> RunStats {
+    let transition = |t: usize| -> RunStats {
         match lanes {
-            64 => transition_run::<u64>(&core, &cc, &transition_faults, batches, t, kernel),
-            _ => transition_run::<u128>(&core, &cc, &transition_faults, batches, t, kernel),
+            64 => transition_run::<u64>(&core, &cc, &transition_faults, batches, t),
+            _ => transition_run::<u128>(&core, &cc, &transition_faults, batches, t),
         }
     };
-    let transition = |t: usize| transition_on(t, true);
 
     println!("stuck-at serial ({lanes} lanes)...");
     let stuck_serial = stuck_at(1);
@@ -457,13 +486,13 @@ fn main() {
     let width_sweep: Vec<(usize, RunStats, RunStats)> = vec![
         (
             64,
-            stuck_run::<u64>(&core, &cc, &stuck_faults, batches, t, true),
-            transition_run::<u64>(&core, &cc, &transition_faults, batches, t, true),
+            stuck_run::<u64>(&core, &cc, &stuck_faults, batches, t),
+            transition_run::<u64>(&core, &cc, &transition_faults, batches, t),
         ),
         (
             128,
-            stuck_run::<u128>(&core, &cc, &stuck_faults, batches, t, true),
-            transition_run::<u128>(&core, &cc, &transition_faults, batches, t, true),
+            stuck_run::<u128>(&core, &cc, &stuck_faults, batches, t),
+            transition_run::<u128>(&core, &cc, &transition_faults, batches, t),
         ),
     ];
     let (_, base_stuck, base_tr) = &width_sweep[0];
@@ -487,14 +516,12 @@ fn main() {
         );
     }
 
-    // Compiled kernel vs interpreter: the headline serial runs above
-    // already graded on the compiled kernel (the session default), so
-    // time one lowering (keep set covering both fault lists, as the
-    // serve cache shares it) and rerun the serial configurations on the
-    // per-gate interpreter reference. Identity is a runtime assert, not
-    // a recorded claim: digests, coverage and signatures must match
-    // bit for bit — only the clock may differ.
-    println!("kernel vs interpreter ({lanes} lanes, serial)...");
+    // Compiled kernel: time one lowering (keep set covering both fault
+    // lists, as the serve cache shares it) for the program-size report,
+    // and check the first headline batch of each model against the
+    // slow reference grader. Identity is a runtime assert, not a
+    // recorded claim: every fault's detection count must match.
+    println!("kernel vs reference oracle ({lanes} lanes, first batch)...");
     let t0 = Instant::now();
     let kernel_program = {
         let observed = lbist_fault::StuckAtSim::observe_all_captures(&cc);
@@ -506,24 +533,10 @@ fn main() {
         KernelProgram::lower(&cc, &keep)
     };
     let kernel_compile_seconds = t0.elapsed().as_secs_f64();
-    let interp_stuck = stuck_at_on(1, false);
-    let interp_tr = transition_on(1, false);
-    assert_eq!(
-        outcome_digest(&interp_stuck.undetected, &interp_stuck.signatures),
-        outcome_digest(&stuck_serial.undetected, &stuck_serial.signatures),
-        "kernel and interpreter stuck-at digests must be bit-identical"
-    );
-    assert_eq!(interp_stuck.coverage, stuck_serial.coverage);
-    assert_eq!(interp_stuck.signatures, stuck_serial.signatures);
-    assert_eq!(
-        outcome_digest(&interp_tr.undetected, &interp_tr.signatures),
-        outcome_digest(&tr_serial.undetected, &tr_serial.signatures),
-        "kernel and interpreter transition digests must be bit-identical"
-    );
-    assert_eq!(interp_tr.coverage, tr_serial.coverage);
-    assert_eq!(interp_tr.signatures, tr_serial.signatures);
-    let kernel_stuck_speedup = interp_stuck.seconds / stuck_serial.seconds.max(1e-9);
-    let kernel_tr_speedup = interp_tr.seconds / tr_serial.seconds.max(1e-9);
+    match lanes {
+        64 => check_against_reference::<u64>(&core, &cc, &stuck_faults, &transition_faults),
+        _ => check_against_reference::<u128>(&core, &cc, &stuck_faults, &transition_faults),
+    }
 
     // Lane-width PRPG fill throughput: identical pattern streams filled
     // 64 and 128 lanes per pass through the one frame fill (bit-identity
@@ -667,23 +680,15 @@ fn main() {
     let _ = writeln!(json, "    ]");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"kernel\": {{");
-    let _ = writeln!(json, "    \"backend\": \"bytecode\",");
     let _ = writeln!(json, "    \"compile_seconds\": {kernel_compile_seconds:.6},");
     let _ = writeln!(json, "    \"instrs\": {},", kernel_program.stats().instrs);
     let _ = writeln!(json, "    \"fused_gates\": {},", kernel_program.stats().fused_gates);
     let _ = writeln!(json, "    \"pool_words\": {},", kernel_program.stats().pool_words);
-    let _ = writeln!(json, "    \"stuck_at\": {{");
-    let _ = writeln!(json, "      \"interpreter\": {},", json_run(&interp_stuck));
-    let _ = writeln!(json, "      \"kernel\": {},", json_run(&stuck_serial));
-    let _ = writeln!(json, "      \"speedup\": {kernel_stuck_speedup:.3},");
-    let _ = writeln!(json, "      \"digest_identical\": true");
-    let _ = writeln!(json, "    }},");
-    let _ = writeln!(json, "    \"transition\": {{");
-    let _ = writeln!(json, "      \"interpreter\": {},", json_run(&interp_tr));
-    let _ = writeln!(json, "      \"kernel\": {},", json_run(&tr_serial));
-    let _ = writeln!(json, "      \"speedup\": {kernel_tr_speedup:.3},");
-    let _ = writeln!(json, "      \"digest_identical\": true");
-    let _ = writeln!(json, "    }}");
+    let reference = |faults: &[Fault]| {
+        format!("{{\"faults\": {}, \"reference_identical\": true}}", faults.len())
+    };
+    let _ = writeln!(json, "    \"stuck_at\": {},", reference(&stuck_faults));
+    let _ = writeln!(json, "    \"transition\": {}", reference(&transition_faults));
     let _ = writeln!(json, "  }},");
     let json_fill = |f: &FillStats| {
         format!(
@@ -741,11 +746,13 @@ fn main() {
         .collect();
     println!("grading width sweep (stuck/transition patterns/s): {}", width_summary.join(", "));
     println!(
-        "kernel vs interpreter (serial): {kernel_stuck_speedup:.2}x stuck-at, \
-         {kernel_tr_speedup:.2}x transition ({} instrs, {} gates fused, compiled in {:.1} ms)",
+        "kernel: {} instrs, {} gates fused, compiled in {:.1} ms; first batch identical to \
+         the reference oracle ({} stuck-at, {} transition faults)",
         kernel_program.stats().instrs,
         kernel_program.stats().fused_gates,
         kernel_compile_seconds * 1e3,
+        stuck_faults.len(),
+        transition_faults.len(),
     );
     println!(
         "prpg fill: {:.0}/{:.0} patterns/s at 64/128 lanes",

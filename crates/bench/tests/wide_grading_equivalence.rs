@@ -2,9 +2,7 @@
 //! the whole grading pipeline (PRPG fill → sim → detection → MISR
 //! signature compaction) at 128 lanes is bit-identical to the 64-lane
 //! path and to serial (1-thread, unpipelined) grading — for
-//! both fault models. The serial reference itself is run twice, once on
-//! the compiled kernel and once on the gate interpreter, pinning the
-//! kernel ≡ interpreter contract under random netlist shapes.
+//! both fault models.
 //!
 //! Identity is checked at two strengths:
 //! * **no dropping** (`drop_after = u32::MAX`): per-fault detection
@@ -72,7 +70,6 @@ enum Model {
     Transition,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_width<W: LaneWord>(
     core: &BistReadyCore,
     cc: &CompiledCircuit,
@@ -81,16 +78,12 @@ fn run_width<W: LaneWord>(
     model: &Model,
     drop_after: u32,
     serial: bool,
-    interpreter: bool,
 ) -> WideGradingOutcome {
     let mut session: WideGradingSession<'_, W> = WideGradingSession::new(core, cc, stumps);
     session.set_drop_after(drop_after);
     if serial {
         session.set_threads(1);
         session.sequential();
-    }
-    if interpreter {
-        session.use_interpreter();
     }
     let batches = BATCHES_64 * 64 / W::LANES;
     match model {
@@ -115,16 +108,9 @@ fn check_model(s: &Scenario, model: Model) {
 
     // No dropping: everything is exactly equal — serial 64-lane
     // reference vs pipelined/parallel 64 and 128 lanes.
-    let reference = run_width::<u64>(&core, &cc, &stumps, &faults, &model, u32::MAX, true, false);
-    let interp = run_width::<u64>(&core, &cc, &stumps, &faults, &model, u32::MAX, true, true);
-    assert_eq!(
-        interp.detections, reference.detections,
-        "compiled kernel and interpreter disagree on detection counts"
-    );
-    assert_eq!(interp.coverage, reference.coverage, "kernel vs interpreter coverage");
-    assert_eq!(interp.signatures, reference.signatures, "kernel vs interpreter signatures");
-    let r64 = run_width::<u64>(&core, &cc, &stumps, &faults, &model, u32::MAX, false, false);
-    let r128 = run_width::<u128>(&core, &cc, &stumps, &faults, &model, u32::MAX, false, false);
+    let reference = run_width::<u64>(&core, &cc, &stumps, &faults, &model, u32::MAX, true);
+    let r64 = run_width::<u64>(&core, &cc, &stumps, &faults, &model, u32::MAX, false);
+    let r128 = run_width::<u128>(&core, &cc, &stumps, &faults, &model, u32::MAX, false);
     for (label, r) in [("64", &r64), ("128", &r128)] {
         assert_eq!(r.patterns, reference.patterns, "{label} lanes: pattern count");
         assert_eq!(
@@ -144,14 +130,8 @@ fn check_model(s: &Scenario, model: Model) {
 
     // Drop-after-1 (the production flow): detected sets and signatures
     // stay identical (signatures depend only on the fault-free stream).
-    let d_ref = run_width::<u64>(&core, &cc, &stumps, &faults, &model, 1, true, false);
-    let d_interp = run_width::<u64>(&core, &cc, &stumps, &faults, &model, 1, true, true);
-    assert_eq!(
-        d_interp.undetected_indices(),
-        d_ref.undetected_indices(),
-        "kernel vs interpreter detected set under fault dropping"
-    );
-    let d128 = run_width::<u128>(&core, &cc, &stumps, &faults, &model, 1, false, false);
+    let d_ref = run_width::<u64>(&core, &cc, &stumps, &faults, &model, 1, true);
+    let d128 = run_width::<u128>(&core, &cc, &stumps, &faults, &model, 1, false);
     assert_eq!(
         d128.undetected_indices(),
         d_ref.undetected_indices(),

@@ -16,7 +16,10 @@
 //!   current frame, so the overlap cannot change results (enforced by
 //!   test against the unpipelined loop).
 //! * **Grade** — [`lbist_fault::WideStuckAtSim`] /
-//!   [`lbist_fault::WideTransitionSim`] at the same `W`.
+//!   [`lbist_fault::WideTransitionSim`] at the same `W`, on the compiled
+//!   kernel: each run's simulator lowers its own program at its first
+//!   batch, unless the session shares a prebuilt one
+//!   ([`WideGradingSession::set_kernel_program`]).
 //! * **Compact** — each batch's fault-free responses unload through the
 //!   domain's [`SpaceCompactor`] (word-level) into a [`LaneMisr`] bank;
 //!   the per-lane signatures fold into one accumulated signature per
@@ -77,8 +80,9 @@ pub struct GradingMetrics {
     pub absorb_ns: Histogram,
     /// Whole-batch wall time (`grading.batch_ns`).
     pub batch_ns: Histogram,
-    /// Kernel lowering time per run — keep-set construction plus
-    /// bytecode emission (`sim.kernel.compile_ns`).
+    /// Kernel lowering time per run whose simulator lowers its own
+    /// program — keep-set construction plus bytecode emission
+    /// (`sim.kernel.compile_ns`).
     pub kernel_compile_ns: Histogram,
     /// Instructions in lowered kernel programs (`sim.kernel.instrs`).
     pub kernel_instrs: Counter,
@@ -105,9 +109,16 @@ impl GradingMetrics {
         }
     }
 
-    /// The phase handles the session forwards into the fault simulator.
+    /// The phase and lowering handles the session forwards into the
+    /// fault simulator.
     fn sim_phases(&self) -> SimPhaseMetrics {
-        SimPhaseMetrics { sim_ns: self.sim_ns.clone(), detect_ns: self.detect_ns.clone() }
+        SimPhaseMetrics {
+            sim_ns: self.sim_ns.clone(),
+            detect_ns: self.detect_ns.clone(),
+            kernel_compile_ns: self.kernel_compile_ns.clone(),
+            kernel_instrs: self.kernel_instrs.clone(),
+            kernel_fused_gates: self.kernel_fused_gates.clone(),
+        }
     }
 }
 
@@ -190,21 +201,6 @@ pub struct ControlledGradingOutcome {
     pub resumed_from: Option<u64>,
 }
 
-/// Which fault-simulation executor a session's grading runs use.
-#[derive(Clone, Debug, Default)]
-enum GradingKernel {
-    /// Lower a compiled program per run from the run's fault list and
-    /// the session's observation points (the default).
-    #[default]
-    Auto,
-    /// Reuse a shared prebuilt program (e.g. a cross-job asset cache);
-    /// its keep set must cover the run's faults and observation points.
-    Prebuilt(Arc<KernelProgram>),
-    /// Per-gate interpreter — the reference path the kernel is diffed
-    /// against.
-    Interpreter,
-}
-
 /// Snapshot of one domain's unload path, taken at session build so the
 /// response compaction can run while the architecture's PRPG state is
 /// mutably borrowed by the pipelined fill.
@@ -256,9 +252,10 @@ pub struct WideGradingSession<'a, W: LaneWord = u64> {
     /// Telemetry handles (no-op by default; see
     /// [`WideGradingSession::set_metrics`]).
     metrics: GradingMetrics,
-    /// Executor choice for fault simulation (compiled kernel by
-    /// default; see [`WideGradingSession::use_interpreter`]).
-    kernel: GradingKernel,
+    /// Shared compiled program every run grades on (see
+    /// [`WideGradingSession::set_kernel_program`]); without one, each
+    /// run's simulator lowers its own.
+    kernel: Option<Arc<KernelProgram>>,
 }
 
 impl<'a, W: LaneWord> WideGradingSession<'a, W> {
@@ -292,7 +289,7 @@ impl<'a, W: LaneWord> WideGradingSession<'a, W> {
             drop_after: 1,
             pipelined: true,
             metrics: GradingMetrics::default(),
-            kernel: GradingKernel::default(),
+            kernel: None,
         }
     }
 
@@ -327,15 +324,6 @@ impl<'a, W: LaneWord> WideGradingSession<'a, W> {
         self
     }
 
-    /// Switches grading to the per-gate interpreter instead of the
-    /// compiled word-op kernel. The kernel is the default; this is the
-    /// reference path benchmarks and equivalence tests diff it against
-    /// (outcomes are bit-identical either way, test-enforced).
-    pub fn use_interpreter(&mut self) -> &mut Self {
-        self.kernel = GradingKernel::Interpreter;
-        self
-    }
-
     /// Installs a prebuilt compiled program, skipping the per-run
     /// lowering — e.g. one shared through an asset cache across jobs on
     /// the same netlist. The program must target this session's circuit
@@ -349,32 +337,8 @@ impl<'a, W: LaneWord> WideGradingSession<'a, W> {
             self.cc.num_nodes(),
             "kernel program was lowered from a different netlist"
         );
-        self.kernel = GradingKernel::Prebuilt(program);
+        self.kernel = Some(program);
         self
-    }
-
-    /// `true` when grading runs execute on the compiled kernel.
-    pub fn uses_kernel(&self) -> bool {
-        !matches!(self.kernel, GradingKernel::Interpreter)
-    }
-
-    /// Resolves the compiled program for a run over `faults`, lowering
-    /// one in auto mode (timed and sized into the `sim.kernel.*`
-    /// telemetry handles).
-    fn kernel_for_run(&self, faults: &[Fault]) -> Option<Arc<KernelProgram>> {
-        match &self.kernel {
-            GradingKernel::Interpreter => None,
-            GradingKernel::Prebuilt(program) => Some(program.clone()),
-            GradingKernel::Auto => {
-                let observed = StuckAtSim::observe_all_captures(self.cc);
-                let _compile_span = self.metrics.kernel_compile_ns.start();
-                let keep = lbist_fault::grading_keep_set(self.cc, &[faults], &observed);
-                let program = KernelProgram::lower(self.cc, &keep);
-                self.metrics.kernel_instrs.add(program.stats().instrs as u64);
-                self.metrics.kernel_fused_gates.add(program.stats().fused_gates as u64);
-                Some(Arc::new(program))
-            }
-        }
     }
 
     /// Lanes graded per pass.
@@ -453,7 +417,9 @@ impl<'a, W: LaneWord> WideGradingSession<'a, W> {
     ) -> Result<ControlledGradingOutcome, CkptError> {
         let faults_hash = faults_fingerprint(sim.faults());
         self.begin_run();
-        sim.set_kernel(self.kernel_for_run(sim.faults()));
+        if let Some(program) = &self.kernel {
+            sim.set_kernel(program.clone());
+        }
         sim.set_drop_after(self.drop_after);
         if let Some(n) = self.threads {
             sim.set_threads(n);
@@ -1019,10 +985,11 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The compiled kernel (the default) and the interpreter reference
-    /// produce bit-identical whole-session outcomes — detections,
-    /// coverage, signatures and digest — for both fault models, and a
-    /// prebuilt program shared across sessions matches too.
+    /// A session whose simulators lower their own program and one sharing
+    /// a prebuilt program produce bit-identical whole-session outcomes —
+    /// detections, coverage, signatures and digest — for both fault
+    /// models. (Detection against the reference grader is checked in
+    /// `lbist-fault`'s tests and the oracle property tests.)
     #[test]
     fn kernel_and_interpreter_sessions_are_bit_identical() {
         let c = core();
@@ -1035,22 +1002,11 @@ mod tests {
             .collect();
         let stumps = StumpsConfig::default();
 
-        let mut kernel: WideGradingSession<'_, u64> = WideGradingSession::new(&c, &cc, &stumps);
-        let mut interp: WideGradingSession<'_, u64> = WideGradingSession::new(&c, &cc, &stumps);
-        assert!(kernel.uses_kernel());
-        interp.use_interpreter();
-        assert!(!interp.uses_kernel());
-
-        let stuck_kernel = kernel.run_stuck_at(stuck.clone(), 3);
-        let stuck_interp = interp.run_stuck_at(stuck.clone(), 3);
-        assert_eq!(stuck_kernel, stuck_interp, "stuck-at: kernel diverged from interpreter");
-        assert_eq!(stuck_kernel.digest(), stuck_interp.digest());
-        assert!(stuck_kernel.coverage.detected > 0);
-
+        let mut lowered: WideGradingSession<'_, u64> = WideGradingSession::new(&c, &cc, &stumps);
+        let stuck_lowered = lowered.run_stuck_at(stuck.clone(), 3);
+        assert!(stuck_lowered.coverage.detected > 0);
         let window = CaptureWindow::all_domains(c.netlist.num_domains().max(1));
-        let trans_kernel = kernel.run_transition(transition.clone(), window.clone(), 3);
-        let trans_interp = interp.run_transition(transition.clone(), window.clone(), 3);
-        assert_eq!(trans_kernel, trans_interp, "transition: kernel diverged from interpreter");
+        let trans_lowered = lowered.run_transition(transition.clone(), window.clone(), 3);
 
         // A prebuilt program whose keep set covers both fault lists
         // serves both models and matches the per-run lowering.
@@ -1063,14 +1019,12 @@ mod tests {
         let program = Arc::new(KernelProgram::lower(&cc, &keep));
         let mut shared: WideGradingSession<'_, u64> = WideGradingSession::new(&c, &cc, &stumps);
         shared.set_kernel_program(program);
-        assert_eq!(
-            shared.run_stuck_at(stuck, 3),
-            stuck_kernel,
-            "stuck-at: prebuilt program diverged"
-        );
+        let stuck_shared = shared.run_stuck_at(stuck, 3);
+        assert_eq!(stuck_shared, stuck_lowered, "stuck-at: prebuilt program diverged");
+        assert_eq!(stuck_shared.digest(), stuck_lowered.digest());
         assert_eq!(
             shared.run_transition(transition, window, 3),
-            trans_kernel,
+            trans_lowered,
             "transition: prebuilt program diverged"
         );
     }

@@ -150,9 +150,13 @@ pub fn prepare_core(netlist: &Netlist, config: &PrepConfig) -> BistReadyCore {
                 }
                 sim.run_batch(&mut frame, 64);
             }
+            let survivors = sim.undetected();
+            // The simulator's program and replay plan are not needed
+            // past this point: free them before site selection.
+            drop(sim);
             TestPointInsertion::fault_sim_guided(
                 &cc,
-                &sim.undetected(),
+                &survivors,
                 config.obs_budget,
                 4,
                 config.seed ^ 0x5eed,

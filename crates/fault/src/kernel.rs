@@ -1,12 +1,11 @@
 //! Kernel-backed fault grading: replaying faults as patched instructions
 //! over the lowered program.
 //!
-//! When a simulator is handed a compiled [`KernelProgram`] (see
-//! [`crate::FaultSim::set_kernel`]), fault-free evaluation runs the
-//! flat bytecode instead of the per-gate interpreter, and per-fault
-//! replay swaps the netlist-walking [`crate::propagate::Propagator`] for
-//! patched-instruction execution, in the shape that fits each fault
-//! model:
+//! Every simulator grades on a compiled [`KernelProgram`]: the one it
+//! lowers at its first batch, or a shared one installed with
+//! [`crate::FaultSim::set_kernel`]. Fault-free evaluation runs the flat
+//! bytecode, and per-fault replay is patched-instruction execution, in
+//! the shape that fits each fault model:
 //!
 //! * **Stuck-at** faults replay as a **patched suffix re-execution**.
 //!   Each worker keeps a *shadow frame*; injecting a fault writes the
@@ -25,14 +24,14 @@
 //!   operands): only instructions an actually-changed word feeds are
 //!   re-evaluated, level-ordered, against an epoch-stamped overlay.
 //!   Window replay re-simulates every frame for every fault, and most
-//!   frames carry no difference at all — there the interpreter's
-//!   early-dying events are the right shape, minus its `GateKind` match
-//!   and fanin gather, with fused NOT/BUF chains costing zero events.
-//!   This is [`KernelStep`], the kernel's per-frame step of the window
-//!   replay loop the interpreter shares.
+//!   frames carry no difference at all — there early-dying events are
+//!   the right shape, with no `GateKind` match or fanin gather, and
+//!   fused NOT/BUF chains costing zero events. This is [`KernelStep`],
+//!   the per-frame step of the window replay loop.
 //!
-//! Both paths are bit-identical to [`KernelProgram::execute_patched`]
-//! (and to the interpreter), at a fraction of the work.
+//! Both paths are bit-identical to [`KernelProgram::execute_patched`],
+//! at a fraction of the work, and their detection words equal those of
+//! the slow reference grader in [`crate::oracle`] (property-tested).
 //!
 //! The plans here are built once per (program, fault list, observation
 //! set) and validated up front: every node the replay reads — fault
@@ -43,11 +42,10 @@
 
 use crate::model::Fault;
 use crate::sim::{Batch, CANCEL_POLL_STRIDE};
-use crate::transition::{WindowState, WindowStep};
+use crate::transition::WindowState;
 use lbist_exec::LaneWord;
 use lbist_netlist::{GateKind, NodeId};
 use lbist_sim::{eval_gate, CompiledCircuit, KernelProgram, SlotState};
-use std::collections::HashMap;
 
 /// The keep set grading needs: every node whose frame slot the fault
 /// simulators read must stay materialized when lowering the kernel
@@ -125,11 +123,10 @@ impl EventEdges {
     }
 }
 
-/// Per-worker replay scratch for the kernel path: the stuck-at shadow
-/// frames, the epoch-stamped faulty-slot overlay and level-bucketed event
-/// queue of the transition drain, plus the transition window state —
-/// reused across faults and batches (the kernel counterpart of
-/// `Propagator`).
+/// Per-worker replay scratch: the stuck-at shadow frames, the
+/// epoch-stamped faulty-slot overlay and level-bucketed event queue of
+/// the transition drain, plus the transition window state — reused
+/// across faults and batches.
 #[derive(Debug)]
 pub struct KernelScratch<W: LaneWord> {
     /// Stuck-at suffix-execution frame: equals the fault-free frame on
@@ -216,10 +213,10 @@ impl<W: LaneWord> KernelScratch<W> {
     /// re-evaluated against the overlay; a changed result is stamped into
     /// the overlay and queues its consumers, an unchanged result kills
     /// the event. Level order makes single-fault propagation exact (all
-    /// operands are final before a consumer runs), mirroring
-    /// `Propagator::run`. A `pin`ned slot keeps its seeded word even when
-    /// reached by other events (`usize::MAX` pins nothing). The caller
-    /// reads results through `mark`/`vals` (capture) afterwards.
+    /// operands are final before a consumer runs). A `pin`ned slot keeps
+    /// its seeded word even when reached by other events (`usize::MAX`
+    /// pins nothing). The caller reads results through `mark`/`vals`
+    /// (capture) afterwards.
     #[inline]
     fn drain(
         &mut self,
@@ -278,7 +275,7 @@ impl<W: LaneWord> KernelScratch<W> {
 }
 
 /// Floor of the cone-size ceiling. The ceiling itself scales with the
-/// program (`num_instrs / 8`, at least this): a cone entry costs more
+/// program (`num_instrs / 16`, at least this): a cone entry costs more
 /// than a sequential suffix instruction (random `instrs[]` access plus
 /// a restore pass), so small programs want small cones, while on large
 /// programs even a many-hundred-entry cone beats a multi-thousand
@@ -287,7 +284,7 @@ impl<W: LaneWord> KernelScratch<W> {
 const CONE_BUDGET_FLOOR: usize = 128;
 
 /// How a patched site's downstream effect is recomputed, chosen per
-/// fault at plan build by comparing the two costs.
+/// patched slot at plan build by comparing the two costs.
 #[derive(Debug, Clone, Copy)]
 enum Replay {
     /// Re-execute every instruction after the patch point (branch-free
@@ -295,53 +292,65 @@ enum Replay {
     /// fault's cone covers much of the remaining program, or sits so
     /// late that the suffix is short.
     Suffix,
-    /// Walk the precomputed forward-cone instruction list (a range of
+    /// Walk the precomputed forward-cone instruction list (`len`
+    /// instruction indices from `start` in
     /// [`StuckKernelPlan::cone_arena`], ascending = dependency order):
     /// cheapest for the common shallow fault whose cone is a sliver of
     /// the suffix. Cone replays restore every slot they wrote, so they
     /// leave the shadow frame exactly as they found it. Detection scans
-    /// only the observed slots the cone can reach (`obs_start`/
-    /// `obs_len` into [`StuckKernelPlan::cone_obs_arena`]) — everything
-    /// else provably equals the fault-free frame. (An event-skipping
-    /// variant that stamp-checks operands was measured slower here:
-    /// with 64+ patterns per word the difference word almost never
-    /// dies, so the stamp loads are pure overhead.)
-    Cone { start: u32, len: u32, obs_start: u32, obs_len: u32 },
+    /// only the observed cone destinations, during the restore —
+    /// everything else provably equals the fault-free frame. (An
+    /// event-skipping variant that stamp-checks operands was measured
+    /// slower here: with 64+ patterns per word the difference word
+    /// almost never dies, so the stamp loads are pure overhead.)
+    Cone { start: u32, len: u32 },
 }
 
+/// Index of the one shared [`Replay::Suffix`] entry in
+/// [`StuckKernelPlan::replays`].
+const SUFFIX: u32 = 0;
+
 /// How one stuck-at fault is injected on the kernel path, resolved once
-/// at plan build (the per-fault twin of `inject_stuck_at`).
+/// at plan build (the per-fault twin of `inject_stuck_at`). Each
+/// `replay` indexes [`StuckKernelPlan::replays`].
 #[derive(Debug, Clone, Copy)]
 enum Inject {
     /// The injection site is a flip-flop (stem on Q, or a branch on the
     /// D pin): the forced value is captured directly, detection compares
     /// it against the fault-free `D` source. `excite_site` carries the
-    /// stem case's excitation check at the Q slot (the interpreter skips
-    /// a stem fault whose site already holds the forced word).
+    /// stem case's excitation check at the Q slot (a stem fault whose
+    /// site already holds the forced word is not excited).
     DPin { site: u32, d_src: u32, force1: bool, excite_site: bool },
     /// No observed slot is forward-reachable from the site (and the site
     /// itself is unobserved): the detection word is identically zero for
-    /// every pattern, on the interpreter as much as here, so the fault
-    /// costs nothing per batch. Resolved by a single reverse
-    /// reachability pass at plan build.
+    /// every pattern, so the fault costs nothing per batch. Resolved by a
+    /// single reverse reachability pass at plan build.
     Dead,
     /// Output-stem fault at a materialized instruction: overwrite the
     /// instruction's slot with the forced word and replay downstream.
-    PatchInstr { instr: u32, dst: u32, force1: bool, replay: Replay },
+    PatchInstr { instr: u32, dst: u32, force1: bool, replay: u32 },
     /// Output-stem fault at a frame source (a primary input): force the
     /// source slot and replay from the top of the program.
-    SourceStem { site: u32, force1: bool, observed: bool, replay: Replay },
+    SourceStem { site: u32, force1: bool, replay: u32 },
     /// Input-branch fault on a logic gate: re-evaluate the gate with one
     /// pin forced, patch the gate's instruction slot with the result and
     /// replay downstream.
-    Branch { instr: u32, dst: u32, pin: u8, force1: bool, replay: Replay },
+    Branch { instr: u32, dst: u32, pin: u8, force1: bool, replay: u32 },
 }
+
+// One entry per fault lives as long as the plan: keep it at 16 bytes.
+const _: () = assert!(std::mem::size_of::<Inject>() == 16);
 
 /// The per-(program, faults, observation) stuck-at replay plan.
 #[derive(Debug)]
 pub struct StuckKernelPlan {
     /// Aligned with the simulator's fault list.
     injects: Vec<Inject>,
+    /// Replay decisions: [`SUFFIX`] first, then one [`Replay::Cone`] per
+    /// patched slot whose cone fits — faults on the same gate share one.
+    replays: Vec<Replay>,
+    /// Observation flag per slot.
+    observed: Vec<bool>,
     /// `(instruction index, dst slot)` of every observed instruction-
     /// computed slot, in instruction order: the detection scan walks the
     /// entries at or after the patch point (slots before it equal the
@@ -349,14 +358,8 @@ pub struct StuckKernelPlan {
     /// never change — only the source-stem site itself, handled
     /// explicitly).
     obs_scan: Vec<(u32, u32)>,
-    /// Concatenated [`Replay::Cone`] instruction lists, each entry
-    /// packed as `(dst slot << 32) | instruction index` so the eval and
-    /// restore loops never reload the instruction for its destination;
-    /// faults on the same gate share one list.
-    cone_arena: Vec<u64>,
-    /// Concatenated per-cone observed-slot lists (the patched slot
-    /// itself when observed, plus every observed cone destination).
-    cone_obs_arena: Vec<u32>,
+    /// Concatenated [`Replay::Cone`] instruction lists.
+    cone_arena: Vec<u32>,
 }
 
 impl StuckKernelPlan {
@@ -410,16 +413,16 @@ impl StuckKernelPlan {
         // forward-reachable from `s` (or `s` is observed itself). One
         // reverse pass suffices because operands are defined at strictly
         // lower instruction indices. Faults below an unreachable site
-        // can never be detected — the interpreter's diff scan over
-        // observed slots is identically zero for them — so they are
-        // planned as [`Inject::Dead`] and skipped per batch.
+        // can never be detected — a diff scan over observed slots is
+        // identically zero for them — so they are planned as
+        // [`Inject::Dead`] and skipped per batch.
         let mut reaches = observed.to_vec();
         for idx in (0..prog.num_instrs()).rev() {
             if reaches[prog.instr_dst(idx)] {
                 prog.for_each_operand(idx, |s| reaches[s] = true);
             }
         }
-        let mut cones = ConeBuilder::new(prog, cc, observed);
+        let mut cones = ConeBuilder::new(prog, cc);
         let injects: Vec<Inject> = faults
             .iter()
             .map(|f| {
@@ -446,7 +449,6 @@ impl StuckKernelPlan {
                         SlotState::Source => Inject::SourceStem {
                             site: site.index() as u32,
                             force1,
-                            observed: observed[site.index()],
                             replay: cones.replay_of(site.index(), 0),
                         },
                         // `has_slot` was asserted above.
@@ -474,9 +476,10 @@ impl StuckKernelPlan {
             .collect();
         StuckKernelPlan {
             injects,
+            replays: cones.replays,
+            observed: observed.to_vec(),
             obs_scan,
             cone_arena: cones.arena,
-            cone_obs_arena: cones.obs_arena,
         }
     }
 }
@@ -487,12 +490,12 @@ impl StuckKernelPlan {
 /// soon as the cone budget is exceeded.
 struct ConeBuilder<'a> {
     prog: &'a KernelProgram,
-    observed: &'a [bool],
     edges: EventEdges,
-    arena: Vec<u64>,
-    obs_arena: Vec<u32>,
-    /// Patched slot → memoized decision.
-    memo: HashMap<usize, Replay>,
+    arena: Vec<u32>,
+    replays: Vec<Replay>,
+    /// Patched slot → index of its memoized decision in `replays`
+    /// (`u32::MAX` until decided).
+    memo: Vec<u32>,
     /// Traversal epoch stamps per instruction.
     stamp: Vec<u32>,
     epoch: u32,
@@ -501,14 +504,13 @@ struct ConeBuilder<'a> {
 }
 
 impl<'a> ConeBuilder<'a> {
-    fn new(prog: &'a KernelProgram, cc: &CompiledCircuit, observed: &'a [bool]) -> Self {
+    fn new(prog: &'a KernelProgram, cc: &CompiledCircuit) -> Self {
         ConeBuilder {
             prog,
-            observed,
             edges: EventEdges::build(prog, cc),
             arena: Vec::new(),
-            obs_arena: Vec::new(),
-            memo: HashMap::new(),
+            replays: vec![Replay::Suffix],
+            memo: vec![u32::MAX; prog.num_nodes()],
             stamp: vec![0; prog.num_instrs()],
             epoch: 0,
             stack: Vec::new(),
@@ -516,11 +518,12 @@ impl<'a> ConeBuilder<'a> {
         }
     }
 
-    /// The replay mode for a fault patched at `slot`, whose suffix
-    /// execution would start after instruction `p` (0 for sources).
-    fn replay_of(&mut self, slot: usize, p: usize) -> Replay {
-        if let Some(&r) = self.memo.get(&slot) {
-            return r;
+    /// The replay mode (an index into `replays`) for a fault patched at
+    /// `slot`, whose suffix execution would start after instruction `p`
+    /// (0 for sources).
+    fn replay_of(&mut self, slot: usize, p: usize) -> u32 {
+        if self.memo[slot] != u32::MAX {
+            return self.memo[slot];
         }
         // A cone entry costs roughly an eval plus a restore (~1.5x a
         // linear suffix instruction), so the cone must be under two
@@ -530,7 +533,7 @@ impl<'a> ConeBuilder<'a> {
         // uncapped build spent more time probing doomed cones than the
         // fitting ones took to store) and keeps the arena small.
         let n = self.prog.num_instrs();
-        let budget = (2 * (n - p) / 3).min((n / 8).max(CONE_BUDGET_FLOOR));
+        let budget = (2 * (n - p) / 3).min((n / 16).max(CONE_BUDGET_FLOOR));
         self.epoch += 1;
         self.cone.clear();
         self.stack.clear();
@@ -549,49 +552,26 @@ impl<'a> ConeBuilder<'a> {
             let dst = self.prog.instr_dst(idx as usize);
             self.stack.extend(self.edges.of(dst).iter().map(|&e| e as u32));
         }
-        let replay =
-            if fits {
-                // Ascending instruction order is dependency order: every
-                // cone operand that changes is produced by an earlier cone
-                // instruction (or is the patched slot itself).
-                self.cone.sort_unstable();
-                let start = self.arena.len() as u32;
-                self.arena.extend(self.cone.iter().map(|&idx| {
-                    ((self.prog.instr_dst(idx as usize) as u64) << 32) | u64::from(idx)
-                }));
-                let obs_start = self.obs_arena.len() as u32;
-                // A materialized patched slot contributes its own detection
-                // word; source sites are handled by the caller's explicit
-                // site-observed check.
-                if self.observed[slot]
-                    && matches!(self.prog.slot_state(NodeId::from_index(slot)), SlotState::Instr(_))
-                {
-                    self.obs_arena.push(slot as u32);
-                }
-                for &idx in &self.cone {
-                    let d = self.prog.instr_dst(idx as usize);
-                    if self.observed[d] {
-                        self.obs_arena.push(d as u32);
-                    }
-                }
-                Replay::Cone {
-                    start,
-                    len: self.cone.len() as u32,
-                    obs_start,
-                    obs_len: (self.obs_arena.len() as u32) - obs_start,
-                }
-            } else {
-                Replay::Suffix
-            };
-        self.memo.insert(slot, replay);
+        let replay = if fits {
+            // Ascending instruction order is dependency order: every
+            // cone operand that changes is produced by an earlier cone
+            // instruction (or is the patched slot itself).
+            self.cone.sort_unstable();
+            let start = self.arena.len() as u32;
+            self.arena.extend_from_slice(&self.cone);
+            self.replays.push(Replay::Cone { start, len: self.cone.len() as u32 });
+            self.replays.len() as u32 - 1
+        } else {
+            SUFFIX
+        };
+        self.memo[slot] = replay;
         replay
     }
 }
 
 /// The stuck-at kernel shard: grades one shard of the active-fault list
 /// against the shared fault-free frame using precomputed injections and
-/// patched replay. Same cancellation protocol, same shard contract and
-/// bit-identical detection words as the interpreter shard.
+/// patched replay, with the cancellation protocol of `Batch::each`.
 ///
 /// Injection resolution and replay are split so adjacent faults that
 /// share a replay can run it **paired**: the level-sorted active list
@@ -721,16 +701,13 @@ fn next_replay<W: LaneWord>(
 
 /// A replay still owed after injection resolution, in one of the two
 /// shapes that pair across adjacent faults. `word` is the patched word;
-/// `site_obs` carries a source stem's own observation contribution
-/// (instruction sites get theirs from the observed-slot scans).
+/// `site_obs` says whether the patched slot is observed itself.
 struct ConeJob<W> {
     dst: u32,
     word: W,
     site_obs: bool,
     start: u32,
     len: u32,
-    obs_start: u32,
-    obs_len: u32,
 }
 
 /// An owed suffix re-execution: patch `dst` with `word`, re-run
@@ -754,8 +731,9 @@ enum Prepared<W> {
     Suffix(SuffixJob<W>),
 }
 
-/// The source-stem site contribution, applied per fault after a
-/// (possibly shared) replay.
+/// The patched slot's own contribution when it is observed, applied per
+/// fault after a (possibly shared) replay. (For an instruction site the
+/// suffix scan reads the slot too; OR-ing it twice changes nothing.)
 #[inline]
 fn finish_site<W: LaneWord>(site_obs: bool, dst: u32, word: W, frame: &[W], diff: W) -> W {
     if site_obs {
@@ -817,9 +795,9 @@ fn prepare<W: LaneWord>(
         Inject::DPin { site, d_src, force1, excite_site } => {
             let forced = if force1 { W::ones() } else { W::zero() };
             // A stem fault on the flip-flop is skipped whole when its
-            // Q word already equals the forced value (the
-            // interpreter's word-level excitation check); the D-pin
-            // branch needs no check — an unexcited pin XORs to zero.
+            // Q word already equals the forced value (the word-level
+            // excitation check); the D-pin branch needs no check — an
+            // unexcited pin XORs to zero.
             if excite_site && forced == frame[site as usize] {
                 Prepared::Done(W::zero())
             } else {
@@ -831,31 +809,14 @@ fn prepare<W: LaneWord>(
             if forced == frame[dst as usize] {
                 return Prepared::Done(W::zero());
             }
-            replay_job(instr, dst, forced, false, replay)
+            replay_job(plan, instr, instr + 1, dst, forced, replay)
         }
-        Inject::SourceStem { site, force1, observed, replay } => {
+        Inject::SourceStem { site, force1, replay } => {
             let forced = if force1 { W::ones() } else { W::zero() };
             if forced == frame[site as usize] {
                 return Prepared::Done(W::zero());
             }
-            match replay {
-                Replay::Suffix => Prepared::Suffix(SuffixJob {
-                    p: 0,
-                    exec_lo: 0,
-                    dst: site,
-                    word: forced,
-                    site_obs: observed,
-                }),
-                Replay::Cone { start, len, obs_start, obs_len } => Prepared::Cone(ConeJob {
-                    dst: site,
-                    word: forced,
-                    site_obs: observed,
-                    start,
-                    len,
-                    obs_start,
-                    obs_len,
-                }),
-            }
+            replay_job(plan, 0, 0, site, forced, replay)
         }
         Inject::Branch { instr, dst, pin, force1, replay } => {
             let site = NodeId::from_index(dst as usize);
@@ -867,27 +828,26 @@ fn prepare<W: LaneWord>(
             if val == frame[dst as usize] {
                 return Prepared::Done(W::zero());
             }
-            replay_job(instr, dst, val, false, replay)
+            replay_job(plan, instr, instr + 1, dst, val, replay)
         }
     }
 }
 
-/// An instruction-site replay job in either shape.
+/// The replay job patching `dst` with `word`, in the shape
+/// `plan.replays[replay]` chose; `p`/`exec_lo` as in [`SuffixJob`].
 #[inline]
 fn replay_job<W: LaneWord>(
-    instr: u32,
+    plan: &StuckKernelPlan,
+    p: u32,
+    exec_lo: u32,
     dst: u32,
     word: W,
-    site_obs: bool,
-    replay: Replay,
+    replay: u32,
 ) -> Prepared<W> {
-    match replay {
-        Replay::Suffix => {
-            Prepared::Suffix(SuffixJob { p: instr, exec_lo: instr + 1, dst, word, site_obs })
-        }
-        Replay::Cone { start, len, obs_start, obs_len } => {
-            Prepared::Cone(ConeJob { dst, word, site_obs, start, len, obs_start, obs_len })
-        }
+    let site_obs = plan.observed[dst as usize];
+    match plan.replays[replay as usize] {
+        Replay::Suffix => Prepared::Suffix(SuffixJob { p, exec_lo, dst, word, site_obs }),
+        Replay::Cone { start, len } => Prepared::Cone(ConeJob { dst, word, site_obs, start, len }),
     }
 }
 
@@ -1003,8 +963,8 @@ fn dual_patch_and_scan<W: LaneWord>(
 
 /// The [`Replay::Cone`] injection: patch the slot, evaluate only the
 /// precomputed forward-cone instructions (ascending = dependency
-/// order), scan the cone's own observed slots, then restore every
-/// written slot — the shadow frame leaves exactly as it came, so cone
+/// order), then restore every written slot, scanning the observed ones
+/// on the way — the shadow frame leaves exactly as it came, so cone
 /// replays never perturb the suffix protocol's stale region.
 #[inline]
 fn cone_patch_and_scan<W: LaneWord>(
@@ -1018,20 +978,17 @@ fn cone_patch_and_scan<W: LaneWord>(
     let cone = &plan.cone_arena[job.start as usize..(job.start + job.len) as usize];
     let shadow = &mut scratch.cone_shadow;
     shadow[dst] = job.word;
-    for &e in cone {
-        let idx = (e as u32) as usize;
-        let v = prog.eval_instr(idx, |s| shadow[s as usize]);
-        shadow[(e >> 32) as usize] = v;
+    for &idx in cone {
+        let v = prog.eval_instr(idx as usize, |s| shadow[s as usize]);
+        shadow[prog.instr_dst(idx as usize)] = v;
     }
-    let obs = &plan.cone_obs_arena[job.obs_start as usize..(job.obs_start + job.obs_len) as usize];
     let mut diff = W::zero();
-    for &d in obs {
-        let d = d as usize;
-        diff = diff.or(shadow[d].xor(frame[d]));
-    }
     shadow[dst] = frame[dst];
-    for &e in cone {
-        let d = (e >> 32) as usize;
+    for &idx in cone {
+        let d = prog.instr_dst(idx as usize);
+        if plan.observed[d] {
+            diff = diff.or(shadow[d].xor(frame[d]));
+        }
         shadow[d] = frame[d];
     }
     diff
@@ -1039,8 +996,8 @@ fn cone_patch_and_scan<W: LaneWord>(
 
 /// [`cone_patch_and_scan`] for two faults patching the same slot with
 /// the same memoized cone: one instruction fetch and dispatch per cone
-/// entry serves both shadow frames, the observed scan and the restore
-/// pass read the cone (and the fault-free words) once.
+/// entry serves both shadow frames, and the restore pass with its
+/// observed scan reads the cone (and the fault-free words) once.
 #[inline]
 fn dual_cone_patch_and_scan<W: LaneWord>(
     prog: &KernelProgram,
@@ -1056,28 +1013,24 @@ fn dual_cone_patch_and_scan<W: LaneWord>(
     let s2 = &mut scratch.cone_shadow2;
     s1[dst] = job.word;
     s2[dst] = word_b;
-    for &e in cone {
-        let idx = (e as u32) as usize;
-        let (v1, v2) = prog.eval_instr2(idx, |s| s1[s as usize], |s| s2[s as usize]);
-        let d = (e >> 32) as usize;
+    for &idx in cone {
+        let (v1, v2) = prog.eval_instr2(idx as usize, |s| s1[s as usize], |s| s2[s as usize]);
+        let d = prog.instr_dst(idx as usize);
         s1[d] = v1;
         s2[d] = v2;
     }
-    let obs = &plan.cone_obs_arena[job.obs_start as usize..(job.obs_start + job.obs_len) as usize];
     let mut diff1 = W::zero();
     let mut diff2 = W::zero();
-    for &d in obs {
-        let d = d as usize;
-        let good = frame[d];
-        diff1 = diff1.or(s1[d].xor(good));
-        diff2 = diff2.or(s2[d].xor(good));
-    }
     let good = frame[dst];
     s1[dst] = good;
     s2[dst] = good;
-    for &e in cone {
-        let d = (e >> 32) as usize;
+    for &idx in cone {
+        let d = prog.instr_dst(idx as usize);
         let good = frame[d];
+        if plan.observed[d] {
+            diff1 = diff1.or(s1[d].xor(good));
+            diff2 = diff2.or(s2[d].xor(good));
+        }
         s1[d] = good;
         s2[d] = good;
     }
@@ -1143,15 +1096,20 @@ impl<'s, W: LaneWord> KernelStep<'s, W> {
     }
 }
 
-impl<W: LaneWord> WindowStep<W> for KernelStep<'_, W> {
-    fn window(&mut self) -> &mut WindowState<W> {
+impl<W: LaneWord> KernelStep<'_, W> {
+    /// The worker's cross-frame replay state.
+    pub(crate) fn window(&mut self) -> &mut WindowState<W> {
         &mut self.scratch.window
     }
-    fn begin(&mut self) {
+
+    /// Starts a frame with no faulty word anywhere.
+    pub(crate) fn begin(&mut self) {
         self.scratch.begin();
         (self.lo, self.hi) = (usize::MAX, 0);
     }
-    fn value(&self, node: NodeId, good: &[W]) -> W {
+
+    /// `node`'s word under the fault in the current frame.
+    pub(crate) fn value(&self, node: NodeId, good: &[W]) -> W {
         let s = &self.scratch;
         if s.mark[node.index()] == s.epoch {
             s.vals[node.index()]
@@ -1159,10 +1117,15 @@ impl<W: LaneWord> WindowStep<W> for KernelStep<'_, W> {
             good[node.index()]
         }
     }
-    fn seed(&mut self, node: NodeId, word: W) {
+
+    /// Gives `node` the faulty `word` and queues its consumers.
+    pub(crate) fn seed(&mut self, node: NodeId, word: W) {
         self.scratch.seed(self.edges, node.index(), word, &mut self.lo, &mut self.hi);
     }
-    fn run(&mut self, good: &[W], pin: Option<NodeId>) {
+
+    /// Propagates the seeded words through the frame; a `pin`ned node
+    /// keeps its seeded word even when other events reach it.
+    pub(crate) fn run(&mut self, good: &[W], pin: Option<NodeId>) {
         let pin = pin.map_or(usize::MAX, NodeId::index);
         self.scratch.drain(self.prog, self.edges, good, pin, self.lo, self.hi);
     }

@@ -14,9 +14,9 @@
 //!   reported over collapsed classes, as testers do.
 //! * [`FaultSim`] — the one batch-grading core both fault models run
 //!   on: one [`lbist_exec::LaneWord`] of patterns per pass (64 for the
-//!   default `u64` frames, 128 for `u128`), sharded
-//!   per-fault replay on the gate interpreter or the compiled kernel,
-//!   fault dropping and n-detect counting.
+//!   default `u64` frames, 128 for `u128`), sharded per-fault replay on
+//!   the compiled kernel the simulator lowers itself, fault dropping and
+//!   n-detect counting.
 //! * [`StuckAtSim`] / [`WideStuckAtSim`] — PPSFP under the [`StuckAt`]
 //!   model: fault-free simulation followed by single-fault forward
 //!   propagation.
@@ -26,6 +26,8 @@
 //!   order, launches at each first pulse, captures at the second, fault
 //!   effects carried across the window through flip-flop state.
 //! * [`CoverageReport`] — the numbers the paper's Table 1 rows report.
+//! * [`oracle`] — the slow reference grader the kernel is checked
+//!   against.
 //!
 //! # Example
 //!
@@ -54,9 +56,9 @@
 #![warn(missing_docs)]
 
 mod coverage;
-mod dictionary;
 mod kernel;
 mod model;
+pub mod oracle;
 mod phases;
 mod propagate;
 mod sim;
@@ -65,7 +67,6 @@ mod transition;
 mod universe;
 
 pub use coverage::CoverageReport;
-pub use dictionary::{build_dictionary, FaultDictionary};
 pub use kernel::grading_keep_set;
 pub use model::{Fault, FaultKind};
 pub use phases::SimPhaseMetrics;

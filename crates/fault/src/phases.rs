@@ -3,19 +3,21 @@
 //!
 //! A batch spends its time in two places the caller cannot tell apart
 //! from outside: the shared fault-free evaluation (`sim`) and the
-//! sharded per-fault propagation plus serial merge (`detect`). Sessions
-//! that want a phase trace install a [`SimPhaseMetrics`] whose
-//! histograms were created on their registry; the default handles are
+//! sharded per-fault propagation plus serial merge (`detect`). The
+//! first batch also lowers the simulator's kernel program (`compile`).
+//! Sessions that want a phase trace install a [`SimPhaseMetrics`] whose
+//! handles were created on their registry; the default handles are
 //! no-ops, so an uninstrumented simulator never reads the clock.
 //!
 //! Timing is observational only: spans never influence grading, so
 //! results stay bit-identical with metrics on or off.
 
-use lbist_obs::Histogram;
+use lbist_obs::{Counter, Histogram};
 
 /// Per-batch phase timers a grading session installs on its simulator
-/// via `set_phase_metrics`. Each histogram receives one elapsed-ns
-/// record per batch.
+/// via `set_phase_metrics`. `sim_ns` and `detect_ns` receive one
+/// elapsed-ns record per batch; the kernel handles record the one
+/// lowering at the first batch.
 #[derive(Clone, Debug, Default)]
 pub struct SimPhaseMetrics {
     /// Fault-free evaluation of the batch's frames.
@@ -23,4 +25,11 @@ pub struct SimPhaseMetrics {
     /// Sharded fault propagation (dispatch, retries) plus the serial
     /// detection merge.
     pub detect_ns: Histogram,
+    /// Kernel lowering time — keep-set construction plus bytecode
+    /// emission (`sim.kernel.compile_ns`).
+    pub kernel_compile_ns: Histogram,
+    /// Instructions in the lowered program (`sim.kernel.instrs`).
+    pub kernel_instrs: Counter,
+    /// Gates fused away during lowering (`sim.kernel.fused_gates`).
+    pub kernel_fused_gates: Counter,
 }

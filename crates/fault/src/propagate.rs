@@ -1,31 +1,26 @@
 //! Event-driven single-fault forward propagation over pattern words,
 //! generic over the lane width.
 
-use crate::transition::WindowState;
 use crate::Fault;
 use lbist_exec::LaneWord;
 use lbist_netlist::{GateKind, NodeId};
 use lbist_sim::{eval_gate, CompiledCircuit};
 
-/// Reusable scratch state for event-driven fault propagation: the
-/// interpreter's per-worker replay scratch, plus the transition window
-/// state.
-///
-/// One `Propagator` is allocated per worker and reused across millions
-/// of fault injections; per-fault cleanup is O(1) thanks to epoch stamps.
+/// Scratch state for event-driven single-fault propagation over the
+/// netlist, behind [`propagate_fault`]. Per-fault cleanup is O(1) thanks
+/// to epoch stamps.
 #[derive(Debug)]
-pub struct Propagator<W: LaneWord = u64> {
+struct Propagator<W: LaneWord = u64> {
     faulty: Vec<W>,
     stamp: Vec<u32>,
     epoch: u32,
     buckets: Vec<Vec<NodeId>>,
     queued: Vec<u32>,
     fanin_scratch: Vec<W>,
-    pub(crate) window: WindowState<W>,
 }
 
 impl<W: LaneWord> Propagator<W> {
-    pub(crate) fn new(cc: &CompiledCircuit) -> Self {
+    fn new(cc: &CompiledCircuit) -> Self {
         Propagator {
             faulty: vec![W::zero(); cc.num_nodes()],
             stamp: vec![0u32; cc.num_nodes()],
@@ -33,13 +28,12 @@ impl<W: LaneWord> Propagator<W> {
             buckets: vec![Vec::new(); cc.max_level() as usize + 2],
             queued: vec![0u32; cc.num_nodes()],
             fanin_scratch: Vec::new(),
-            window: WindowState::new(),
         }
     }
 
     /// Starts a new fault injection (invalidates all previous overlay
     /// values in O(1)).
-    pub(crate) fn begin(&mut self) {
+    fn begin(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Extremely rare wrap: do the full reset once.
@@ -54,7 +48,7 @@ impl<W: LaneWord> Propagator<W> {
 
     /// The node's value under the current fault (overlay or good).
     #[inline]
-    pub(crate) fn value(&self, node: NodeId, good: &[W]) -> W {
+    fn value(&self, node: NodeId, good: &[W]) -> W {
         if self.stamp[node.index()] == self.epoch {
             self.faulty[node.index()]
         } else {
@@ -64,7 +58,7 @@ impl<W: LaneWord> Propagator<W> {
 
     /// Forces a node's faulty value (fault injection site).
     #[inline]
-    pub(crate) fn set(&mut self, node: NodeId, word: W) {
+    fn set(&mut self, node: NodeId, word: W) {
         self.faulty[node.index()] = word;
         self.stamp[node.index()] = self.epoch;
     }
@@ -72,7 +66,7 @@ impl<W: LaneWord> Propagator<W> {
     /// Queues the combinational fanouts of `node` for re-evaluation.
     /// Flip-flops are skipped — fault effects cross them only at capture,
     /// which the frame-level simulators handle explicitly.
-    pub(crate) fn enqueue_fanouts(&mut self, cc: &CompiledCircuit, node: NodeId) {
+    fn enqueue_fanouts(&mut self, cc: &CompiledCircuit, node: NodeId) {
         for &succ in cc.fanouts(node) {
             if cc.kind(succ) == GateKind::Dff {
                 continue;
@@ -87,29 +81,18 @@ impl<W: LaneWord> Propagator<W> {
     /// Drains the event queue in level order, re-evaluating each reached
     /// gate against the overlay. `on_diff(node, diff)` fires for every node
     /// whose faulty value differs from `good` (diff is the per-pattern
-    /// difference mask). A `pin`ned node keeps its injected value even if
-    /// it is reached by other events (used for fault-site injection in the
-    /// presence of upstream state differences).
+    /// difference mask).
     ///
     /// Exact for single faults: level order guarantees all fanins are final
     /// before a node is evaluated, so reconvergent fanout needs no
     /// iteration.
-    pub(crate) fn run(
-        &mut self,
-        cc: &CompiledCircuit,
-        good: &[W],
-        pin: Option<NodeId>,
-        mut on_diff: impl FnMut(NodeId, W),
-    ) {
+    fn run(&mut self, cc: &CompiledCircuit, good: &[W], mut on_diff: impl FnMut(NodeId, W)) {
         for level in 0..self.buckets.len() {
             // Buckets may grow at higher levels while this one drains.
             let mut i = 0;
             while i < self.buckets[level].len() {
                 let node = self.buckets[level][i];
                 i += 1;
-                if pin == Some(node) {
-                    continue; // injected value stays authoritative
-                }
                 let kind = cc.kind(node);
                 debug_assert!(!kind.is_frame_source());
                 self.fanin_scratch.clear();
@@ -135,7 +118,7 @@ impl<W: LaneWord> Propagator<W> {
 /// the reading gate (branch re-evaluation).
 ///
 /// Returns `None` when the fault is not excited by any of the lanes.
-pub(crate) fn inject_stuck_at<W: LaneWord>(
+fn inject_stuck_at<W: LaneWord>(
     cc: &CompiledCircuit,
     fault: &Fault,
     good: &[W],
@@ -227,7 +210,7 @@ pub fn propagate_fault<W: LaneWord>(
     prop.set(site, word);
     visitor(site, word.xor(good_frame[site.index()]));
     prop.enqueue_fanouts(cc, site);
-    prop.run(cc, good_frame, None, visitor);
+    prop.run(cc, good_frame, visitor);
     true
 }
 

@@ -4,19 +4,20 @@
 //! Everything about a batch that does not depend on the fault model is
 //! written once here: the level-sorted active list, the thread budget,
 //! the n-detect drop budget, the cancel token and phase timers, the
-//! lazily built kernel replay plan, shard dispatch under panic
-//! containment, and the serial merge with swap-remove compaction. A
-//! model supplies only its fault-free evaluation and its per-fault shard
-//! replay on each engine (the gate interpreter and the compiled kernel).
-//! The model is a type parameter, so it is chosen at compile time: no
-//! dynamic dispatch and no per-fault branch on the model.
+//! kernel program and replay plan built at the first batch, shard
+//! dispatch under panic containment, and the serial merge with
+//! swap-remove compaction. A model supplies only its observation set,
+//! its fault-free evaluation, its replay plan and its per-fault shard
+//! replay on the compiled kernel. The model is a type parameter, so it
+//! is chosen at compile time: no dynamic dispatch and no per-fault
+//! branch on the model.
 
 use crate::coverage::CoverageReport;
-use crate::kernel::KernelScratch;
+use crate::kernel::{grading_keep_set, KernelScratch};
 use crate::phases::SimPhaseMetrics;
-use crate::propagate::Propagator;
 use crate::Fault;
 use lbist_exec::{CancelToken, LaneWord, RetryPolicy};
+use lbist_netlist::NodeId;
 use lbist_sim::{CompiledCircuit, KernelProgram};
 use std::fmt::Debug;
 use std::sync::Arc;
@@ -53,27 +54,17 @@ pub trait FaultModel<W: LaneWord>: Debug + Send + Sync + sealed::Sealed {
     /// worker: below it, dispatch costs more than the grading.
     const MIN_SHARD_FAULTS: usize;
 
-    /// Runs the batch's fault-free evaluation (on `prog` when set).
-    fn evaluate(
-        &mut self,
-        cc: &CompiledCircuit,
-        prog: Option<&KernelProgram>,
-        frame: &mut Self::Frame<'_>,
-    );
+    /// The observation set the simulator's own program is lowered for
+    /// (with the fault sites and capture sources, see
+    /// [`grading_keep_set`]).
+    fn observed(&self, cc: &CompiledCircuit) -> Vec<NodeId>;
+
+    /// Runs the batch's fault-free evaluation on `prog`.
+    fn evaluate(&mut self, cc: &CompiledCircuit, prog: &KernelProgram, frame: &mut Self::Frame<'_>);
 
     /// Builds the kernel replay plan for `faults`, validating that the
     /// program materializes every node the replay reads.
     fn plan(&self, prog: &KernelProgram, cc: &CompiledCircuit, faults: &[Fault]) -> Self::Plan;
-
-    /// Grades one shard on the gate interpreter.
-    fn interp_shard(
-        &self,
-        batch: &Batch<'_, W>,
-        frame: &Self::Frame<'_>,
-        shard: &[u32],
-        prop: &mut Propagator<W>,
-        out: &mut [W],
-    );
 
     /// Grades one shard on the compiled kernel.
     #[allow(clippy::too_many_arguments)]
@@ -150,12 +141,16 @@ impl<W: LaneWord> Batch<'_, W> {
 /// coverage. [`FaultSim::serial`] pins grading to the calling thread
 /// for debugging or strict single-thread environments.
 ///
-/// # Engines
+/// # Engine
 ///
-/// By default the simulator runs the per-gate interpreter. A compiled
-/// [`KernelProgram`] installed with [`FaultSim::set_kernel`] runs the
-/// fault-free evaluation as flat bytecode and replays faults over the
-/// lowered instructions; results are bit-identical (property-tested).
+/// Grading runs on the compiled kernel: the fault-free evaluation
+/// executes a [`KernelProgram`] as flat bytecode, and faults replay as
+/// patched instructions over it (see the `kernel` module). The
+/// simulator lowers its own program at its first batch, from its
+/// circuit, its fault list and the model's observation set; a caller
+/// sharing one program across simulators installs it with
+/// [`FaultSim::set_kernel`] instead. Detection counts equal those of
+/// the slow reference grader in [`crate::oracle`] (property-tested).
 #[derive(Debug)]
 pub struct FaultSim<'a, M: FaultModel<W>, W: LaneWord = u64> {
     cc: &'a CompiledCircuit,
@@ -173,14 +168,11 @@ pub struct FaultSim<'a, M: FaultModel<W>, W: LaneWord = u64> {
     /// an explicit budget is honoured exactly (tests force sharding on
     /// tiny lists).
     threads_auto: bool,
-    /// Compiled kernel program (see [`FaultSim::set_kernel`]).
+    /// Compiled kernel program: lowered at the first batch unless
+    /// installed with [`FaultSim::set_kernel`].
     kernel: Option<Arc<KernelProgram>>,
-    /// Kernel replay plan, built lazily at the first batch (so late
-    /// changes such as [`crate::WideStuckAtSim::add_observed`] are
-    /// honoured).
-    pub(crate) plan: Option<M::Plan>,
-    /// One interpreter replay scratch per worker.
-    scratch: Vec<Propagator<W>>,
+    /// Kernel replay plan, built at the first batch from the program.
+    plan: Option<M::Plan>,
     /// One kernel replay scratch per worker.
     kscratch: Vec<KernelScratch<W>>,
     /// Per-active-fault detection words of the current batch (aligned
@@ -214,7 +206,6 @@ impl<'a, M: FaultModel<W>, W: LaneWord> FaultSim<'a, M, W> {
             threads_auto: true,
             kernel: None,
             plan: None,
-            scratch: Vec::new(),
             kscratch: Vec::new(),
             batch_det: Vec::new(),
             cancel: None,
@@ -259,11 +250,9 @@ impl<'a, M: FaultModel<W>, W: LaneWord> FaultSim<'a, M, W> {
         self.drop_after = n;
     }
 
-    /// Installs (or clears) a compiled kernel program: subsequent batches
-    /// evaluate the fault-free frames with [`KernelProgram::execute`] and
-    /// replay faults over the lowered instructions. Results are
-    /// bit-identical to the interpreter path (property-tested in the
-    /// bench crate).
+    /// Installs a shared compiled kernel program in place of the one
+    /// the simulator would lower at its first batch — e.g. one program
+    /// serving several simulators on the same circuit.
     ///
     /// The program must have been lowered from this simulator's circuit
     /// with a keep set covering this fault list and observation set —
@@ -273,22 +262,15 @@ impl<'a, M: FaultModel<W>, W: LaneWord> FaultSim<'a, M, W> {
     /// # Panics
     ///
     /// Panics if the program's node count differs from the circuit's.
-    pub fn set_kernel(&mut self, kernel: Option<Arc<KernelProgram>>) {
-        if let Some(k) = &kernel {
-            assert_eq!(
-                k.num_nodes(),
-                self.cc.num_nodes(),
-                "kernel program was lowered from a different circuit"
-            );
-        }
-        self.kernel = kernel;
+    pub fn set_kernel(&mut self, kernel: Arc<KernelProgram>) {
+        assert_eq!(
+            kernel.num_nodes(),
+            self.cc.num_nodes(),
+            "kernel program was lowered from a different circuit"
+        );
+        self.kernel = Some(kernel);
         self.plan = None;
         self.kscratch.clear();
-    }
-
-    /// `true` when a compiled kernel program drives this simulator.
-    pub fn uses_kernel(&self) -> bool {
-        self.kernel.is_some()
     }
 
     /// Number of faults still actively graded (shrinks as faults drop —
@@ -305,8 +287,10 @@ impl<'a, M: FaultModel<W>, W: LaneWord> FaultSim<'a, M, W> {
 
     /// Installs phase timers: each batch records its fault-free
     /// evaluation time into `phases.sim_ns` and its sharded replay plus
-    /// merge time into `phases.detect_ns`. Timing is observational only
-    /// — grading results are bit-identical with or without it.
+    /// merge time into `phases.detect_ns`; the first batch's lowering
+    /// records into the `phases.kernel_*` handles. Timing is
+    /// observational only — grading results are bit-identical with or
+    /// without it.
     pub fn set_phase_metrics(&mut self, phases: SimPhaseMetrics) {
         self.phases = phases;
     }
@@ -346,19 +330,28 @@ impl<'a, M: FaultModel<W>, W: LaneWord> FaultSim<'a, M, W> {
             return None;
         }
         let cc = self.cc;
-        if let Some(prog) = &self.kernel {
-            if self.plan.is_none() {
-                // One-time replay-plan construction is detection
-                // machinery — charged to the detect span so the phase
-                // trace still accounts for the batch wall time.
-                let _plan_span = self.phases.detect_ns.start();
-                self.plan = Some(self.model.plan(prog, cc, &self.faults));
-            }
+        if self.plan.is_none() {
+            // One-time lowering and replay-plan construction are
+            // detection machinery — charged to the detect span so the
+            // phase trace still accounts for the batch wall time.
+            let _setup_span = self.phases.detect_ns.start();
+            let prog = self.kernel.get_or_insert_with(|| {
+                let _lower_span = self.phases.kernel_compile_ns.start();
+                let keep = grading_keep_set(cc, &[&self.faults], &self.model.observed(cc));
+                let prog = KernelProgram::lower(cc, &keep);
+                self.phases.kernel_instrs.add(prog.stats().instrs as u64);
+                self.phases.kernel_fused_gates.add(prog.stats().fused_gates as u64);
+                Arc::new(prog)
+            });
+            self.plan = Some(self.model.plan(prog, cc, &self.faults));
         }
+        let (Some(prog), Some(plan)) = (self.kernel.as_deref(), &self.plan) else {
+            unreachable!("the program and plan are built above");
+        };
         let lane_mask = W::mask_lanes(num_patterns);
         {
             let _sim_span = self.phases.sim_ns.start();
-            self.model.evaluate(cc, self.kernel.as_deref(), &mut frame);
+            self.model.evaluate(cc, prog, &mut frame);
         }
 
         let n_active = self.active.len();
@@ -382,31 +375,18 @@ impl<'a, M: FaultModel<W>, W: LaneWord> FaultSim<'a, M, W> {
         let _detect_span = self.phases.detect_ns.start();
         let batch = Batch { cc, faults: &self.faults, lane_mask, cancel };
         let (model, frame) = (&self.model, &frame);
-        if let (Some(prog), Some(plan)) = (self.kernel.as_deref(), &self.plan) {
-            lbist_exec::resilient_chunks_with_scratch(
-                &self.active,
-                &mut self.batch_det,
-                workers,
-                &mut self.kscratch,
-                || KernelScratch::new(prog, cc),
-                |shard, out, scratch| {
-                    model.kernel_shard(&batch, frame, prog, plan, shard, scratch, out);
-                },
-                &RetryPolicy::default(),
-                cancel,
-            );
-        } else {
-            lbist_exec::resilient_chunks_with_scratch(
-                &self.active,
-                &mut self.batch_det,
-                workers,
-                &mut self.scratch,
-                || Propagator::new(cc),
-                |shard, out, prop| model.interp_shard(&batch, frame, shard, prop, out),
-                &RetryPolicy::default(),
-                cancel,
-            );
-        }
+        lbist_exec::resilient_chunks_with_scratch(
+            &self.active,
+            &mut self.batch_det,
+            workers,
+            &mut self.kscratch,
+            || KernelScratch::new(prog, cc),
+            |shard, out, scratch| {
+                model.kernel_shard(&batch, frame, prog, plan, shard, scratch, out)
+            },
+            &RetryPolicy::default(),
+            cancel,
+        );
         if cancel.is_some_and(CancelToken::is_cancelled) {
             // Unwind cleanly: the half-graded batch is discarded whole.
             return None;

@@ -2,11 +2,10 @@
 //! the shared [`FaultSim`] core.
 
 use crate::kernel::{kernel_grade_shard, KernelScratch, StuckKernelPlan};
-use crate::propagate::{inject_stuck_at, Propagator};
 use crate::sim::{Batch, FaultModel, FaultSim};
 use crate::Fault;
 use lbist_exec::LaneWord;
-use lbist_netlist::{GateKind, NodeId};
+use lbist_netlist::NodeId;
 use lbist_sim::{CompiledCircuit, KernelProgram};
 
 /// The default 64-lane PPSFP simulator — [`WideStuckAtSim`] at the
@@ -28,9 +27,8 @@ pub type WideStuckAtSim<'a, W = u64> = FaultSim<'a, StuckAt, W>;
 /// capture sees — every flip-flop `D` source, every primary output
 /// marker, plus any observation test points the DFT step added.
 ///
-/// On the interpreter each fault propagates event-driven through the
-/// netlist; on the kernel it replays as a patched cone or suffix of the
-/// lowered program (see the `kernel` module).
+/// Each fault replays as a patched cone or suffix of the lowered
+/// program (see the `kernel` module).
 #[derive(Debug)]
 pub struct StuckAt {
     /// Observation flag per node.
@@ -71,17 +69,6 @@ impl<'a, W: LaneWord> WideStuckAtSim<'a, W> {
         obs.dedup();
         obs
     }
-
-    /// Adds observation points (e.g. inserted test points) after
-    /// construction.
-    pub fn add_observed(&mut self, nodes: &[NodeId]) {
-        for &n in nodes {
-            self.model.observed[n.index()] = true;
-        }
-        // The kernel replay plan bakes in observation flags — rebuild it
-        // at the next batch.
-        self.plan = None;
-    }
 }
 
 impl<W: LaneWord> FaultModel<W> for StuckAt {
@@ -91,16 +78,12 @@ impl<W: LaneWord> FaultModel<W> for StuckAt {
     // batches fall back toward serial automatically.
     const MIN_SHARD_FAULTS: usize = 64;
 
-    fn evaluate(
-        &mut self,
-        cc: &CompiledCircuit,
-        prog: Option<&KernelProgram>,
-        frame: &mut &mut [W],
-    ) {
-        match prog {
-            Some(prog) => prog.execute(frame),
-            None => cc.eval2(frame),
-        }
+    fn observed(&self, _: &CompiledCircuit) -> Vec<NodeId> {
+        (0..self.observed.len()).filter(|&i| self.observed[i]).map(NodeId::from_index).collect()
+    }
+
+    fn evaluate(&mut self, _: &CompiledCircuit, prog: &KernelProgram, frame: &mut &mut [W]) {
+        prog.execute(frame);
     }
 
     fn plan(
@@ -110,40 +93,6 @@ impl<W: LaneWord> FaultModel<W> for StuckAt {
         faults: &[Fault],
     ) -> StuckKernelPlan {
         StuckKernelPlan::build(prog, cc, faults, &self.observed)
-    }
-
-    /// Injects each fault into the shared fault-free frame and propagates
-    /// it event-driven with the worker's own `Propagator`; reads only
-    /// shared state, so shard scheduling cannot affect results.
-    fn interp_shard(
-        &self,
-        batch: &Batch<'_, W>,
-        frame: &&mut [W],
-        shard: &[u32],
-        prop: &mut Propagator<W>,
-        out: &mut [W],
-    ) {
-        let (cc, frame, observed) = (batch.cc, &**frame, &self.observed);
-        batch.each(shard, out, |fault| {
-            let Some((site, word)) = inject_stuck_at(cc, fault, frame) else {
-                return W::zero();
-            };
-            if cc.kind(site) == GateKind::Dff {
-                // D-pin branch fault: the pin is captured directly.
-                return word.xor(frame[cc.fanins(site)[0].index()]);
-            }
-            let mut detected =
-                if observed[site.index()] { word.xor(frame[site.index()]) } else { W::zero() };
-            prop.begin();
-            prop.set(site, word);
-            prop.enqueue_fanouts(cc, site);
-            prop.run(cc, frame, None, |node, diff| {
-                if observed[node.index()] {
-                    detected = detected.or(diff);
-                }
-            });
-            detected
-        });
     }
 
     fn kernel_shard(
@@ -164,7 +113,7 @@ impl<W: LaneWord> FaultModel<W> for StuckAt {
 mod tests {
     use super::*;
     use crate::{FaultKind, FaultUniverse};
-    use lbist_netlist::{DomainId, Netlist};
+    use lbist_netlist::{DomainId, GateKind, Netlist};
 
     fn and_or() -> (Netlist, [NodeId; 3]) {
         let mut nl = Netlist::new("ao");
@@ -455,12 +404,11 @@ mod tests {
         check::<u128>();
     }
 
-    /// The kernel path (compiled program + event-driven replay) reports exactly
-    /// the interpreter's per-fault detection words across a circuit
-    /// mixing inverter chains, inverting gates, flip-flops, stem,
-    /// branch, and D-pin faults — serial and sharded.
+    /// Kernel grading reports exactly the oracle's per-fault detection
+    /// counts across a circuit mixing inverter chains, inverting gates,
+    /// flip-flops, stem, branch, and D-pin faults — serial and sharded.
     #[test]
-    fn kernel_grading_matches_interpreter_bit_for_bit() {
+    fn kernel_grading_matches_oracle_bit_for_bit() {
         let mut nl = Netlist::new("kern");
         let a = nl.add_input("a");
         let b = nl.add_input("b");
@@ -474,41 +422,40 @@ mod tests {
         let g4 = nl.add_gate(GateKind::Or, &[ff, c]);
         nl.add_output("y", g4);
         let cc = CompiledCircuit::compile(&nl).unwrap();
-        let universe = FaultUniverse::stuck_at(&nl);
-        let faults = universe.representatives();
+        let faults = FaultUniverse::stuck_at(&nl).representatives();
         let observed = StuckAtSim::observe_all_captures(&cc);
-        let keep = crate::grading_keep_set(&cc, &[&faults], &observed);
-        let prog = std::sync::Arc::new(lbist_sim::KernelProgram::lower(&cc, &keep));
 
         let inputs = [a, b, c, ff];
-        let word = |k: u64, bit: usize| -> u64 {
-            (k + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left((bit * 11) as u32)
-        };
-        let run = |kernel: bool, threads: usize| {
-            let mut sim = StuckAtSim::new(&cc, faults.clone(), observed.clone());
-            sim.set_threads(threads);
-            sim.set_drop_after(2);
-            if kernel {
-                sim.set_kernel(Some(prog.clone()));
-            }
-            assert_eq!(sim.uses_kernel(), kernel);
-            for k in 0..4u64 {
+        let frames: Vec<Vec<u64>> = (0..4u64)
+            .map(|k| {
                 let mut frame = cc.new_frame();
                 for (bit, &i) in inputs.iter().enumerate() {
-                    frame[i.index()] = word(k, bit);
+                    frame[i.index()] =
+                        (k + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left((bit * 11) as u32);
                 }
-                sim.run_batch(&mut frame, 64);
+                frame
+            })
+            .collect();
+        let mut expect = vec![0u32; faults.len()];
+        for frame in &frames {
+            let words = crate::oracle::stuck_at(&cc, &faults, &observed, frame, 64);
+            for (e, w) in expect.iter_mut().zip(words) {
+                *e += w.count_ones();
             }
-            (sim.detections().to_vec(), sim.coverage(), sim.active_faults())
-        };
-
-        let reference = run(false, 1);
-        assert!(reference.1.detected > 0, "scenario must detect something");
+        }
+        assert!(expect.iter().any(|&d| d > 0), "scenario must detect something");
         for threads in [1, 3] {
-            let kernel = run(true, threads);
-            assert_eq!(kernel.0, reference.0, "kernel detections differ ({threads} threads)");
-            assert_eq!(kernel.1, reference.1, "kernel coverage differs ({threads} threads)");
-            assert_eq!(kernel.2, reference.2, "kernel active count differs ({threads} threads)");
+            let mut sim = StuckAtSim::new(&cc, faults.clone(), observed.clone());
+            sim.set_threads(threads);
+            sim.set_drop_after(u32::MAX);
+            for frame in &frames {
+                sim.run_batch(&mut frame.clone(), 64);
+            }
+            assert_eq!(
+                sim.detections(),
+                &expect[..],
+                "kernel detections differ ({threads} threads)"
+            );
         }
     }
 
@@ -533,7 +480,7 @@ mod tests {
         let prog = std::sync::Arc::new(lbist_sim::KernelProgram::lower(&cc, &keep));
         let faults = vec![Fault::stem(n1, FaultKind::StuckAt0)];
         let mut sim = StuckAtSim::new(&cc, faults, vec![]);
-        sim.set_kernel(Some(prog));
+        sim.set_kernel(prog);
         let mut frame = cc.new_frame();
         frame[a.index()] = 1;
         sim.run_batch(&mut frame, 1);

@@ -27,12 +27,11 @@
 //! grading: the fault-free window frames are computed once and shared
 //! read-only; each worker replays faults from its shard with its own
 //! propagation scratch and flip-flop overlay, so parallel and serial
-//! coverage are bit-identical. One replay loop, [`replay_window`], serves
-//! both engines; they differ only in how a frame propagates
-//! ([`WindowStep`]).
+//! coverage are bit-identical. [`replay_window`] carries a fault across
+//! the window; within a frame, [`KernelStep`] propagates it over the
+//! lowered program.
 
 use crate::kernel::{KernelScratch, KernelStep, TransitionKernelPlan};
-use crate::propagate::Propagator;
 use crate::sim::{Batch, FaultModel, FaultSim};
 use crate::{Fault, FaultKind};
 use lbist_exec::LaneWord;
@@ -176,13 +175,16 @@ impl<W: LaneWord> FaultModel<W> for Transition<W> {
     // floor is lower than stuck-at's.
     const MIN_SHARD_FAULTS: usize = 16;
 
+    /// The full-scan capture set, as [`crate::WideStuckAtSim`] observes
+    /// it.
+    fn observed(&self, cc: &CompiledCircuit) -> Vec<NodeId> {
+        crate::WideStuckAtSim::<W>::observe_all_captures(cc)
+    }
+
     /// Computes the fault-free window: F0 from `base`, then per frame
     /// boundary the capturing domain's flip-flops load their `D` words.
-    fn evaluate(&mut self, cc: &CompiledCircuit, prog: Option<&KernelProgram>, base: &mut &[W]) {
-        match prog {
-            Some(prog) => prog.execute_into(base, &mut self.good_frames[0]),
-            None => cc.eval2_into(base, &mut self.good_frames[0]),
-        }
+    fn evaluate(&mut self, cc: &CompiledCircuit, prog: &KernelProgram, base: &mut &[W]) {
+        prog.execute_into(base, &mut self.good_frames[0]);
         for frame in 1..self.window.num_frames() {
             let (prev_slice, rest) = self.good_frames.split_at_mut(frame);
             let prev = &prev_slice[frame - 1];
@@ -198,10 +200,7 @@ impl<W: LaneWord> FaultModel<W> for Transition<W> {
                     cur[ff.index()] = prev[d_src.index()];
                 }
             }
-            match prog {
-                Some(prog) => prog.execute(cur),
-                None => cc.eval2(cur),
-            }
+            prog.execute(cur);
         }
     }
 
@@ -212,18 +211,6 @@ impl<W: LaneWord> FaultModel<W> for Transition<W> {
         faults: &[Fault],
     ) -> TransitionKernelPlan {
         TransitionKernelPlan::build(prog, cc, faults)
-    }
-
-    fn interp_shard(
-        &self,
-        batch: &Batch<'_, W>,
-        _base: &&[W],
-        shard: &[u32],
-        prop: &mut Propagator<W>,
-        out: &mut [W],
-    ) {
-        let step = &mut InterpStep { cc: batch.cc, prop };
-        replay_window(batch, &self.window, &self.good_frames, shard, out, step);
     }
 
     fn kernel_shard(
@@ -262,48 +249,6 @@ impl<W> WindowState<W> {
     }
 }
 
-/// Per-frame propagation inside [`replay_window`] — the one step where
-/// the interpreter and the kernel differ. Single-fault propagation is
-/// exact in level order, so both yield the same faulty words.
-pub(crate) trait WindowStep<W: LaneWord> {
-    /// The worker's cross-frame replay state.
-    fn window(&mut self) -> &mut WindowState<W>;
-    /// Starts a frame with no faulty word anywhere.
-    fn begin(&mut self);
-    /// `node`'s word under the fault in the current frame.
-    fn value(&self, node: NodeId, good: &[W]) -> W;
-    /// Gives `node` the faulty `word` and queues its consumers.
-    fn seed(&mut self, node: NodeId, word: W);
-    /// Propagates the seeded words through the frame; a `pin`ned node
-    /// keeps its seeded word even when other events reach it.
-    fn run(&mut self, good: &[W], pin: Option<NodeId>);
-}
-
-/// The interpreter step: event-driven [`Propagator`] over the netlist.
-struct InterpStep<'s, W: LaneWord> {
-    cc: &'s CompiledCircuit,
-    prop: &'s mut Propagator<W>,
-}
-
-impl<W: LaneWord> WindowStep<W> for InterpStep<'_, W> {
-    fn window(&mut self) -> &mut WindowState<W> {
-        &mut self.prop.window
-    }
-    fn begin(&mut self) {
-        self.prop.begin();
-    }
-    fn value(&self, node: NodeId, good: &[W]) -> W {
-        self.prop.value(node, good)
-    }
-    fn seed(&mut self, node: NodeId, word: W) {
-        self.prop.set(node, word);
-        self.prop.enqueue_fanouts(self.cc, node);
-    }
-    fn run(&mut self, good: &[W], pin: Option<NodeId>) {
-        self.prop.run(self.cc, good, pin, |_, _| {});
-    }
-}
-
 /// Replays one shard of active faults across the capture window, writing
 /// each fault's multi-lane detection word into `out`. Reads only the
 /// shared fault-free frames; all mutable state is the worker's own
@@ -314,7 +259,7 @@ fn replay_window<W: LaneWord>(
     good_frames: &[Vec<W>],
     shard: &[u32],
     out: &mut [W],
-    step: &mut impl WindowStep<W>,
+    step: &mut KernelStep<'_, W>,
 ) {
     let cc = batch.cc;
     let nframes = window.num_frames();
@@ -631,11 +576,11 @@ mod tests {
         check::<u128>();
     }
 
-    /// The kernel path replays the capture window bit-identically to the
-    /// interpreter: same detections, coverage, and compaction across a
-    /// two-domain design whose overlay state carries between frames.
+    /// Kernel window replay reports exactly the oracle's per-fault
+    /// detection counts across a two-domain design whose overlay state
+    /// carries between frames — serial and sharded.
     #[test]
-    fn kernel_transition_grading_matches_interpreter_bit_for_bit() {
+    fn kernel_transition_grading_matches_oracle_bit_for_bit() {
         let mut nl = Netlist::new("kpar");
         let pi = nl.add_input("pi");
         let mut prev = nl.add_dff(pi, DomainId::new(0));
@@ -653,35 +598,38 @@ mod tests {
                 [Fault::stem(s, FaultKind::SlowToRise), Fault::stem(s, FaultKind::SlowToFall)]
             })
             .collect();
-        let observed = crate::WideStuckAtSim::<u64>::observe_all_captures(&cc);
-        let keep = crate::grading_keep_set(&cc, &[&faults], &observed);
-        let prog = std::sync::Arc::new(lbist_sim::KernelProgram::lower(&cc, &keep));
+        let window = CaptureWindow::all_domains(2);
 
-        let run = |kernel: bool, threads: usize| {
-            let mut sim = TransitionSim::new(&cc, faults.clone(), CaptureWindow::all_domains(2));
-            sim.set_threads(threads);
-            if kernel {
-                sim.set_kernel(Some(prog.clone()));
-            }
-            assert_eq!(sim.uses_kernel(), kernel);
-            for seed in 0..4u64 {
+        let bases: Vec<Vec<u64>> = (0..4u64)
+            .map(|seed| {
                 let mut base = cc.new_frame();
                 base[pi.index()] = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 for (i, &ff) in cc.dffs().iter().enumerate() {
                     base[ff.index()] = (seed ^ i as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9);
                 }
-                sim.run_batch(&base, 64);
+                base
+            })
+            .collect();
+        let mut expect = vec![0u32; faults.len()];
+        for base in &bases {
+            let words = crate::oracle::transition(&cc, &faults, &window, base, 64);
+            for (e, w) in expect.iter_mut().zip(words) {
+                *e += w.count_ones();
             }
-            (sim.detections().to_vec(), sim.coverage(), sim.active_faults())
-        };
-
-        let reference = run(false, 1);
-        assert!(reference.1.detected > 0, "scenario must detect something");
+        }
+        assert!(expect.iter().any(|&d| d > 0), "scenario must detect something");
         for threads in [1, 4] {
-            let kernel = run(true, threads);
-            assert_eq!(kernel.0, reference.0, "kernel detections differ ({threads} threads)");
-            assert_eq!(kernel.1, reference.1, "kernel coverage differs ({threads} threads)");
-            assert_eq!(kernel.2, reference.2, "kernel active count differs ({threads} threads)");
+            let mut sim = TransitionSim::new(&cc, faults.clone(), window.clone());
+            sim.set_threads(threads);
+            sim.set_drop_after(u32::MAX);
+            for base in &bases {
+                sim.run_batch(base, 64);
+            }
+            assert_eq!(
+                sim.detections(),
+                &expect[..],
+                "kernel detections differ ({threads} threads)"
+            );
         }
     }
 

@@ -1,6 +1,10 @@
 //! Property-based tests over the core data structures and invariants.
 
-use lbist::fault::{CaptureWindow, Fault, FaultKind, FaultUniverse, StuckAtSim, TransitionSim};
+use lbist::exec::LaneWord;
+use lbist::fault::{
+    oracle, CaptureWindow, Fault, FaultKind, FaultUniverse, StuckAtSim, TransitionSim,
+    WideStuckAtSim, WideTransitionSim,
+};
 use lbist::netlist::{parse_bench, to_bench, DomainId, GateKind, Netlist, NodeId};
 use lbist::sim::{CompiledCircuit, Logic};
 use lbist::tpg::{Lfsr, LfsrPoly, Misr, PhaseShifter, SpaceCompactor, SpaceExpander};
@@ -68,6 +72,86 @@ fn arb_seq_netlist() -> impl Strategy<Value = Netlist> {
             nl
         },
     )
+}
+
+/// `nl` with some flip-flops' `D` pins rewired to arbitrary nodes, later
+/// ones included: sequential feedback, so an effect captured into a
+/// flip-flop can reach its own fault site again within the capture
+/// window.
+fn with_feedback(mut nl: Netlist, pick: u64) -> Netlist {
+    let sources: Vec<NodeId> = nl.ids().filter(|&n| nl.kind(n) != GateKind::Output).collect();
+    for (i, ff) in nl.dffs().to_vec().into_iter().enumerate() {
+        let r = pick.rotate_left(7 * i as u32);
+        if r % 3 == 0 {
+            nl.set_fanin(ff, 0, sources[(r >> 2) as usize % sources.len()]).unwrap();
+        }
+    }
+    nl
+}
+
+/// Batch `k`'s source words: every input and flip-flop word filled from
+/// a stream seeded by `stim`, on every lane.
+fn random_sources<W: LaneWord>(cc: &CompiledCircuit, stim: u64, k: u64) -> Vec<W> {
+    let mut frame: Vec<W> = cc.new_wide_frame();
+    let mut s = stim ^ (k + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    for &node in cc.inputs().iter().chain(cc.dffs()) {
+        for w in 0..W::WORDS {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            frame[node.index()].set_word(w, s);
+        }
+    }
+    frame
+}
+
+/// Grades the collapsed stuck-at universe of `nl` over `batches` batches
+/// with no dropping, at lane width `W` and on `threads` workers, and
+/// checks every fault's detection count against the oracle's popcounts.
+fn stuck_at_matches_oracle<W: LaneWord>(nl: &Netlist, stim: u64, batches: u64, threads: usize) {
+    let cc = CompiledCircuit::compile(nl).unwrap();
+    let faults = FaultUniverse::stuck_at(nl).representatives();
+    let observed = StuckAtSim::observe_all_captures(&cc);
+    let mut sim = WideStuckAtSim::<W>::new(&cc, faults.clone(), observed.clone());
+    sim.set_drop_after(u32::MAX);
+    sim.set_threads(threads);
+    let mut expect = vec![0u32; faults.len()];
+    for k in 0..batches {
+        let mut frame = random_sources::<W>(&cc, stim, k);
+        for (e, w) in
+            expect.iter_mut().zip(oracle::stuck_at(&cc, &faults, &observed, &frame, W::LANES))
+        {
+            *e += w.count_ones();
+        }
+        sim.run_batch(&mut frame, W::LANES);
+    }
+    assert_eq!(sim.detections(), &expect[..], "{} lanes, {threads} threads", W::LANES);
+}
+
+/// [`stuck_at_matches_oracle`] for launch-on-capture transition grading
+/// of the collapsed stem faults across a window pulsing both domains.
+fn transition_matches_oracle<W: LaneWord>(nl: &Netlist, stim: u64, batches: u64, threads: usize) {
+    let cc = CompiledCircuit::compile(nl).unwrap();
+    let faults: Vec<Fault> = FaultUniverse::transition(nl)
+        .representatives()
+        .into_iter()
+        .filter(Fault::is_stem)
+        .collect();
+    let window = CaptureWindow::all_domains(2);
+    let mut sim = WideTransitionSim::<W>::new(&cc, faults.clone(), window.clone());
+    sim.set_drop_after(u32::MAX);
+    sim.set_threads(threads);
+    let mut expect = vec![0u32; faults.len()];
+    for k in 0..batches {
+        let base = random_sources::<W>(&cc, stim, k);
+        for (e, w) in
+            expect.iter_mut().zip(oracle::transition(&cc, &faults, &window, &base, W::LANES))
+        {
+            *e += w.count_ones();
+        }
+        sim.run_batch(&base, W::LANES);
+    }
+    assert_eq!(sim.detections(), &expect[..], "{} lanes, {threads} threads", W::LANES);
 }
 
 proptest! {
@@ -232,6 +316,40 @@ proptest! {
             prop_assert_eq!(&parallel.0, &serial.0, "detections differ at {} threads", threads);
             prop_assert_eq!(&parallel.1, &serial.1, "coverage differs at {} threads", threads);
             prop_assert_eq!(parallel.2, serial.2, "active counts differ at {} threads", threads);
+        }
+    }
+
+    /// The simulator's stuck-at detection counts equal the reference
+    /// oracle's on random two-domain sequential netlists, with and
+    /// without sequential feedback: stems, branches, flip-flop stems and
+    /// D-pin faults of the collapsed universe, at both lane widths,
+    /// serial and sharded.
+    #[test]
+    fn stuck_at_grading_matches_oracle(
+        nl in arb_seq_netlist(),
+        feedback: u64,
+        stim: u64,
+        batches in 2u64..4,
+    ) {
+        let nl = with_feedback(nl, feedback);
+        for threads in [1, 3] {
+            stuck_at_matches_oracle::<u64>(&nl, stim, batches, threads);
+            stuck_at_matches_oracle::<u128>(&nl, stim, batches, threads);
+        }
+    }
+
+    /// The same contract for launch-on-capture transition grading.
+    #[test]
+    fn transition_grading_matches_oracle(
+        nl in arb_seq_netlist(),
+        feedback: u64,
+        stim: u64,
+        batches in 2u64..4,
+    ) {
+        let nl = with_feedback(nl, feedback);
+        for threads in [1, 3] {
+            transition_matches_oracle::<u64>(&nl, stim, batches, threads);
+            transition_matches_oracle::<u128>(&nl, stim, batches, threads);
         }
     }
 
