@@ -91,6 +91,7 @@ impl TestPointInsertion {
                 undetected,
                 &mut reach,
                 workers,
+                Some(MIN_SHARD_FAULTS),
                 &mut no_scratch,
                 || (),
                 |faults, out, ()| {
@@ -184,6 +185,7 @@ fn best_candidate(cand: &[(u32, Vec<u32>)], covered: &[bool]) -> Option<(usize, 
         cand,
         &mut gains,
         workers,
+        Some(MIN_SHARD_CANDIDATES),
         &mut no_scratch,
         || (),
         |entries, out, ()| {

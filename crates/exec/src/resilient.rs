@@ -3,25 +3,28 @@
 //!
 //! [`resilient_chunks_with_scratch`] is the fault-tolerant sibling of
 //! [`parallel_chunks_with_scratch`](crate::parallel_chunks_with_scratch):
-//! the same deterministic 3-way zip split, but each shard runs under
-//! panic containment. A shard that panics is retried on the pool with
-//! per-shard-jittered doubling backoff ([`RetryPolicy`],
+//! the same deterministic split into up to four contiguous shards per
+//! worker, pulled by the workers from a shared cursor, but each shard
+//! runs under panic containment. A shard that panics is retried on the
+//! pool with per-shard-jittered doubling backoff ([`RetryPolicy`],
 //! [`retry_backoff`]); a shard that keeps failing is
 //! **degraded to the serial path** — re-run once on the calling thread —
 //! before the session is given up on; and only when even that fails does
 //! the dispatch panic, re-raising the *original* payload wrapped in a
 //! [`ShardPanic`] that names the shard (the plain scope latch loses
-//! which shard died).
+//! which shard died). Chaos actions, retries and the degrade all key on
+//! the shard index, which runs past the worker count.
 //!
 //! The shard closure contract is therefore stricter than the plain
 //! dispatcher's: `f` may be executed more than once for the same shard,
 //! so it must fully overwrite its `out` slice on success and tolerate
-//! re-running against a scratch value a failed attempt already touched
-//! (the fault sims' propagators epoch-reset on entry, so they qualify).
+//! running against a scratch value any earlier attempt or shard already
+//! touched — scratch belongs to a worker, not to a shard (the fault
+//! sims' replay scratch resets on entry, so they qualify).
 
 use crate::cancel::CancelToken;
 use crate::chaos::{self, ChaosAction};
-use crate::pool::scope;
+use crate::pool::{scope, shard_len};
 use lbist_obs::Counter;
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
@@ -170,7 +173,10 @@ fn backoff_sleep(policy: &RetryPolicy, retry: u32, shard: usize, cancel: Option<
 /// [`parallel_chunks_with_scratch`](crate::parallel_chunks_with_scratch);
 /// identical split and (on success) identical results, plus per-shard
 /// panic containment with bounded retries, serial degrade, and
-/// [`ShardPanic`] propagation.
+/// [`ShardPanic`] propagation. The shard — not the worker — is the unit
+/// of chaos actions, retries, the serial degrade and
+/// [`ShardPanic::shard`]; shards outnumber workers, and each worker
+/// retries a failed shard on its own scratch before pulling the next.
 ///
 /// When `cancel` fires mid-dispatch, pending retries and degrades are
 /// abandoned and the function returns early with `out` unspecified —
@@ -187,6 +193,7 @@ pub fn resilient_chunks_with_scratch<T, U, S>(
     items: &[T],
     out: &mut [U],
     workers: usize,
+    min_shard: Option<usize>,
     scratch: &mut Vec<S>,
     mut make_scratch: impl FnMut() -> S,
     f: impl Fn(&[T], &mut [U], &mut S) + Sync,
@@ -205,7 +212,7 @@ pub fn resilient_chunks_with_scratch<T, U, S>(
     while scratch.len() < workers {
         scratch.push(make_scratch());
     }
-    let shard_len = items.len().div_ceil(workers);
+    let shard_len = shard_len(items.len(), workers, min_shard);
     let num_shards = items.len().div_ceil(shard_len);
     // Chaos actions are resolved on the calling thread (the plan is
     // thread-local) before any shard is handed to a pool worker.
@@ -230,20 +237,18 @@ pub fn resilient_chunks_with_scratch<T, U, S>(
             &failures,
         );
     } else {
-        let item_shards = items.chunks(shard_len);
-        let out_shards = out.chunks_mut(shard_len);
-        let scratches = scratch.iter_mut();
+        let cursor = Mutex::new(items.chunks(shard_len).zip(out.chunks_mut(shard_len)).enumerate());
+        let next_shard = || cursor.lock().expect("shard cursor poisoned").next();
         scope(|s| {
-            for (i, ((item_shard, out_shard), scratch)) in
-                item_shards.zip(out_shards).zip(scratches).enumerate()
-            {
-                let f = &f;
-                let failures = &failures;
-                let action = actions[i];
+            for scratch in scratch.iter_mut().take(workers) {
+                let (f, next_shard, failures, actions) = (&f, &next_shard, &failures, &actions);
                 s.spawn(move |_| {
-                    run_shard_on_pool(
-                        f, item_shard, out_shard, scratch, action, i, policy, cancel, failures,
-                    );
+                    while let Some((i, (item_shard, out_shard))) = next_shard() {
+                        run_shard_on_pool(
+                            f, item_shard, out_shard, scratch, actions[i], i, policy, cancel,
+                            failures,
+                        );
+                    }
                 });
             }
         });
@@ -263,14 +268,14 @@ pub fn resilient_chunks_with_scratch<T, U, S>(
         }
         counters().serial_degrades.inc();
         let item_shard =
-            &items[fail.shard * shard_len..(fail.shard * shard_len + shard_len).min(items.len())];
+            items.chunks(shard_len).nth(fail.shard).expect("failed shard index within the split");
         let out_shard =
             out.chunks_mut(shard_len).nth(fail.shard).expect("failed shard index within the split");
         let result = attempt(
             &f,
             item_shard,
             out_shard,
-            &mut scratch[fail.shard],
+            &mut scratch[0],
             actions[fail.shard],
             serial_attempt,
         );
@@ -330,6 +335,7 @@ fn run_shard_on_pool<T, U, S>(
 mod tests {
     use super::*;
     use crate::chaos::ChaosPlan;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     /// Reference output for the shard closure used throughout.
     fn expected(n: usize) -> Vec<u64> {
@@ -348,6 +354,7 @@ mod tests {
             &items,
             &mut out,
             workers,
+            None,
             &mut scratch,
             || 0,
             |items, out, count| {
@@ -423,20 +430,21 @@ mod tests {
     #[test]
     fn real_panics_are_contained_and_retried_too() {
         // No chaos plan: a closure that panics by itself on its first
-        // execution of shard 1 (tracked via scratch) still recovers.
+        // execution of the shard starting at item 32 still recovers.
         let items: Vec<u64> = (0..64).collect();
         let mut out = vec![0u64; items.len()];
-        let mut scratch: Vec<u32> = Vec::new();
+        let mut scratch: Vec<()> = Vec::new();
+        let failed = AtomicBool::new(false);
         let policy = RetryPolicy { max_retries: 1, backoff: Duration::ZERO };
         resilient_chunks_with_scratch(
             &items,
             &mut out,
             2,
+            None,
             &mut scratch,
-            || 0,
-            |items, out, attempts| {
-                *attempts += 1;
-                if items[0] == 32 && *attempts == 1 {
+            || (),
+            |items, out, ()| {
+                if items[0] == 32 && !failed.swap(true, Ordering::Relaxed) {
                     panic!("flaky hardware");
                 }
                 for (i, o) in items.iter().zip(out.iter_mut()) {
@@ -446,7 +454,38 @@ mod tests {
             &policy,
             None,
         );
+        assert!(failed.load(Ordering::Relaxed), "the flaky shard must have run");
         assert_eq!(out, (1..=64).collect::<Vec<u64>>());
+    }
+
+    /// Shards outnumber workers (two workers pull eight shards here), and
+    /// the shard stays the unit of recovery: chaos aimed at shard indices
+    /// past the worker count retries, degrades or escalates exactly that
+    /// shard.
+    #[test]
+    fn shards_past_the_worker_count_recover() {
+        assert_eq!(257usize.div_ceil(shard_len(257, 2, None)), 8);
+        let policy = RetryPolicy { max_retries: 1, backoff: Duration::ZERO };
+        // Shard 5 fails once (retried on the pool); shard 7 fails both
+        // pool attempts (degraded to the calling thread). The counters
+        // are process-wide and only grow, so deltas hold under
+        // concurrent tests.
+        let (retries, degrades) =
+            (counters().shard_retries.value(), counters().serial_degrades.value());
+        let out = chaos::with_plan(ChaosPlan::new().panic_on(0, 5, 1).panic_on(0, 7, 2), || {
+            run_resilient(2, &policy, None)
+        });
+        assert_eq!(out, expected(257), "retried and degraded shards must produce correct output");
+        assert!(counters().shard_retries.value() >= retries + 2, "shards 5 and 7 retry");
+        assert!(counters().serial_degrades.value() > degrades, "shard 7 degrades");
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            chaos::with_plan(ChaosPlan::new().panic_always(6, u32::MAX), || {
+                run_resilient(2, &policy, None)
+            });
+        }))
+        .expect_err("a permanently dead shard must raise");
+        let shard_panic = caught.downcast::<ShardPanic>().expect("payload must be a ShardPanic");
+        assert_eq!(shard_panic.shard, 6, "the shard index, not the worker, must be named");
     }
 
     #[test]

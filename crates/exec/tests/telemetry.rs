@@ -26,6 +26,7 @@ fn run_resilient(workers: usize, policy: &RetryPolicy) -> Vec<u64> {
         &items,
         &mut out,
         workers,
+        None,
         &mut scratch,
         || 0,
         |items, out, _| {

@@ -23,11 +23,14 @@
 //!   (a slot → consumer-instruction CSR derived from the program's own
 //!   operands): only instructions an actually-changed word feeds are
 //!   re-evaluated, level-ordered, against an epoch-stamped overlay.
-//!   Window replay re-simulates every frame for every fault, and most
-//!   frames carry no difference at all — there early-dying events are
-//!   the right shape, with no `GateKind` match or fanin gather, and
-//!   fused NOT/BUF chains costing zero events. This is [`KernelStep`],
-//!   the per-frame step of the window replay loop.
+//!   Each window frame ends in one domain's capture, so a frame's
+//!   events are confined to that domain's [`CaptureCone`] — the
+//!   instructions whose result can reach a `D` input it loads — and
+//!   die at the cone's edge. Most frames carry little difference, so
+//!   early-dying events are the right shape, with no `GateKind` match
+//!   or fanin gather, and fused NOT/BUF chains costing zero events.
+//!   This is [`KernelStep`], the per-frame step of the window replay
+//!   loop.
 //!
 //! Both paths are bit-identical to [`KernelProgram::execute_patched`],
 //! at a fraction of the work, and their detection words equal those of
@@ -42,9 +45,9 @@
 
 use crate::model::Fault;
 use crate::sim::{Batch, CANCEL_POLL_STRIDE};
-use crate::transition::WindowState;
+use crate::transition::{CaptureWindow, WindowState};
 use lbist_exec::LaneWord;
-use lbist_netlist::{GateKind, NodeId};
+use lbist_netlist::{DomainId, GateKind, NodeId};
 use lbist_sim::{eval_gate, CompiledCircuit, KernelProgram, SlotState};
 
 /// The keep set grading needs: every node whose frame slot the fault
@@ -183,93 +186,6 @@ impl<W: LaneWord> KernelScratch<W> {
             self.mark.fill(0);
             self.queued.fill(0);
             self.epoch = 1;
-        }
-    }
-
-    /// Marks `slot` as holding the faulty word `word` and queues its
-    /// consumer instructions, widening the `[lo, hi]` level range the
-    /// drain must walk.
-    #[inline]
-    fn seed(&mut self, edges: &EventEdges, slot: usize, word: W, lo: &mut usize, hi: &mut usize) {
-        self.vals[slot] = word;
-        self.mark[slot] = self.epoch;
-        for &e in edges.of(slot) {
-            let idx = e as u32 as usize;
-            if self.queued[idx] != self.epoch {
-                self.queued[idx] = self.epoch;
-                let lvl = (e >> 32) as usize;
-                self.buckets[lvl].push(idx as u32);
-                if lvl < *lo {
-                    *lo = lvl;
-                }
-                if lvl > *hi {
-                    *hi = lvl;
-                }
-            }
-        }
-    }
-
-    /// Drains the event queue in level order: each queued instruction is
-    /// re-evaluated against the overlay; a changed result is stamped into
-    /// the overlay and queues its consumers, an unchanged result kills
-    /// the event. Level order makes single-fault propagation exact (all
-    /// operands are final before a consumer runs). A `pin`ned slot keeps
-    /// its seeded word even when reached by other events (`usize::MAX`
-    /// pins nothing). The caller reads results through `mark`/`vals`
-    /// (capture) afterwards.
-    #[inline]
-    fn drain(
-        &mut self,
-        prog: &KernelProgram,
-        edges: &EventEdges,
-        frame: &[W],
-        pin: usize,
-        lo: usize,
-        mut hi: usize,
-    ) {
-        let epoch = self.epoch;
-        let KernelScratch { vals, mark, queued, buckets, .. } = self;
-        let mut level = lo;
-        while level <= hi {
-            // Edges always target strictly higher levels, so this bucket
-            // cannot grow while draining — but `hi` can.
-            let mut i = 0;
-            while i < buckets[level].len() {
-                let idx = buckets[level][i] as usize;
-                i += 1;
-                let dst = prog.instr_dst(idx);
-                if dst == pin {
-                    continue; // the seeded site stays authoritative
-                }
-                let v = prog.eval_instr(idx, |s| {
-                    let s = s as usize;
-                    if mark[s] == epoch {
-                        vals[s]
-                    } else {
-                        frame[s]
-                    }
-                });
-                let good = frame[dst];
-                if v != good {
-                    vals[dst] = v;
-                    mark[dst] = epoch;
-                    for &e in edges.of(dst) {
-                        let j = e as u32 as usize;
-                        if queued[j] != epoch {
-                            queued[j] = epoch;
-                            let lvl = (e >> 32) as usize;
-                            buckets[lvl].push(j as u32);
-                            if lvl > hi {
-                                hi = lvl;
-                            }
-                        }
-                    }
-                }
-                // v == good: the event dies (no overlay entry needed —
-                // un-stamped slots read the fault-free frame).
-            }
-            buckets[level].clear();
-            level += 1;
         }
     }
 }
@@ -1037,12 +953,94 @@ fn dual_cone_patch_and_scan<W: LaneWord>(
     (diff1, diff2)
 }
 
-/// The per-(program, faults) transition replay plan: the event edges
-/// plus the up-front validation that every site and capture source is
-/// materialized.
+/// The capture cone of one window position: every slot whose word can
+/// reach a `D` input of a flip-flop the position's domain loads at the
+/// end of its frames. One reverse pass over the program finds it,
+/// seeded at those `D` sources, in the shape of the observability
+/// closure in [`StuckKernelPlan::build`]. It is slot-level: an
+/// instruction is in the cone iff its destination slot is, so every
+/// operand of a cone instruction is in the cone too.
+///
+/// Within a frame, faulty words live only until the frame boundary, and
+/// what survives it is what the capturing domain's flip-flops load. An
+/// instruction outside the cone cannot change a captured word, and
+/// neither can anything it feeds (a consumer in the cone would have put
+/// it in the cone). So a frame evaluates, and replays faults through,
+/// its cone alone. A domain with no flip-flops has an empty cone.
+#[derive(Debug)]
+pub(crate) struct CaptureCone {
+    /// Slot membership, one bit per slot.
+    slots: Vec<u64>,
+    /// The cone's instructions in ascending (dependency) order.
+    instrs: Vec<u32>,
+    /// `(flip-flop, D source)` of every flip-flop the domain loads.
+    captures: Vec<(NodeId, NodeId)>,
+}
+
+impl CaptureCone {
+    fn build(prog: &KernelProgram, cc: &CompiledCircuit, domain: DomainId) -> CaptureCone {
+        let captures: Vec<(NodeId, NodeId)> = cc
+            .dffs()
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| cc.dff_domain(i) == domain)
+            .map(|(_, &ff)| (ff, cc.fanins(ff)[0]))
+            .collect();
+        let mut cone = CaptureCone {
+            slots: vec![0; prog.num_nodes().div_ceil(64)],
+            instrs: Vec::new(),
+            captures,
+        };
+        for i in 0..cone.captures.len() {
+            cone.insert(cone.captures[i].1.index());
+        }
+        // Operands are defined at strictly lower instruction indices, so
+        // one reverse pass closes the cone.
+        for idx in (0..prog.num_instrs()).rev() {
+            if cone.contains(prog.instr_dst(idx)) {
+                cone.instrs.push(idx as u32);
+                prog.for_each_operand(idx, |s| cone.insert(s));
+            }
+        }
+        cone.instrs.reverse();
+        cone
+    }
+
+    fn insert(&mut self, slot: usize) {
+        self.slots[slot / 64] |= 1 << (slot % 64);
+    }
+
+    /// `true` when `slot` is in the cone.
+    #[inline]
+    pub(crate) fn contains(&self, slot: usize) -> bool {
+        self.slots[slot / 64] >> (slot % 64) & 1 != 0
+    }
+
+    /// `(flip-flop, D source)` of every flip-flop the domain loads.
+    pub(crate) fn captures(&self) -> &[(NodeId, NodeId)] {
+        &self.captures
+    }
+
+    /// Executes only the cone's instructions over `frame`: afterwards
+    /// every cone slot holds its full-execution word, provided the
+    /// frame's source slots are current. Slots outside the cone keep
+    /// whatever they held.
+    pub(crate) fn execute<W: LaneWord>(&self, prog: &KernelProgram, frame: &mut [W]) {
+        for &idx in &self.instrs {
+            let idx = idx as usize;
+            frame[prog.instr_dst(idx)] = prog.eval_instr(idx, |s| frame[s as usize]);
+        }
+    }
+}
+
+/// The per-(program, faults, window) transition replay plan: the event
+/// edges, one [`CaptureCone`] per window position, and the up-front
+/// validation that every site and capture source is materialized.
 #[derive(Debug)]
 pub struct TransitionKernelPlan {
     edges: EventEdges,
+    /// Indexed by window position: the `k`-th domain the window pulses.
+    cones: Vec<CaptureCone>,
 }
 
 impl TransitionKernelPlan {
@@ -1052,6 +1050,7 @@ impl TransitionKernelPlan {
         prog: &KernelProgram,
         cc: &CompiledCircuit,
         faults: &[Fault],
+        window: &CaptureWindow,
     ) -> TransitionKernelPlan {
         for f in faults {
             assert!(
@@ -1069,17 +1068,34 @@ impl TransitionKernelPlan {
                  program with grading_keep_set"
             );
         }
-        TransitionKernelPlan { edges: EventEdges::build(prog, cc) }
+        TransitionKernelPlan {
+            edges: EventEdges::build(prog, cc),
+            cones: window.order().iter().map(|&d| CaptureCone::build(prog, cc, d)).collect(),
+        }
+    }
+
+    /// The capture cone of window frame `frame`: that of the domain
+    /// captured at the frame's end. Frames `2k` and `2k + 1` end in
+    /// position `k`'s launch and capture pulses.
+    ///
+    /// # Panics
+    ///
+    /// Panics for the window's final frame, which captures nothing.
+    pub(crate) fn cone(&self, frame: usize) -> &CaptureCone {
+        &self.cones[frame / 2]
     }
 }
 
-/// The kernel step of transition window replay: within a frame the dirty
-/// flip-flops and (when the launch activates it) the pinned site seed the
-/// event queue, and only instructions an actually-changed word feeds are
-/// re-evaluated, level-ordered, by [`KernelScratch::drain`].
+/// The kernel step of transition window replay: within a frame the
+/// overlay's flip-flops and (when the launch activates it) the pinned
+/// site seed the event queue, and only instructions inside the frame's
+/// capture cone that an actually-changed word feeds are re-evaluated,
+/// level-ordered.
 pub(crate) struct KernelStep<'s, W: LaneWord> {
     prog: &'s KernelProgram,
-    edges: &'s EventEdges,
+    plan: &'s TransitionKernelPlan,
+    /// The capture cone of the frame being replayed.
+    cone: &'s CaptureCone,
     scratch: &'s mut KernelScratch<W>,
     /// Level range the seeds queued this frame.
     lo: usize,
@@ -1092,7 +1108,7 @@ impl<'s, W: LaneWord> KernelStep<'s, W> {
         plan: &'s TransitionKernelPlan,
         scratch: &'s mut KernelScratch<W>,
     ) -> Self {
-        KernelStep { prog, edges: &plan.edges, scratch, lo: usize::MAX, hi: 0 }
+        KernelStep { prog, plan, cone: plan.cone(0), scratch, lo: usize::MAX, hi: 0 }
     }
 }
 
@@ -1102,8 +1118,10 @@ impl<W: LaneWord> KernelStep<'_, W> {
         &mut self.scratch.window
     }
 
-    /// Starts a frame with no faulty word anywhere.
-    pub(crate) fn begin(&mut self) {
+    /// Starts window frame `frame` with no faulty word anywhere; events
+    /// stay inside its capture cone until the next `begin`.
+    pub(crate) fn begin(&mut self, frame: usize) {
+        self.cone = self.plan.cone(frame);
         self.scratch.begin();
         (self.lo, self.hi) = (usize::MAX, 0);
     }
@@ -1118,15 +1136,86 @@ impl<W: LaneWord> KernelStep<'_, W> {
         }
     }
 
-    /// Gives `node` the faulty `word` and queues its consumers.
+    /// Gives `node` the faulty `word` and queues its consumers inside
+    /// the frame's cone, widening the level range the drain must walk.
+    /// A consumer outside the cone is stamped as queued too, so later
+    /// events skip its membership test.
     pub(crate) fn seed(&mut self, node: NodeId, word: W) {
-        self.scratch.seed(self.edges, node.index(), word, &mut self.lo, &mut self.hi);
+        let (prog, cone) = (self.prog, self.cone);
+        let s = &mut *self.scratch;
+        let slot = node.index();
+        s.vals[slot] = word;
+        s.mark[slot] = s.epoch;
+        for &e in self.plan.edges.of(slot) {
+            let idx = e as u32 as usize;
+            if s.queued[idx] == s.epoch {
+                continue;
+            }
+            s.queued[idx] = s.epoch;
+            if cone.contains(prog.instr_dst(idx)) {
+                let lvl = (e >> 32) as usize;
+                s.buckets[lvl].push(idx as u32);
+                self.lo = self.lo.min(lvl);
+                self.hi = self.hi.max(lvl);
+            }
+        }
     }
 
-    /// Propagates the seeded words through the frame; a `pin`ned node
+    /// Propagates the seeded words through the frame's cone: drains the
+    /// event queue in level order, re-evaluating each queued instruction
+    /// against the overlay. A changed result is stamped into the overlay
+    /// and queues its consumers inside the cone; an unchanged result
+    /// kills the event. Level order makes single-fault propagation exact
+    /// (all operands are final before a consumer runs). A `pin`ned node
     /// keeps its seeded word even when other events reach it.
     pub(crate) fn run(&mut self, good: &[W], pin: Option<NodeId>) {
         let pin = pin.map_or(usize::MAX, NodeId::index);
-        self.scratch.drain(self.prog, self.edges, good, pin, self.lo, self.hi);
+        let (prog, edges, cone) = (self.prog, &self.plan.edges, self.cone);
+        let KernelScratch { vals, mark, queued, buckets, epoch, .. } = &mut *self.scratch;
+        let epoch = *epoch;
+        let mut hi = self.hi;
+        let mut level = self.lo;
+        while level <= hi {
+            // Edges always target strictly higher levels, so this bucket
+            // cannot grow while draining — but `hi` can.
+            let mut i = 0;
+            while i < buckets[level].len() {
+                let idx = buckets[level][i] as usize;
+                i += 1;
+                let dst = prog.instr_dst(idx);
+                if dst == pin {
+                    continue; // the seeded site stays authoritative
+                }
+                let v = prog.eval_instr(idx, |s| {
+                    let s = s as usize;
+                    if mark[s] == epoch {
+                        vals[s]
+                    } else {
+                        good[s]
+                    }
+                });
+                // v == good: the event dies (no overlay entry needed —
+                // un-stamped slots read the fault-free frame).
+                if v == good[dst] {
+                    continue;
+                }
+                vals[dst] = v;
+                mark[dst] = epoch;
+                for &e in edges.of(dst) {
+                    let j = e as u32 as usize;
+                    if queued[j] == epoch {
+                        continue;
+                    }
+                    queued[j] = epoch;
+                    if cone.contains(prog.instr_dst(j)) {
+                        let lvl = (e >> 32) as usize;
+                        buckets[lvl].push(j as u32);
+                        hi = hi.max(lvl);
+                    }
+                }
+            }
+            buckets[level].clear();
+            level += 1;
+        }
     }
 }

@@ -50,8 +50,9 @@ pub trait FaultModel<W: LaneWord>: Debug + Send + Sync + sealed::Sealed {
     type Frame<'f>: Sync;
     /// The model's kernel replay plan, built once per program.
     type Plan: Debug + Send + Sync;
-    /// Minimum faults per worker shard before auto mode engages another
-    /// worker: below it, dispatch costs more than the grading.
+    /// Minimum faults per shard before auto mode engages another worker
+    /// or splits off another shard: below it, dispatch and per-shard
+    /// set-up cost more than the grading.
     const MIN_SHARD_FAULTS: usize;
 
     /// The observation set the simulator's own program is lowered for
@@ -59,8 +60,9 @@ pub trait FaultModel<W: LaneWord>: Debug + Send + Sync + sealed::Sealed {
     /// [`grading_keep_set`]).
     fn observed(&self, cc: &CompiledCircuit) -> Vec<NodeId>;
 
-    /// Runs the batch's fault-free evaluation on `prog`.
-    fn evaluate(&mut self, cc: &CompiledCircuit, prog: &KernelProgram, frame: &mut Self::Frame<'_>);
+    /// Runs the batch's fault-free evaluation on `prog`, which `plan`
+    /// was built for.
+    fn evaluate(&mut self, prog: &KernelProgram, plan: &Self::Plan, frame: &mut Self::Frame<'_>);
 
     /// Builds the kernel replay plan for `faults`, validating that the
     /// program materializes every node the replay reads.
@@ -351,7 +353,7 @@ impl<'a, M: FaultModel<W>, W: LaneWord> FaultSim<'a, M, W> {
         let lane_mask = W::mask_lanes(num_patterns);
         {
             let _sim_span = self.phases.sim_ns.start();
-            self.model.evaluate(cc, prog, &mut frame);
+            self.model.evaluate(prog, plan, &mut frame);
         }
 
         let n_active = self.active.len();
@@ -362,8 +364,9 @@ impl<'a, M: FaultModel<W>, W: LaneWord> FaultSim<'a, M, W> {
             return Some(0);
         }
 
-        // In auto mode each worker must own a meaningful shard:
-        // dispatching pool tasks for a handful of survivors (late
+        // In auto mode each worker, and each extra shard the dispatcher
+        // splits off for balance, must own a meaningful shard: pool
+        // tasks and per-shard set-up for a handful of survivors (late
         // batches after compaction) would cost more than the grading
         // itself. An explicit budget is honoured exactly.
         let min_shard = self.threads_auto.then_some(M::MIN_SHARD_FAULTS);
@@ -379,6 +382,7 @@ impl<'a, M: FaultModel<W>, W: LaneWord> FaultSim<'a, M, W> {
             &self.active,
             &mut self.batch_det,
             workers,
+            min_shard,
             &mut self.kscratch,
             || KernelScratch::new(prog, cc),
             |shard, out, scratch| {

@@ -82,7 +82,7 @@ impl<W: LaneWord> FaultModel<W> for StuckAt {
         (0..self.observed.len()).filter(|&i| self.observed[i]).map(NodeId::from_index).collect()
     }
 
-    fn evaluate(&mut self, _: &CompiledCircuit, prog: &KernelProgram, frame: &mut &mut [W]) {
+    fn evaluate(&mut self, prog: &KernelProgram, _: &StuckKernelPlan, frame: &mut &mut [W]) {
         prog.execute(frame);
     }
 

@@ -22,14 +22,21 @@
 //! effects cross them only as wrong *values* already captured into
 //! flip-flops, which the simulator carries in a per-fault state overlay.
 //!
+//! Every frame but the last ends in one domain's pulse, and a fault
+//! effect survives the boundary only through the flip-flops that pulse
+//! loads. So each frame is evaluated, and each fault replayed, only over
+//! the frame's **capture cone**: the instructions whose result can reach
+//! a `D` input of those flip-flops (see the `kernel` module). The final
+//! frame captures nothing, so no fault is replayed through it.
+//!
 //! Grading runs on the shared [`FaultSim`] core, so it is sharded across
 //! the persistent `lbist-exec` pool exactly like stuck-at
 //! grading: the fault-free window frames are computed once and shared
 //! read-only; each worker replays faults from its shard with its own
 //! propagation scratch and flip-flop overlay, so parallel and serial
 //! coverage are bit-identical. [`replay_window`] carries a fault across
-//! the window; within a frame, [`KernelStep`] propagates it over the
-//! lowered program.
+//! the window; within a frame, [`KernelStep`] propagates it through the
+//! frame's cone of the lowered program.
 
 use crate::kernel::{KernelScratch, KernelStep, TransitionKernelPlan};
 use crate::sim::{Batch, FaultModel, FaultSim};
@@ -37,7 +44,6 @@ use crate::{Fault, FaultKind};
 use lbist_exec::LaneWord;
 use lbist_netlist::{DomainId, NodeId};
 use lbist_sim::{CompiledCircuit, KernelProgram};
-use std::collections::HashMap;
 
 /// The default 64-lane launch-on-capture simulator —
 /// [`WideTransitionSim`] at the `u64` frame width every existing call
@@ -122,14 +128,21 @@ impl CaptureWindow {
 /// The launch-on-capture transition fault model.
 ///
 /// Each batch loads the scan state (flip-flop words) and primary-input
-/// words of the base frame; the simulator replays the whole
-/// double-capture window for the fault-free circuit and then for every
-/// active fault, and compares final flip-flop states — exactly what the
-/// unload-into-MISR observes.
+/// words of the base frame; the simulator evaluates the double-capture
+/// window for the fault-free circuit, replays every active fault across
+/// it (each frame through its capture cone), and compares final
+/// flip-flop states — exactly what the unload-into-MISR observes.
 #[derive(Debug)]
 pub struct Transition<W> {
     window: CaptureWindow,
     /// Fault-free value frames, one per window frame (reused per batch).
+    /// Source slots (inputs and flip-flop states) are valid in every
+    /// frame. Frame `F0` and the final frame are full executions, so
+    /// every materialized slot is valid there. A middle frame executes
+    /// only its capture cone: its cone slots are valid and the rest keep
+    /// stale words from an earlier frame. Everything that reads a middle
+    /// frame reads cone slots only — that frame's replay, the next
+    /// capture's `D` sources, and activation at sites inside the cone.
     good_frames: Vec<Vec<W>>,
 }
 
@@ -183,24 +196,25 @@ impl<W: LaneWord> FaultModel<W> for Transition<W> {
 
     /// Computes the fault-free window: F0 from `base`, then per frame
     /// boundary the capturing domain's flip-flops load their `D` words.
-    fn evaluate(&mut self, cc: &CompiledCircuit, prog: &KernelProgram, base: &mut &[W]) {
+    /// The middle frames execute only their capture cones (see
+    /// `good_frames`); the final frame executes the whole program, so
+    /// [`WideTransitionSim::last_good_frame`] is a full evaluation.
+    fn evaluate(&mut self, prog: &KernelProgram, plan: &TransitionKernelPlan, base: &mut &[W]) {
+        let last = self.window.num_frames() - 1;
         prog.execute_into(base, &mut self.good_frames[0]);
-        for frame in 1..self.window.num_frames() {
+        for frame in 1..=last {
             let (prev_slice, rest) = self.good_frames.split_at_mut(frame);
             let prev = &prev_slice[frame - 1];
             let cur = &mut rest[0];
             cur.copy_from_slice(prev);
-            let dom = self
-                .window
-                .capturing_domain(frame - 1)
-                .expect("every non-final frame boundary captures");
-            for (i, &ff) in cc.dffs().iter().enumerate() {
-                if cc.dff_domain(i) == dom {
-                    let d_src = cc.fanins(ff)[0];
-                    cur[ff.index()] = prev[d_src.index()];
-                }
+            for &(ff, d_src) in plan.cone(frame - 1).captures() {
+                cur[ff.index()] = prev[d_src.index()];
             }
-            prog.execute(cur);
+            if frame == last {
+                prog.execute(cur);
+            } else {
+                plan.cone(frame).execute(prog, cur);
+            }
         }
     }
 
@@ -210,7 +224,7 @@ impl<W: LaneWord> FaultModel<W> for Transition<W> {
         cc: &CompiledCircuit,
         faults: &[Fault],
     ) -> TransitionKernelPlan {
-        TransitionKernelPlan::build(prog, cc, faults)
+        TransitionKernelPlan::build(prog, cc, faults, &self.window)
     }
 
     fn kernel_shard(
@@ -224,7 +238,7 @@ impl<W: LaneWord> FaultModel<W> for Transition<W> {
         out: &mut [W],
     ) {
         let step = &mut KernelStep::new(prog, plan, scratch);
-        replay_window(batch, &self.window, &self.good_frames, shard, out, step);
+        replay_window(batch, &self.window, &self.good_frames, plan, shard, out, step);
     }
 }
 
@@ -232,12 +246,14 @@ impl<W: LaneWord> FaultModel<W> for Transition<W> {
 /// batches without allocating.
 #[derive(Debug)]
 pub(crate) struct WindowState<W> {
-    /// Flip-flops currently holding a faulty word for the fault being
-    /// replayed.
-    overlay: HashMap<NodeId, W>,
-    /// Per-frame seed of overlay flip-flops that differ from the
-    /// fault-free frame.
-    dirty: Vec<(NodeId, W)>,
+    /// `(flip-flop, word)` for every flip-flop holding a faulty word for
+    /// the fault being replayed. Each word differs from the flip-flop's
+    /// fault-free state: an entry is made only by a capture that loads a
+    /// wrong word, and the fault-free state changes only at the next
+    /// capture of the same domain, which replaces the entry. So the
+    /// whole overlay seeds every frame, and detection ORs it in any
+    /// order.
+    overlay: Vec<(NodeId, W)>,
     /// Per-at-speed-frame activation words of the fault being replayed
     /// (indexed by frame).
     activation: Vec<W>,
@@ -245,7 +261,7 @@ pub(crate) struct WindowState<W> {
 
 impl<W> WindowState<W> {
     pub(crate) fn new() -> Self {
-        WindowState { overlay: HashMap::new(), dirty: Vec::new(), activation: Vec::new() }
+        WindowState { overlay: Vec::new(), activation: Vec::new() }
     }
 }
 
@@ -257,30 +273,34 @@ fn replay_window<W: LaneWord>(
     batch: &Batch<'_, W>,
     window: &CaptureWindow,
     good_frames: &[Vec<W>],
+    plan: &TransitionKernelPlan,
     shard: &[u32],
     out: &mut [W],
     step: &mut KernelStep<'_, W>,
 ) {
-    let cc = batch.cc;
     let nframes = window.num_frames();
     batch.each(shard, out, |fault| {
         let site = fault.node;
         // Precompute the activation word of every at-speed frame: where
         // the launch pulse actually creates the fault's slow transition
-        // at the site. Frames belonging to clock domains whose launch
-        // never touches the site are inert for this fault, so the replay
-        // can skip straight to the first active frame, and stop after the
-        // last one once no faulty flip-flop state is left to carry — the
-        // common case where only one domain is dirty then replays a
-        // couple of frames instead of the whole window.
+        // at the site. Only a site inside the frame's capture cone can
+        // reach what the frame captures, so a frame counts only then
+        // (membership is checked, not inferred from the middle frames'
+        // words, which are stale outside the cone). Frames belonging to
+        // clock domains whose launch never touches the site are inert
+        // for this fault, so the replay can skip straight to the first
+        // active frame, and stop after the last one once no faulty
+        // flip-flop state is left to carry — the common case where only
+        // one domain is dirty then replays a couple of frames instead of
+        // the whole window.
+        let mut first_active = usize::MAX;
+        let mut last_active = 0usize;
         let state = step.window();
         state.overlay.clear();
         state.activation.clear();
         state.activation.resize(nframes, W::zero());
-        let mut first_active = usize::MAX;
-        let mut last_active = 0usize;
         for frame in 0..nframes {
-            if !window.is_at_speed_frame(frame) {
+            if !window.is_at_speed_frame(frame) || !plan.cone(frame).contains(site.index()) {
                 continue;
             }
             let prev = good_frames[frame - 1][site.index()];
@@ -292,7 +312,7 @@ fn replay_window<W: LaneWord>(
             })
             .and(batch.lane_mask);
             if !act.is_zero() {
-                state.activation[frame] = act;
+                step.window().activation[frame] = act;
                 first_active = first_active.min(frame);
                 last_active = frame;
             }
@@ -302,28 +322,31 @@ fn replay_window<W: LaneWord>(
             return W::zero();
         }
 
-        for frame in first_active..nframes {
-            let good = &good_frames[frame];
+        // A domain captures at two consecutive boundaries, `2k` and
+        // `2k + 1`; its overlay entries start at `own`, so the second
+        // capture replaces what the first one loaded. The final frame
+        // captures nothing and is never replayed.
+        let mut own = 0;
+        let replayed = good_frames.iter().enumerate().take(nframes - 1).skip(first_active);
+        for (frame, good) in replayed {
             let state = step.window();
+            if frame % 2 == 0 {
+                own = state.overlay.len();
+            }
             let act = state.activation[frame];
-            if act.is_zero() && frame > last_active && state.overlay.is_empty() {
-                // Every remaining frame is activation-free and no faulty
-                // state survives: the rest of the window is fault-free.
-                break;
-            }
-            state.dirty.clear();
-            for (&ff, &word) in &state.overlay {
-                if word != good[ff.index()] {
-                    state.dirty.push((ff, word));
+            if act.is_zero() && state.overlay.is_empty() {
+                if frame > last_active {
+                    // Every remaining frame is activation-free and no
+                    // faulty state survives: the rest of the window is
+                    // fault-free.
+                    break;
                 }
-            }
-            if act.is_zero() && state.dirty.is_empty() {
                 continue; // nothing differs in this frame
             }
 
-            step.begin();
-            for k in 0..step.window().dirty.len() {
-                let (ff, word) = step.window().dirty[k];
+            step.begin(frame);
+            for k in 0..step.window().overlay.len() {
+                let (ff, word) = step.window().overlay[k];
                 step.seed(ff, word);
             }
             let mut pin = None;
@@ -340,19 +363,14 @@ fn replay_window<W: LaneWord>(
             }
             step.run(good, pin);
 
-            // Frame boundary: capture.
-            if let Some(dom) = window.capturing_domain(frame) {
-                for (i, &ff) in cc.dffs().iter().enumerate() {
-                    if cc.dff_domain(i) != dom {
-                        continue;
-                    }
-                    let faulty_d = step.value(cc.fanins(ff)[0], good);
-                    let overlay = &mut step.window().overlay;
-                    if faulty_d != good_frames[frame + 1][ff.index()] {
-                        overlay.insert(ff, faulty_d);
-                    } else {
-                        overlay.remove(&ff);
-                    }
+            // Frame boundary: the capturing domain's flip-flops load
+            // their faulty `D` words; the fault-free frame after the
+            // boundary holds `good[d_src]` there.
+            step.window().overlay.truncate(own);
+            for &(ff, d_src) in plan.cone(frame).captures() {
+                let faulty_d = step.value(d_src, good);
+                if faulty_d != good[d_src.index()] {
+                    step.window().overlay.push((ff, faulty_d));
                 }
             }
         }
@@ -361,7 +379,7 @@ fn replay_window<W: LaneWord>(
         // out through the MISR.
         let final_frame = &good_frames[nframes - 1];
         let overlay = &step.window().overlay;
-        overlay.iter().fold(W::zero(), |d, (&ff, &word)| d.or(word.xor(final_frame[ff.index()])))
+        overlay.iter().fold(W::zero(), |d, &(ff, word)| d.or(word.xor(final_frame[ff.index()])))
     });
 }
 
@@ -492,6 +510,64 @@ mod tests {
         sim.run_batch(&base, 8);
         assert_eq!(sim.detections()[0], 8, "STR detected despite inert domain-0 frames");
         assert_eq!(sim.detections()[1], 0, "STF never excited anywhere in the window");
+    }
+
+    /// The middle frames execute only their capture cones, but the
+    /// window's end is a full evaluation: after a batch,
+    /// `last_good_frame()` equals a re-simulation that executes the whole
+    /// program in every frame, on every node — including logic no
+    /// flip-flop captures, which is stale in the middle frames.
+    #[test]
+    fn last_good_frame_equals_full_window_resimulation() {
+        let d = DomainId::new;
+        let mut nl = Netlist::new("full");
+        let pi0 = nl.add_input("pi0");
+        let pi1 = nl.add_input("pi1");
+        let a0 = nl.add_dff(pi0, d(0));
+        let g0 = nl.add_gate(GateKind::Nand, &[a0, pi1]);
+        let b0 = nl.add_dff(g0, d(0));
+        let a1 = nl.add_dff(b0, d(1));
+        let g1 = nl.add_gate(GateKind::Xor, &[a1, b0]);
+        let b1 = nl.add_dff(g1, d(1));
+        let a2 = nl.add_dff(g1, d(2));
+        let g2 = nl.add_gate(GateKind::And, &[a2, a0]);
+        let b2 = nl.add_dff(g2, d(2));
+        // Observed but captured by no flip-flop: outside every cone.
+        let h = nl.add_gate(GateKind::Or, &[b2, a1]);
+        let h_bar = nl.add_gate(GateKind::Not, &[h]);
+        nl.add_output("q", h_bar);
+        nl.add_output("r", b1);
+        let cc = CompiledCircuit::compile(&nl).unwrap();
+        let faults: Vec<Fault> = [g0, g1, g2, h]
+            .iter()
+            .flat_map(|&g| {
+                [Fault::stem(g, FaultKind::SlowToRise), Fault::stem(g, FaultKind::SlowToFall)]
+            })
+            .collect();
+        let window = CaptureWindow::new(vec![d(2), d(0), d(1)]);
+        let mut base = cc.new_frame();
+        for (k, &src) in cc.inputs().iter().chain(cc.dffs()).enumerate() {
+            base[src.index()] = 0x9E37_79B9_7F4A_7C15u64.rotate_left(11 * k as u32);
+        }
+        let mut sim = TransitionSim::new(&cc, faults.clone(), window.clone());
+        sim.run_batch(&base, 64);
+
+        // The simulator lowers its program from the same keep set.
+        let observed = crate::WideStuckAtSim::<u64>::observe_all_captures(&cc);
+        let prog = KernelProgram::lower(&cc, &crate::grading_keep_set(&cc, &[&faults], &observed));
+        let mut frame = base.clone();
+        prog.execute(&mut frame);
+        for f in 1..window.num_frames() {
+            let prev = frame.clone();
+            let dom = window.capturing_domain(f - 1).unwrap();
+            for (i, &ff) in cc.dffs().iter().enumerate() {
+                if cc.dff_domain(i) == dom {
+                    frame[ff.index()] = prev[cc.fanins(ff)[0].index()];
+                }
+            }
+            prog.execute(&mut frame);
+        }
+        assert_eq!(sim.last_good_frame(), &frame[..]);
     }
 
     #[test]

@@ -43,10 +43,11 @@ fn arb_comb_netlist() -> impl Strategy<Value = Netlist> {
 }
 
 /// Strategy: a random small *sequential* netlist — gates interleaved with
-/// flip-flops across two clock domains (acyclic by construction).
-fn arb_seq_netlist() -> impl Strategy<Value = Netlist> {
-    (2usize..5, proptest::collection::vec((0usize..6, 0usize..100, 0usize..100), 4..32)).prop_map(
-        |(num_inputs, specs)| {
+/// flip-flops across `domains` clock domains (acyclic by construction).
+fn arb_seq_netlist(domains: u16) -> impl Strategy<Value = Netlist> {
+    let selectors = 4 + usize::from(domains);
+    (2usize..5, proptest::collection::vec((0usize..selectors, 0usize..100, 0usize..100), 4..32))
+        .prop_map(move |(num_inputs, specs)| {
             let mut nl = Netlist::new("seqprop");
             let mut pool: Vec<NodeId> =
                 (0..num_inputs).map(|i| nl.add_input(&format!("i{i}"))).collect();
@@ -58,20 +59,20 @@ fn arb_seq_netlist() -> impl Strategy<Value = Netlist> {
                     1 => nl.add_gate(GateKind::Or, &[fa, fb]),
                     2 => nl.add_gate(GateKind::Xor, &[fa, fb]),
                     3 => nl.add_gate(GateKind::Not, &[fa]),
-                    4 => nl.add_dff(fa, DomainId::new(0)),
-                    _ => nl.add_dff(fa, DomainId::new(1)),
+                    _ => nl.add_dff(fa, DomainId::new((sel - 4) as u16)),
                 };
                 pool.push(node);
             }
-            // Guarantee both domains exist (the capture window pulses both)
-            // and something is observed.
-            let last = *pool.last().unwrap();
-            let ff0 = nl.add_dff(last, DomainId::new(0));
-            let ff1 = nl.add_dff(ff0, DomainId::new(1));
-            nl.add_output("y", ff1);
+            // Guarantee every domain exists (a window may pulse each one)
+            // and something is observed: a chain of one flip-flop per
+            // domain ends in the output.
+            let mut last = *pool.last().unwrap();
+            for d in 0..domains {
+                last = nl.add_dff(last, DomainId::new(d));
+            }
+            nl.add_output("y", last);
             nl
-        },
-    )
+        })
 }
 
 /// `nl` with some flip-flops' `D` pins rewired to arbitrary nodes, later
@@ -82,7 +83,7 @@ fn with_feedback(mut nl: Netlist, pick: u64) -> Netlist {
     let sources: Vec<NodeId> = nl.ids().filter(|&n| nl.kind(n) != GateKind::Output).collect();
     for (i, ff) in nl.dffs().to_vec().into_iter().enumerate() {
         let r = pick.rotate_left(7 * i as u32);
-        if r % 3 == 0 {
+        if r.is_multiple_of(3) {
             nl.set_fanin(ff, 0, sources[(r >> 2) as usize % sources.len()]).unwrap();
         }
     }
@@ -129,15 +130,20 @@ fn stuck_at_matches_oracle<W: LaneWord>(nl: &Netlist, stim: u64, batches: u64, t
 }
 
 /// [`stuck_at_matches_oracle`] for launch-on-capture transition grading
-/// of the collapsed stem faults across a window pulsing both domains.
-fn transition_matches_oracle<W: LaneWord>(nl: &Netlist, stim: u64, batches: u64, threads: usize) {
+/// of the collapsed stem faults across `window`.
+fn transition_matches_oracle<W: LaneWord>(
+    nl: &Netlist,
+    window: &CaptureWindow,
+    stim: u64,
+    batches: u64,
+    threads: usize,
+) {
     let cc = CompiledCircuit::compile(nl).unwrap();
     let faults: Vec<Fault> = FaultUniverse::transition(nl)
         .representatives()
         .into_iter()
         .filter(Fault::is_stem)
         .collect();
-    let window = CaptureWindow::all_domains(2);
     let mut sim = WideTransitionSim::<W>::new(&cc, faults.clone(), window.clone());
     sim.set_drop_after(u32::MAX);
     sim.set_threads(threads);
@@ -145,13 +151,19 @@ fn transition_matches_oracle<W: LaneWord>(nl: &Netlist, stim: u64, batches: u64,
     for k in 0..batches {
         let base = random_sources::<W>(&cc, stim, k);
         for (e, w) in
-            expect.iter_mut().zip(oracle::transition(&cc, &faults, &window, &base, W::LANES))
+            expect.iter_mut().zip(oracle::transition(&cc, &faults, window, &base, W::LANES))
         {
             *e += w.count_ones();
         }
         sim.run_batch(&base, W::LANES);
     }
-    assert_eq!(sim.detections(), &expect[..], "{} lanes, {threads} threads", W::LANES);
+    assert_eq!(
+        sim.detections(),
+        &expect[..],
+        "{} lanes, {threads} threads, window {:?}",
+        W::LANES,
+        window.order()
+    );
 }
 
 proptest! {
@@ -279,7 +291,7 @@ proptest! {
     /// The same contract for launch-on-capture transition grading on
     /// random sequential netlists with two clock domains.
     #[test]
-    fn parallel_transition_coverage_equals_serial(nl in arb_seq_netlist(), stim: u64) {
+    fn parallel_transition_coverage_equals_serial(nl in arb_seq_netlist(2), stim: u64) {
         let cc = CompiledCircuit::compile(&nl).unwrap();
         let faults: Vec<Fault> = nl
             .ids()
@@ -326,7 +338,7 @@ proptest! {
     /// serial and sharded.
     #[test]
     fn stuck_at_grading_matches_oracle(
-        nl in arb_seq_netlist(),
+        nl in arb_seq_netlist(2),
         feedback: u64,
         stim: u64,
         batches in 2u64..4,
@@ -341,15 +353,43 @@ proptest! {
     /// The same contract for launch-on-capture transition grading.
     #[test]
     fn transition_grading_matches_oracle(
-        nl in arb_seq_netlist(),
+        nl in arb_seq_netlist(2),
         feedback: u64,
         stim: u64,
         batches in 2u64..4,
     ) {
         let nl = with_feedback(nl, feedback);
+        let window = CaptureWindow::all_domains(2);
         for threads in [1, 3] {
-            transition_matches_oracle::<u64>(&nl, stim, batches, threads);
-            transition_matches_oracle::<u128>(&nl, stim, batches, threads);
+            transition_matches_oracle::<u64>(&nl, &window, stim, batches, threads);
+            transition_matches_oracle::<u128>(&nl, &window, stim, batches, threads);
+        }
+    }
+
+    /// The transition contract on three-domain netlists, under windows
+    /// that pulse every domain, pulse against index order and leave a
+    /// domain out ([2, 0]), and pulse a single domain ([1]): each frame
+    /// ends in a different domain's capture, so fault sites fall
+    /// outside some frames' capture cones.
+    #[test]
+    fn transition_grading_matches_oracle_three_domains(
+        nl in arb_seq_netlist(3),
+        feedback: u64,
+        stim: u64,
+        batches in 2u64..4,
+    ) {
+        let nl = with_feedback(nl, feedback);
+        let d = DomainId::new;
+        let windows = [
+            CaptureWindow::all_domains(3),
+            CaptureWindow::new(vec![d(2), d(0)]),
+            CaptureWindow::new(vec![d(1)]),
+        ];
+        for window in &windows {
+            for threads in [1, 3] {
+                transition_matches_oracle::<u64>(&nl, window, stim, batches, threads);
+                transition_matches_oracle::<u128>(&nl, window, stim, batches, threads);
+            }
         }
     }
 
