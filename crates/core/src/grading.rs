@@ -88,6 +88,16 @@ pub struct GradingMetrics {
     pub kernel_instrs: Counter,
     /// Gates fused away during lowering (`sim.kernel.fused_gates`).
     pub kernel_fused_gates: Counter,
+    /// Stuck-at stem observabilities computed
+    /// (`grading.stuck.stem_replays`).
+    pub stem_replays: Counter,
+    /// Stuck-at faults that reached an already-computed stem
+    /// (`grading.stuck.stem_hits`). `faults_graded` minus both stem
+    /// counters is the faults settled without a stem replay.
+    pub stem_hits: Counter,
+    /// Instructions the replay event drain evaluated
+    /// (`grading.drain_evals`).
+    pub drain_evals: Counter,
 }
 
 impl GradingMetrics {
@@ -106,11 +116,14 @@ impl GradingMetrics {
             kernel_compile_ns: registry.histogram("sim.kernel.compile_ns"),
             kernel_instrs: registry.counter("sim.kernel.instrs"),
             kernel_fused_gates: registry.counter("sim.kernel.fused_gates"),
+            stem_replays: registry.counter("grading.stuck.stem_replays"),
+            stem_hits: registry.counter("grading.stuck.stem_hits"),
+            drain_evals: registry.counter("grading.drain_evals"),
         }
     }
 
-    /// The phase and lowering handles the session forwards into the
-    /// fault simulator.
+    /// The phase, lowering and replay-count handles the session forwards
+    /// into the fault simulator.
     fn sim_phases(&self) -> SimPhaseMetrics {
         SimPhaseMetrics {
             sim_ns: self.sim_ns.clone(),
@@ -118,6 +131,9 @@ impl GradingMetrics {
             kernel_compile_ns: self.kernel_compile_ns.clone(),
             kernel_instrs: self.kernel_instrs.clone(),
             kernel_fused_gates: self.kernel_fused_gates.clone(),
+            stem_replays: self.stem_replays.clone(),
+            stem_hits: self.stem_hits.clone(),
+            drain_evals: self.drain_evals.clone(),
         }
     }
 }

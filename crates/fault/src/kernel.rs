@@ -1,40 +1,40 @@
-//! Kernel-backed fault grading: replaying faults as patched instructions
-//! over the lowered program.
+//! Kernel-backed fault grading: replaying faults over the lowered
+//! program.
 //!
 //! Every simulator grades on a compiled [`KernelProgram`]: the one it
 //! lowers at its first batch, or a shared one installed with
 //! [`crate::FaultSim::set_kernel`]. Fault-free evaluation runs the flat
-//! bytecode, and per-fault replay is patched-instruction execution, in
-//! the shape that fits each fault model:
+//! bytecode. Fault effects travel through one **event drain**,
+//! [`KernelStep`]: seeded slots queue their consumers over
+//! [`EventEdges`] (a slot → consumer-instruction CSR derived from the
+//! program's own operands), and only instructions an actually-changed
+//! word feeds are re-evaluated, level-ordered, against an epoch-stamped
+//! overlay. Events stay inside a [`SlotClosure`], the slots whose word
+//! can reach a set of seed slots, and die at its edge. There is no
+//! `GateKind` match or fanin gather, and fused NOT/BUF chains cost zero
+//! events. Each fault model uses the drain in the shape that fits it:
 //!
-//! * **Stuck-at** faults replay as a **patched suffix re-execution**.
-//!   Each worker keeps a *shadow frame*; injecting a fault writes the
-//!   forced word over the site instruction's slot and linearly re-runs
-//!   only the instructions after the patch point — a branch-free
-//!   [`KernelProgram::execute_range`] with no overlay checks, no queue,
-//!   and no per-gate dispatch. Because the active-fault list is level
-//!   sorted, consecutive patch points are non-decreasing and restoring
-//!   the shadow frame between faults costs one pass over the program per
-//!   shard, amortized. PPSFP words make this the right shape: with 64+
-//!   patterns per word an excited fault's difference word almost never
-//!   dies, so sparse propagation revisits most of the suffix anyway —
-//!   at a much higher cost per instruction.
-//! * **Transition** faults replay **event-driven** over [`EventEdges`]
-//!   (a slot → consumer-instruction CSR derived from the program's own
-//!   operands): only instructions an actually-changed word feeds are
-//!   re-evaluated, level-ordered, against an epoch-stamped overlay.
+//! * **Stuck-at** faults are graded by **critical-path tracing to their
+//!   fanout-free-region stem** (see [`StuckKernelPlan`]). The effect is
+//!   traced from the site along the region's single path, one AND per
+//!   hop, which finds the lanes on which it reaches the stem. At the
+//!   stem, the detection word is those lanes ANDed with the stem's
+//!   observability, which one drain inside the observability closure
+//!   computes. The faults of a region share that drain through a
+//!   per-shard memo. With 64+ patterns per word the faults that
+//!   survive the first batches are the random-pattern-resistant tail,
+//!   whose effects die within a few gates of the site. Most of them
+//!   cost a handful of evaluations and no drain at all.
+//! * **Transition** faults replay frame by frame through the window.
 //!   Each window frame ends in one domain's capture, so a frame's
-//!   events are confined to that domain's [`CaptureCone`] — the
-//!   instructions whose result can reach a `D` input it loads — and
-//!   die at the cone's edge. Most frames carry little difference, so
-//!   early-dying events are the right shape, with no `GateKind` match
-//!   or fanin gather, and fused NOT/BUF chains costing zero events.
-//!   This is [`KernelStep`], the per-frame step of the window replay
-//!   loop.
+//!   events are confined to that domain's capture cone: the closure of
+//!   the `D` sources it loads. Most frames carry little difference, so
+//!   early-dying events are the right shape.
 //!
-//! Both paths are bit-identical to [`KernelProgram::execute_patched`],
-//! at a fraction of the work, and their detection words equal those of
-//! the slow reference grader in [`crate::oracle`] (property-tested).
+//! Both paths give the detection words of full patched execution
+//! ([`KernelProgram::execute_patched`]) at a fraction of the work, and
+//! equal those of the slow reference grader in [`crate::oracle`]
+//! (property-tested).
 //!
 //! The plans here are built once per (program, fault list, observation
 //! set) and validated up front: every node the replay reads — fault
@@ -44,11 +44,11 @@
 //! set fails loudly at plan build, never silently misgrades.
 
 use crate::model::Fault;
-use crate::sim::{Batch, CANCEL_POLL_STRIDE};
+use crate::sim::Batch;
 use crate::transition::{CaptureWindow, WindowState};
 use lbist_exec::LaneWord;
 use lbist_netlist::{DomainId, GateKind, NodeId};
-use lbist_sim::{eval_gate, CompiledCircuit, KernelProgram, SlotState};
+use lbist_sim::{eval_gate, CompiledCircuit, KernelProgram};
 
 /// The keep set grading needs: every node whose frame slot the fault
 /// simulators read must stay materialized when lowering the kernel
@@ -91,7 +91,7 @@ pub fn grading_keep_set(
 /// edge list is exactly the set of instructions whose result could
 /// change when that slot's word changes.
 #[derive(Debug)]
-struct EventEdges {
+pub(crate) struct EventEdges {
     /// CSR starts per slot, one past-the-end entry.
     start: Vec<u32>,
     edges: Vec<u64>,
@@ -126,27 +126,103 @@ impl EventEdges {
     }
 }
 
-/// Per-worker replay scratch: the stuck-at shadow frames, the
-/// epoch-stamped faulty-slot overlay and level-bucketed event queue of
-/// the transition drain, plus the transition window state — reused
-/// across faults and batches.
+/// The closure of a set of seed slots: every slot whose word can reach
+/// a seed, the seeds included. One reverse pass over the program builds
+/// it, because operands are defined at strictly lower instruction
+/// indices. It is slot-level: an instruction is in the closure iff its
+/// destination slot is, so every operand of a closure instruction is in
+/// the closure too.
+///
+/// An instruction outside the closure cannot change a seed's word, and
+/// neither can anything it feeds (a consumer in the closure would have
+/// put it in the closure). So the event drain never leaves it:
+///
+/// * the stuck-at plan seeds it at the observed slots (the
+///   **observability closure**; a fault site outside it is never
+///   detected);
+/// * the transition plan builds one per window position, seeded at the
+///   `D` sources of the flip-flops that position's domain loads (the
+///   position's **capture cone**; a domain with no flip-flops has an
+///   empty one).
+#[derive(Debug)]
+pub(crate) struct SlotClosure {
+    /// Membership, one bit per slot.
+    slots: Vec<u64>,
+    /// Seed membership, one bit per slot.
+    seeds: Vec<u64>,
+    /// The closure's instructions in ascending (dependency) order.
+    instrs: Vec<u32>,
+}
+
+impl SlotClosure {
+    fn build(prog: &KernelProgram, seeds: impl IntoIterator<Item = usize>) -> SlotClosure {
+        let words = prog.num_nodes().div_ceil(64);
+        let mut closure =
+            SlotClosure { slots: vec![0; words], seeds: vec![0; words], instrs: Vec::new() };
+        for s in seeds {
+            insert(&mut closure.seeds, s);
+        }
+        closure.slots.copy_from_slice(&closure.seeds);
+        for idx in (0..prog.num_instrs()).rev() {
+            if closure.contains(prog.instr_dst(idx)) {
+                closure.instrs.push(idx as u32);
+                prog.for_each_operand(idx, |s| insert(&mut closure.slots, s));
+            }
+        }
+        closure.instrs.reverse();
+        closure
+    }
+
+    /// `true` when `slot` is in the closure.
+    #[inline]
+    pub(crate) fn contains(&self, slot: usize) -> bool {
+        member(&self.slots, slot)
+    }
+
+    /// `true` when `slot` is one of the seeds the closure was built from.
+    #[inline]
+    fn is_seed(&self, slot: usize) -> bool {
+        member(&self.seeds, slot)
+    }
+
+    /// Executes only the closure's instructions over `frame`: afterwards
+    /// every closure slot holds its full-execution word, provided the
+    /// frame's source slots are current. Slots outside the closure keep
+    /// whatever they held.
+    pub(crate) fn execute<W: LaneWord>(&self, prog: &KernelProgram, frame: &mut [W]) {
+        for &idx in &self.instrs {
+            let idx = idx as usize;
+            frame[prog.instr_dst(idx)] = prog.eval_instr(idx, |s| frame[s as usize]);
+        }
+    }
+}
+
+fn insert(bits: &mut [u64], slot: usize) {
+    bits[slot / 64] |= 1 << (slot % 64);
+}
+
+#[inline]
+fn member(bits: &[u64], slot: usize) -> bool {
+    bits[slot / 64] >> (slot % 64) & 1 != 0
+}
+
+/// Work counts a worker's replays accumulate; the simulator flushes them
+/// into its phase counters once per batch.
+#[derive(Debug, Default)]
+pub(crate) struct ReplayCounts {
+    /// Stuck-at stem observabilities computed (per-shard memo misses).
+    pub(crate) stem_replays: u64,
+    /// Stuck-at faults that reached a stem already in the memo.
+    pub(crate) stem_hits: u64,
+    /// Instructions the event drain evaluated, both fault models.
+    pub(crate) drain_evals: u64,
+}
+
+/// Per-worker replay scratch: the epoch-stamped faulty-slot overlay and
+/// level-bucketed event queue of the drain, the stuck-at stem memo, and
+/// the transition window state — reused across faults and batches.
 #[derive(Debug)]
 pub struct KernelScratch<W: LaneWord> {
-    /// Stuck-at suffix-execution frame: equals the fault-free frame on
-    /// every slot an instruction before the current patch point writes,
-    /// stale after it (the next injection restores exactly the gap).
-    shadow: Vec<W>,
-    /// Stuck-at cone-replay frame, fully restored after every replay so
-    /// it always equals the fault-free frame on entry — cone instruction
-    /// operands may read *outside* the cone, where the suffix frame
-    /// could be stale, so the two modes never share a frame.
-    cone_shadow: Vec<W>,
-    /// Second cone frame, same invariant: paired replay walks one cone
-    /// over two shadows at once.
-    cone_shadow2: Vec<W>,
-    /// Second suffix frame with its own stale region: paired suffix
-    /// replay re-executes one shared suffix over both.
-    shadow_b: Vec<W>,
     /// Faulty slot words, valid where `mark` holds the current epoch.
     vals: Vec<W>,
     mark: Vec<u32>,
@@ -155,26 +231,34 @@ pub struct KernelScratch<W: LaneWord> {
     epoch: u32,
     /// Pending instruction indices per level; always drained empty.
     buckets: Vec<Vec<u32>>,
+    /// Stuck-at stem observability words, valid where `memo_mark` holds
+    /// `memo_epoch`. Sized at the first stuck-at shard.
+    memo: Vec<W>,
+    memo_mark: Vec<u32>,
+    /// Bumped at every stuck-at shard: a memo entry never outlives the
+    /// fault-free frame it was computed on.
+    memo_epoch: u32,
     /// Transition window replay state.
     window: WindowState<W>,
     /// Branch-injection fanin gather buffer.
     fanin_buf: Vec<W>,
+    pub(crate) counts: ReplayCounts,
 }
 
 impl<W: LaneWord> KernelScratch<W> {
     pub(crate) fn new(prog: &KernelProgram, cc: &CompiledCircuit) -> Self {
         KernelScratch {
-            shadow: Vec::new(),
-            cone_shadow: Vec::new(),
-            cone_shadow2: Vec::new(),
-            shadow_b: Vec::new(),
             vals: vec![W::zero(); prog.num_nodes()],
             mark: vec![0; prog.num_nodes()],
             queued: vec![0; prog.num_instrs()],
             epoch: 0,
             buckets: vec![Vec::new(); cc.max_level() as usize + 2],
+            memo: Vec::new(),
+            memo_mark: Vec::new(),
+            memo_epoch: 0,
             window: WindowState::new(),
             fanin_buf: Vec::new(),
+            counts: ReplayCounts::default(),
         }
     }
 
@@ -188,47 +272,30 @@ impl<W: LaneWord> KernelScratch<W> {
             self.epoch = 1;
         }
     }
+
+    /// Starts a fresh stem-memo epoch for a shard graded against a new
+    /// fault-free frame.
+    fn begin_memo(&mut self) {
+        if self.memo.len() != self.vals.len() {
+            self.memo = vec![W::zero(); self.vals.len()];
+            self.memo_mark = vec![0; self.vals.len()];
+        }
+        self.memo_epoch = self.memo_epoch.wrapping_add(1);
+        if self.memo_epoch == 0 {
+            self.memo_mark.fill(0);
+            self.memo_epoch = 1;
+        }
+    }
 }
 
-/// Floor of the cone-size ceiling. The ceiling itself scales with the
-/// program (`num_instrs / 16`, at least this): a cone entry costs more
-/// than a sequential suffix instruction (random `instrs[]` access plus
-/// a restore pass), so small programs want small cones, while on large
-/// programs even a many-hundred-entry cone beats a multi-thousand
-/// instruction suffix. The cap also bounds plan-build time (an aborted
-/// traversal costs its whole budget) and arena memory.
-const CONE_BUDGET_FLOOR: usize = 128;
-
-/// How a patched site's downstream effect is recomputed, chosen per
-/// patched slot at plan build by comparing the two costs.
-#[derive(Debug, Clone, Copy)]
-enum Replay {
-    /// Re-execute every instruction after the patch point (branch-free
-    /// linear [`KernelProgram::execute_range`]): cheapest when the
-    /// fault's cone covers much of the remaining program, or sits so
-    /// late that the suffix is short.
-    Suffix,
-    /// Walk the precomputed forward-cone instruction list (`len`
-    /// instruction indices from `start` in
-    /// [`StuckKernelPlan::cone_arena`], ascending = dependency order):
-    /// cheapest for the common shallow fault whose cone is a sliver of
-    /// the suffix. Cone replays restore every slot they wrote, so they
-    /// leave the shadow frame exactly as they found it. Detection scans
-    /// only the observed cone destinations, during the restore —
-    /// everything else provably equals the fault-free frame. (An
-    /// event-skipping variant that stamp-checks operands was measured
-    /// slower here: with 64+ patterns per word the difference word
-    /// almost never dies, so the stamp loads are pure overhead.)
-    Cone { start: u32, len: u32 },
-}
-
-/// Index of the one shared [`Replay::Suffix`] entry in
-/// [`StuckKernelPlan::replays`].
-const SUFFIX: u32 = 0;
+/// `ffr_next` entry of a slot with no reader yet (plan build only).
+const UNREAD: u32 = u32::MAX;
+/// `ffr_next` entry of a stem: the slot is observed or read more than
+/// once. Every entry at or above it ends the walk.
+const STEM: u32 = u32::MAX - 1;
 
 /// How one stuck-at fault is injected on the kernel path, resolved once
-/// at plan build (the per-fault twin of `inject_stuck_at`). Each
-/// `replay` indexes [`StuckKernelPlan::replays`].
+/// at plan build (the per-fault twin of `inject_stuck_at`).
 #[derive(Debug, Clone, Copy)]
 enum Inject {
     /// The injection site is a flip-flop (stem on Q, or a branch on the
@@ -239,43 +306,53 @@ enum Inject {
     DPin { site: u32, d_src: u32, force1: bool, excite_site: bool },
     /// No observed slot is forward-reachable from the site (and the site
     /// itself is unobserved): the detection word is identically zero for
-    /// every pattern, so the fault costs nothing per batch. Resolved by a
-    /// single reverse reachability pass at plan build.
+    /// every pattern, so the fault costs nothing per batch.
     Dead,
-    /// Output-stem fault at a materialized instruction: overwrite the
-    /// instruction's slot with the forced word and replay downstream.
-    PatchInstr { instr: u32, dst: u32, force1: bool, replay: u32 },
-    /// Output-stem fault at a frame source (a primary input): force the
-    /// source slot and replay from the top of the program.
-    SourceStem { site: u32, force1: bool, replay: u32 },
+    /// Output-stem fault at a materialized slot (an instruction's or a
+    /// frame source's): the forced word replaces the slot's word.
+    Stem { slot: u32, force1: bool },
     /// Input-branch fault on a logic gate: re-evaluate the gate with one
-    /// pin forced, patch the gate's instruction slot with the result and
-    /// replay downstream.
-    Branch { instr: u32, dst: u32, pin: u8, force1: bool, replay: u32 },
+    /// pin forced; the result replaces the gate's slot word.
+    Branch { dst: u32, pin: u8, force1: bool },
 }
 
-// One entry per fault lives as long as the plan: keep it at 16 bytes.
-const _: () = assert!(std::mem::size_of::<Inject>() == 16);
+// One entry per fault lives as long as the plan: keep it at 12 bytes.
+const _: () = assert!(std::mem::size_of::<Inject>() == 12);
 
-/// The per-(program, faults, observation) stuck-at replay plan.
+/// The per-(program, faults, observation) stuck-at plan: each fault's
+/// injection, each slot's fanout-free-region successor, and the event
+/// drain's edges and observability closure.
+///
+/// # Why tracing to the stem is exact
+///
+/// Lanes are independent: a detection word is 64 or 128 separate
+/// patterns. A slot that exactly one instruction operand reads and that
+/// is not observed lies inside a **fanout-free region**, and its reader
+/// is its FFR successor. Every other slot is a **stem**; observed slots
+/// always are. An effect entering a region therefore travels one path
+/// to the region's stem, and the side inputs along the path are outside
+/// the fault's fanout, so they hold fault-free words.
+///
+/// Let `r` be the lanes on which the effect has reached the current
+/// slot: the excited word XOR the fault-free word at the site. At each
+/// hop, `r` is ANDed with the lanes on which complementing the path
+/// operand flips the consumer's result. On the stem the faulty word is
+/// then `good ^ r`, so whether lane `L` shows an observed difference
+/// depends only on whether the stem is flipped on lane `L`. Hence
+/// `det = r & obs(stem)`, where `obs(stem)` is the lanes on which
+/// complementing the stem on every lane changes some observed slot (for
+/// an observed stem, every lane). `obs(stem)` depends only on the
+/// batch's fault-free frame, so memoizing it can never change a result.
 #[derive(Debug)]
 pub struct StuckKernelPlan {
     /// Aligned with the simulator's fault list.
     injects: Vec<Inject>,
-    /// Replay decisions: [`SUFFIX`] first, then one [`Replay::Cone`] per
-    /// patched slot whose cone fits — faults on the same gate share one.
-    replays: Vec<Replay>,
-    /// Observation flag per slot.
-    observed: Vec<bool>,
-    /// `(instruction index, dst slot)` of every observed instruction-
-    /// computed slot, in instruction order: the detection scan walks the
-    /// entries at or after the patch point (slots before it equal the
-    /// fault-free frame by the shadow invariant; observed *source* slots
-    /// never change — only the source-stem site itself, handled
-    /// explicitly).
-    obs_scan: Vec<(u32, u32)>,
-    /// Concatenated [`Replay::Cone`] instruction lists.
-    cone_arena: Vec<u32>,
+    /// Per slot: the FFR successor instruction, or an entry at or above
+    /// [`STEM`] at a stem.
+    ffr_next: Vec<u32>,
+    edges: EventEdges,
+    /// The observability closure, seeded at the observed slots.
+    closure: SlotClosure,
 }
 
 impl StuckKernelPlan {
@@ -325,28 +402,15 @@ impl StuckKernelPlan {
                 }
             }
         }
-        // Observability closure: `reaches[s]` ⇔ some observed slot is
-        // forward-reachable from `s` (or `s` is observed itself). One
-        // reverse pass suffices because operands are defined at strictly
-        // lower instruction indices. Faults below an unreachable site
-        // can never be detected — a diff scan over observed slots is
-        // identically zero for them — so they are planned as
-        // [`Inject::Dead`] and skipped per batch.
-        let mut reaches = observed.to_vec();
-        for idx in (0..prog.num_instrs()).rev() {
-            if reaches[prog.instr_dst(idx)] {
-                prog.for_each_operand(idx, |s| reaches[s] = true);
-            }
-        }
-        let mut cones = ConeBuilder::new(prog, cc);
-        let injects: Vec<Inject> = faults
+        // A fault below a site outside the observability closure can
+        // never be detected, so it is planned as `Dead` and skipped per
+        // batch.
+        let closure = SlotClosure::build(prog, (0..observed.len()).filter(|&i| observed[i]));
+        let injects = faults
             .iter()
             .map(|f| {
                 let site = f.node;
                 let force1 = f.kind.faulty_value();
-                if cc.kind(site) != GateKind::Dff && !reaches[site.index()] {
-                    return Inject::Dead;
-                }
                 if cc.kind(site) == GateKind::Dff {
                     Inject::DPin {
                         site: site.index() as u32,
@@ -354,148 +418,30 @@ impl StuckKernelPlan {
                         force1,
                         excite_site: f.is_stem(),
                     }
-                } else if f.is_stem() {
-                    match prog.slot_state(site) {
-                        SlotState::Instr(idx) => Inject::PatchInstr {
-                            instr: idx as u32,
-                            dst: site.index() as u32,
-                            force1,
-                            replay: cones.replay_of(site.index(), idx),
-                        },
-                        SlotState::Source => Inject::SourceStem {
-                            site: site.index() as u32,
-                            force1,
-                            replay: cones.replay_of(site.index(), 0),
-                        },
-                        // `has_slot` was asserted above.
-                        state => unreachable!("stem site {site} lowered as {state:?}"),
-                    }
+                } else if !closure.contains(site.index()) {
+                    Inject::Dead
+                } else if let Some(pin) = f.pin {
+                    Inject::Branch { dst: site.index() as u32, pin, force1 }
                 } else {
-                    let SlotState::Instr(idx) = prog.slot_state(site) else {
-                        // Branch sites are scheduled gates; kept gates
-                        // always materialize as instructions.
-                        unreachable!("branch gate {site} has no instruction")
-                    };
-                    Inject::Branch {
-                        instr: idx as u32,
-                        dst: site.index() as u32,
-                        pin: f.pin.expect("branch faults carry a pin"),
-                        force1,
-                        replay: cones.replay_of(site.index(), idx),
-                    }
+                    Inject::Stem { slot: site.index() as u32, force1 }
                 }
             })
             .collect();
-        let obs_scan = (0..prog.num_instrs())
-            .filter(|&idx| observed[prog.instr_dst(idx)])
-            .map(|idx| (idx as u32, prog.instr_dst(idx) as u32))
-            .collect();
-        StuckKernelPlan {
-            injects,
-            replays: cones.replays,
-            observed: observed.to_vec(),
-            obs_scan,
-            cone_arena: cones.arena,
+        // A repeated operand counts as a second read.
+        let mut ffr_next = vec![UNREAD; prog.num_nodes()];
+        for idx in 0..prog.num_instrs() {
+            prog.for_each_operand(idx, |s| {
+                ffr_next[s] = if ffr_next[s] == UNREAD && !observed[s] { idx as u32 } else { STEM };
+            });
         }
-    }
-}
-
-/// Plan-build helper: discovers the forward-cone instruction list of
-/// each patched slot (memoized — every fault on a gate shares one cone)
-/// and decides [`Replay`] per fault by cost; the traversal aborts as
-/// soon as the cone budget is exceeded.
-struct ConeBuilder<'a> {
-    prog: &'a KernelProgram,
-    edges: EventEdges,
-    arena: Vec<u32>,
-    replays: Vec<Replay>,
-    /// Patched slot → index of its memoized decision in `replays`
-    /// (`u32::MAX` until decided).
-    memo: Vec<u32>,
-    /// Traversal epoch stamps per instruction.
-    stamp: Vec<u32>,
-    epoch: u32,
-    stack: Vec<u32>,
-    cone: Vec<u32>,
-}
-
-impl<'a> ConeBuilder<'a> {
-    fn new(prog: &'a KernelProgram, cc: &CompiledCircuit) -> Self {
-        ConeBuilder {
-            prog,
-            edges: EventEdges::build(prog, cc),
-            arena: Vec::new(),
-            replays: vec![Replay::Suffix],
-            memo: vec![u32::MAX; prog.num_nodes()],
-            stamp: vec![0; prog.num_instrs()],
-            epoch: 0,
-            stack: Vec::new(),
-            cone: Vec::new(),
-        }
-    }
-
-    /// The replay mode (an index into `replays`) for a fault patched at
-    /// `slot`, whose suffix execution would start after instruction `p`
-    /// (0 for sources).
-    fn replay_of(&mut self, slot: usize, p: usize) -> u32 {
-        if self.memo[slot] != u32::MAX {
-            return self.memo[slot];
-        }
-        // A cone entry costs roughly an eval plus a restore (~1.5x a
-        // linear suffix instruction), so the cone must be under two
-        // thirds of the suffix to win. The constant cap bounds what a
-        // budget-aborted traversal can waste at plan build (discovering
-        // a too-big cone costs the whole budget before aborting — the
-        // uncapped build spent more time probing doomed cones than the
-        // fitting ones took to store) and keeps the arena small.
-        let n = self.prog.num_instrs();
-        let budget = (2 * (n - p) / 3).min((n / 16).max(CONE_BUDGET_FLOOR));
-        self.epoch += 1;
-        self.cone.clear();
-        self.stack.clear();
-        self.stack.extend(self.edges.of(slot).iter().map(|&e| e as u32));
-        let mut fits = true;
-        while let Some(idx) = self.stack.pop() {
-            if self.stamp[idx as usize] == self.epoch {
-                continue;
-            }
-            self.stamp[idx as usize] = self.epoch;
-            self.cone.push(idx);
-            if self.cone.len() > budget {
-                fits = false;
-                break;
-            }
-            let dst = self.prog.instr_dst(idx as usize);
-            self.stack.extend(self.edges.of(dst).iter().map(|&e| e as u32));
-        }
-        let replay = if fits {
-            // Ascending instruction order is dependency order: every
-            // cone operand that changes is produced by an earlier cone
-            // instruction (or is the patched slot itself).
-            self.cone.sort_unstable();
-            let start = self.arena.len() as u32;
-            self.arena.extend_from_slice(&self.cone);
-            self.replays.push(Replay::Cone { start, len: self.cone.len() as u32 });
-            self.replays.len() as u32 - 1
-        } else {
-            SUFFIX
-        };
-        self.memo[slot] = replay;
-        replay
+        StuckKernelPlan { injects, ffr_next, edges: EventEdges::build(prog, cc), closure }
     }
 }
 
 /// The stuck-at kernel shard: grades one shard of the active-fault list
-/// against the shared fault-free frame using precomputed injections and
-/// patched replay, with the cancellation protocol of `Batch::each`.
-///
-/// Injection resolution and replay are split so adjacent faults that
-/// share a replay can run it **paired**: the level-sorted active list
-/// puts a gate's sa0/sa1 stems and branch faults next to each other, all
-/// patching the same destination slot with the same memoized cone or the
-/// same suffix patch point, so one [`KernelProgram::eval_instr2`] /
-/// [`KernelProgram::execute_range2`] pass grades two of them for a
-/// single instruction fetch, dispatch and restore sweep.
+/// against the shared fault-free frame by tracing each fault to its
+/// fanout-free-region stem (see [`StuckKernelPlan`]), with the
+/// cancellation protocol of `Batch::each`.
 pub(crate) fn kernel_grade_shard<W: LaneWord>(
     prog: &KernelProgram,
     plan: &StuckKernelPlan,
@@ -505,542 +451,97 @@ pub(crate) fn kernel_grade_shard<W: LaneWord>(
     scratch: &mut KernelScratch<W>,
     out: &mut [W],
 ) {
-    debug_assert_eq!(shard.len(), out.len());
-    let lane_mask = batch.lane_mask;
-    scratch.shadow.clear();
-    scratch.shadow.extend_from_slice(frame);
-    scratch.shadow_b.clear();
-    scratch.shadow_b.extend_from_slice(frame);
-    scratch.cone_shadow.clear();
-    scratch.cone_shadow.extend_from_slice(frame);
-    scratch.cone_shadow2.clear();
-    scratch.cone_shadow2.extend_from_slice(frame);
-    // Instruction destinations in `[last_p, n_instrs)` are stale in the
-    // corresponding shadow frame; everything else equals `frame`.
-    let mut last_p = prog.num_instrs();
-    let mut last_p_b = prog.num_instrs();
-    let mut i = 0usize;
-    // A replay prepared while hunting for the previous replay's partner,
-    // waiting its own turn.
-    let mut carry: Option<(usize, Prepared<W>)> = None;
-    loop {
-        let (ci, cur) = match carry.take() {
-            Some(held) => held,
-            None => match next_replay(plan, batch, shard, frame, scratch, out, &mut i) {
-                Scan::Found(idx, job) => (idx, job),
-                Scan::End => break,
-                Scan::Cancelled => return,
-            },
+    scratch.begin_memo();
+    batch.each(shard, out, |fault_idx, _| {
+        let (mut slot, word) = match plan.injects[fault_idx as usize] {
+            Inject::Dead => return W::zero(),
+            Inject::DPin { site, d_src, force1, excite_site } => {
+                let forced = if force1 { W::ones() } else { W::zero() };
+                // A stem fault on the flip-flop is skipped whole when its
+                // Q word already equals the forced value (the word-level
+                // excitation check); the D-pin branch needs no check — an
+                // unexcited pin XORs to zero.
+                if excite_site && forced == frame[site as usize] {
+                    return W::zero();
+                }
+                return forced.xor(frame[d_src as usize]);
+            }
+            Inject::Stem { slot, force1 } => {
+                (slot as usize, if force1 { W::ones() } else { W::zero() })
+            }
+            Inject::Branch { dst, pin, force1 } => {
+                let site = NodeId::from_index(dst as usize);
+                let cc = batch.cc;
+                scratch.fanin_buf.clear();
+                scratch.fanin_buf.extend(cc.fanins(site).iter().map(|f| frame[f.index()]));
+                scratch.fanin_buf[pin as usize] = if force1 { W::ones() } else { W::zero() };
+                (dst as usize, eval_gate(cc.kind(site), &scratch.fanin_buf))
+            }
         };
-        let partner = match next_replay(plan, batch, shard, frame, scratch, out, &mut i) {
-            Scan::Found(idx, job) => Some((idx, job)),
-            Scan::End => None,
-            Scan::Cancelled => return,
-        };
-        match (cur, partner) {
-            (Prepared::Cone(a), Some((pi, Prepared::Cone(b))))
-                if b.start == a.start && b.dst == a.dst =>
-            {
-                let (d1, d2) = dual_cone_patch_and_scan(prog, plan, frame, scratch, &a, b.word);
-                out[ci] = finish(&a, frame, d1).and(lane_mask);
-                out[pi] = finish(&b, frame, d2).and(lane_mask);
+        // The excited lanes, traced hop by hop to the region's stem.
+        let mut reach = word.xor(frame[slot]);
+        loop {
+            if reach.is_zero() {
+                return W::zero();
             }
-            (Prepared::Suffix(a), Some((pi, Prepared::Suffix(b)))) => {
-                let (d1, d2) = dual_patch_and_scan(
-                    prog,
-                    plan,
-                    frame,
-                    scratch,
-                    &mut last_p,
-                    &mut last_p_b,
-                    &a,
-                    &b,
-                );
-                out[ci] = finish(&a, frame, d1).and(lane_mask);
-                out[pi] = finish(&b, frame, d2).and(lane_mask);
+            let next = plan.ffr_next[slot];
+            if next >= STEM {
+                break;
             }
-            (cur, partner) => {
-                let diff = match &cur {
-                    Prepared::Cone(a) => {
-                        finish(a, frame, cone_patch_and_scan(prog, plan, frame, scratch, a))
-                    }
-                    Prepared::Suffix(a) => {
-                        finish(a, frame, patch_and_scan(prog, plan, frame, scratch, &mut last_p, a))
-                    }
-                    Prepared::Done(_) => unreachable!("next_replay never yields Done"),
-                };
-                out[ci] = diff.and(lane_mask);
-                carry = partner;
-            }
+            let idx = next as usize;
+            let path = slot as u32;
+            let flipped = prog.eval_instr(idx, |s| {
+                if s == path {
+                    frame[s as usize].not()
+                } else {
+                    frame[s as usize]
+                }
+            });
+            slot = prog.instr_dst(idx);
+            reach = reach.and(flipped.xor(frame[slot]));
         }
-    }
+        reach.and(stem_observability(prog, plan, frame, scratch, slot))
+    });
 }
 
-/// One step of the replay scan: the next fault whose replay is still
-/// owed, or why the scan stopped.
-enum Scan<W> {
-    Found(usize, Prepared<W>),
-    End,
-    Cancelled,
-}
-
-/// Advances the shard cursor to the next fault whose injection leaves a
-/// replay owed, resolving (and writing out) every `Done` fault passed
-/// over. Skipping completed faults this way keeps replay jobs adjacent,
-/// so the pairing in [`kernel_grade_shard`] is not broken by the
-/// unexcited and dead faults interleaved with them.
-#[inline]
-fn next_replay<W: LaneWord>(
+/// The lanes on which complementing `stem` changes some observed slot:
+/// every lane for an observed stem, otherwise the observed difference
+/// one drain inside the observability closure leaves. Memoized per
+/// shard, so the faults of one region share a single drain.
+fn stem_observability<W: LaneWord>(
+    prog: &KernelProgram,
     plan: &StuckKernelPlan,
-    batch: &Batch<'_, W>,
-    shard: &[u32],
     frame: &[W],
     scratch: &mut KernelScratch<W>,
-    out: &mut [W],
-    i: &mut usize,
-) -> Scan<W> {
-    while *i < shard.len() {
-        if (*i).is_multiple_of(CANCEL_POLL_STRIDE) && batch.cancelled() {
-            return Scan::Cancelled;
-        }
-        let idx = *i;
-        *i += 1;
-        match prepare(plan, batch.cc, shard[idx], frame, scratch) {
-            Prepared::Done(diff) => {
-                out[idx] = diff.and(batch.lane_mask);
-            }
-            job => return Scan::Found(idx, job),
-        }
+    stem: usize,
+) -> W {
+    if scratch.memo_mark[stem] == scratch.memo_epoch {
+        scratch.counts.stem_hits += 1;
+        return scratch.memo[stem];
     }
-    Scan::End
-}
-
-/// A replay still owed after injection resolution, in one of the two
-/// shapes that pair across adjacent faults. `word` is the patched word;
-/// `site_obs` says whether the patched slot is observed itself.
-struct ConeJob<W> {
-    dst: u32,
-    word: W,
-    site_obs: bool,
-    start: u32,
-    len: u32,
-}
-
-/// An owed suffix re-execution: patch `dst` with `word`, re-run
-/// `[exec_lo, n_instrs)`. `p` is the patch point (the scan cut and the
-/// pairing key); `exec_lo` is `p + 1` for instruction sites and `0` for
-/// source stems (nothing executes before a source, and the source slot
-/// itself is restored right after the run).
-struct SuffixJob<W> {
-    p: u32,
-    exec_lo: u32,
-    dst: u32,
-    word: W,
-    site_obs: bool,
-}
-
-/// [`prepare`]'s result: either the detection word is already final
-/// (dead, unexcited, or `D`-pin compare), or a replay remains.
-enum Prepared<W> {
-    Done(W),
-    Cone(ConeJob<W>),
-    Suffix(SuffixJob<W>),
-}
-
-/// The patched slot's own contribution when it is observed, applied per
-/// fault after a (possibly shared) replay. (For an instruction site the
-/// suffix scan reads the slot too; OR-ing it twice changes nothing.)
-#[inline]
-fn finish_site<W: LaneWord>(site_obs: bool, dst: u32, word: W, frame: &[W], diff: W) -> W {
-    if site_obs {
-        diff.or(word.xor(frame[dst as usize]))
+    scratch.counts.stem_replays += 1;
+    let obs = if plan.closure.is_seed(stem) {
+        W::ones()
     } else {
-        diff
-    }
-}
-
-/// [`finish_site`] keyed off either job shape.
-#[inline]
-fn finish<W: LaneWord>(job: &impl ReplayJob<W>, frame: &[W], diff: W) -> W {
-    finish_site(job.site_obs(), job.dst(), job.word(), frame, diff)
-}
-
-trait ReplayJob<W: Copy> {
-    fn site_obs(&self) -> bool;
-    fn dst(&self) -> u32;
-    fn word(&self) -> W;
-}
-
-impl<W: Copy> ReplayJob<W> for ConeJob<W> {
-    fn site_obs(&self) -> bool {
-        self.site_obs
-    }
-    fn dst(&self) -> u32 {
-        self.dst
-    }
-    fn word(&self) -> W {
-        self.word
-    }
-}
-
-impl<W: Copy> ReplayJob<W> for SuffixJob<W> {
-    fn site_obs(&self) -> bool {
-        self.site_obs
-    }
-    fn dst(&self) -> u32 {
-        self.dst
-    }
-    fn word(&self) -> W {
-        self.word
-    }
-}
-
-/// Resolves one fault's injection: excitation checks and direct `D`-pin
-/// compares complete here; cone and suffix replays are returned as jobs
-/// so the caller can pair them.
-#[inline]
-fn prepare<W: LaneWord>(
-    plan: &StuckKernelPlan,
-    cc: &CompiledCircuit,
-    fault_idx: u32,
-    frame: &[W],
-    scratch: &mut KernelScratch<W>,
-) -> Prepared<W> {
-    match plan.injects[fault_idx as usize] {
-        Inject::Dead => Prepared::Done(W::zero()),
-        Inject::DPin { site, d_src, force1, excite_site } => {
-            let forced = if force1 { W::ones() } else { W::zero() };
-            // A stem fault on the flip-flop is skipped whole when its
-            // Q word already equals the forced value (the word-level
-            // excitation check); the D-pin branch needs no check — an
-            // unexcited pin XORs to zero.
-            if excite_site && forced == frame[site as usize] {
-                Prepared::Done(W::zero())
-            } else {
-                Prepared::Done(forced.xor(frame[d_src as usize]))
-            }
-        }
-        Inject::PatchInstr { instr, dst, force1, replay } => {
-            let forced = if force1 { W::ones() } else { W::zero() };
-            if forced == frame[dst as usize] {
-                return Prepared::Done(W::zero());
-            }
-            replay_job(plan, instr, instr + 1, dst, forced, replay)
-        }
-        Inject::SourceStem { site, force1, replay } => {
-            let forced = if force1 { W::ones() } else { W::zero() };
-            if forced == frame[site as usize] {
-                return Prepared::Done(W::zero());
-            }
-            replay_job(plan, 0, 0, site, forced, replay)
-        }
-        Inject::Branch { instr, dst, pin, force1, replay } => {
-            let site = NodeId::from_index(dst as usize);
-            let forced = if force1 { W::ones() } else { W::zero() };
-            scratch.fanin_buf.clear();
-            scratch.fanin_buf.extend(cc.fanins(site).iter().map(|f| frame[f.index()]));
-            scratch.fanin_buf[pin as usize] = forced;
-            let val = eval_gate(cc.kind(site), &scratch.fanin_buf);
-            if val == frame[dst as usize] {
-                return Prepared::Done(W::zero());
-            }
-            replay_job(plan, instr, instr + 1, dst, val, replay)
-        }
-    }
-}
-
-/// The replay job patching `dst` with `word`, in the shape
-/// `plan.replays[replay]` chose; `p`/`exec_lo` as in [`SuffixJob`].
-#[inline]
-fn replay_job<W: LaneWord>(
-    plan: &StuckKernelPlan,
-    p: u32,
-    exec_lo: u32,
-    dst: u32,
-    word: W,
-    replay: u32,
-) -> Prepared<W> {
-    let site_obs = plan.observed[dst as usize];
-    match plan.replays[replay as usize] {
-        Replay::Suffix => Prepared::Suffix(SuffixJob { p, exec_lo, dst, word, site_obs }),
-        Replay::Cone { start, len } => Prepared::Cone(ConeJob { dst, word, site_obs, start, len }),
-    }
-}
-
-/// One suffix replay on the shadow frame: restore the gap the previous
-/// patch left (`p <= last_p` needs none — the suffix execution
-/// recomputes the whole stale region), overwrite the patched slot with
-/// the forced word, re-execute `[exec_lo, n)` branch-free, and OR the
-/// differences of observed instruction slots at or after `p` (slots
-/// before `p` equal the fault-free frame by the shadow invariant, so
-/// they cannot contribute). Source stems execute the whole program and
-/// restore their slot immediately — no instruction writes it.
-#[inline]
-fn patch_and_scan<W: LaneWord>(
-    prog: &KernelProgram,
-    plan: &StuckKernelPlan,
-    frame: &[W],
-    scratch: &mut KernelScratch<W>,
-    last_p: &mut usize,
-    job: &SuffixJob<W>,
-) -> W {
-    let p = job.p as usize;
-    let dst = job.dst as usize;
-    for j in *last_p..p {
-        let d = prog.instr_dst(j);
-        scratch.shadow[d] = frame[d];
-    }
-    scratch.shadow[dst] = job.word;
-    prog.execute_range(&mut scratch.shadow, job.exec_lo as usize, prog.num_instrs());
-    *last_p = p;
-    if job.exec_lo == 0 {
-        scratch.shadow[dst] = frame[dst];
-    }
-    let k0 = plan.obs_scan.partition_point(|&(idx, _)| (idx as usize) < p);
-    let mut diff = W::zero();
-    for &(_, d) in &plan.obs_scan[k0..] {
-        let d = d as usize;
-        diff = diff.or(scratch.shadow[d].xor(frame[d]));
-    }
-    diff
-}
-
-/// [`patch_and_scan`] for two suffix replays at once — any two, not
-/// just a gate's sibling faults: each shadow frame restores its own
-/// stale gap down to the shared execution start, patches its own slot,
-/// and one [`KernelProgram::execute_range2_skip`] pass re-executes the
-/// union suffix over both frames for a single instruction fetch and
-/// dispatch. The skip indices protect each frame's patched instruction
-/// from being recomputed when it lies inside the shared range (the
-/// partner's suffix may start earlier). One walk of the observed slots
-/// scans both; the partner with the later patch point contributes
-/// nothing below it (those slots recompute fault-free), so the shared
-/// scan stays exact.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn dual_patch_and_scan<W: LaneWord>(
-    prog: &KernelProgram,
-    plan: &StuckKernelPlan,
-    frame: &[W],
-    scratch: &mut KernelScratch<W>,
-    last_p: &mut usize,
-    last_p_b: &mut usize,
-    a: &SuffixJob<W>,
-    b: &SuffixJob<W>,
-) -> (W, W) {
-    let exec_lo = (a.exec_lo as usize).min(b.exec_lo as usize);
-    let dst_a = a.dst as usize;
-    let dst_b = b.dst as usize;
-    for j in *last_p..exec_lo {
-        let d = prog.instr_dst(j);
-        scratch.shadow[d] = frame[d];
-    }
-    for j in *last_p_b..exec_lo {
-        let d = prog.instr_dst(j);
-        scratch.shadow_b[d] = frame[d];
-    }
-    scratch.shadow[dst_a] = a.word;
-    scratch.shadow_b[dst_b] = b.word;
-    let skip = |job: &SuffixJob<W>| {
-        if job.exec_lo == 0 {
-            usize::MAX
-        } else {
-            job.p as usize
-        }
+        let mut step = KernelStep::new(prog, &plan.edges, &plan.closure, scratch);
+        step.seed(NodeId::from_index(stem), frame[stem].not());
+        step.run(frame, None)
     };
-    prog.execute_range2_skip(
-        &mut scratch.shadow,
-        &mut scratch.shadow_b,
-        exec_lo,
-        prog.num_instrs(),
-        skip(a),
-        skip(b),
-    );
-    *last_p = a.p as usize;
-    *last_p_b = b.p as usize;
-    if a.exec_lo == 0 {
-        scratch.shadow[dst_a] = frame[dst_a];
-    }
-    if b.exec_lo == 0 {
-        scratch.shadow_b[dst_b] = frame[dst_b];
-    }
-    let p_scan = (a.p as usize).min(b.p as usize);
-    let k0 = plan.obs_scan.partition_point(|&(idx, _)| (idx as usize) < p_scan);
-    let mut diff1 = W::zero();
-    let mut diff2 = W::zero();
-    for &(_, d) in &plan.obs_scan[k0..] {
-        let d = d as usize;
-        let good = frame[d];
-        diff1 = diff1.or(scratch.shadow[d].xor(good));
-        diff2 = diff2.or(scratch.shadow_b[d].xor(good));
-    }
-    (diff1, diff2)
-}
-
-/// The [`Replay::Cone`] injection: patch the slot, evaluate only the
-/// precomputed forward-cone instructions (ascending = dependency
-/// order), then restore every written slot, scanning the observed ones
-/// on the way — the shadow frame leaves exactly as it came, so cone
-/// replays never perturb the suffix protocol's stale region.
-#[inline]
-fn cone_patch_and_scan<W: LaneWord>(
-    prog: &KernelProgram,
-    plan: &StuckKernelPlan,
-    frame: &[W],
-    scratch: &mut KernelScratch<W>,
-    job: &ConeJob<W>,
-) -> W {
-    let dst = job.dst as usize;
-    let cone = &plan.cone_arena[job.start as usize..(job.start + job.len) as usize];
-    let shadow = &mut scratch.cone_shadow;
-    shadow[dst] = job.word;
-    for &idx in cone {
-        let v = prog.eval_instr(idx as usize, |s| shadow[s as usize]);
-        shadow[prog.instr_dst(idx as usize)] = v;
-    }
-    let mut diff = W::zero();
-    shadow[dst] = frame[dst];
-    for &idx in cone {
-        let d = prog.instr_dst(idx as usize);
-        if plan.observed[d] {
-            diff = diff.or(shadow[d].xor(frame[d]));
-        }
-        shadow[d] = frame[d];
-    }
-    diff
-}
-
-/// [`cone_patch_and_scan`] for two faults patching the same slot with
-/// the same memoized cone: one instruction fetch and dispatch per cone
-/// entry serves both shadow frames, and the restore pass with its
-/// observed scan reads the cone (and the fault-free words) once.
-#[inline]
-fn dual_cone_patch_and_scan<W: LaneWord>(
-    prog: &KernelProgram,
-    plan: &StuckKernelPlan,
-    frame: &[W],
-    scratch: &mut KernelScratch<W>,
-    job: &ConeJob<W>,
-    word_b: W,
-) -> (W, W) {
-    let dst = job.dst as usize;
-    let cone = &plan.cone_arena[job.start as usize..(job.start + job.len) as usize];
-    let s1 = &mut scratch.cone_shadow;
-    let s2 = &mut scratch.cone_shadow2;
-    s1[dst] = job.word;
-    s2[dst] = word_b;
-    for &idx in cone {
-        let (v1, v2) = prog.eval_instr2(idx as usize, |s| s1[s as usize], |s| s2[s as usize]);
-        let d = prog.instr_dst(idx as usize);
-        s1[d] = v1;
-        s2[d] = v2;
-    }
-    let mut diff1 = W::zero();
-    let mut diff2 = W::zero();
-    let good = frame[dst];
-    s1[dst] = good;
-    s2[dst] = good;
-    for &idx in cone {
-        let d = prog.instr_dst(idx as usize);
-        let good = frame[d];
-        if plan.observed[d] {
-            diff1 = diff1.or(s1[d].xor(good));
-            diff2 = diff2.or(s2[d].xor(good));
-        }
-        s1[d] = good;
-        s2[d] = good;
-    }
-    (diff1, diff2)
-}
-
-/// The capture cone of one window position: every slot whose word can
-/// reach a `D` input of a flip-flop the position's domain loads at the
-/// end of its frames. One reverse pass over the program finds it,
-/// seeded at those `D` sources, in the shape of the observability
-/// closure in [`StuckKernelPlan::build`]. It is slot-level: an
-/// instruction is in the cone iff its destination slot is, so every
-/// operand of a cone instruction is in the cone too.
-///
-/// Within a frame, faulty words live only until the frame boundary, and
-/// what survives it is what the capturing domain's flip-flops load. An
-/// instruction outside the cone cannot change a captured word, and
-/// neither can anything it feeds (a consumer in the cone would have put
-/// it in the cone). So a frame evaluates, and replays faults through,
-/// its cone alone. A domain with no flip-flops has an empty cone.
-#[derive(Debug)]
-pub(crate) struct CaptureCone {
-    /// Slot membership, one bit per slot.
-    slots: Vec<u64>,
-    /// The cone's instructions in ascending (dependency) order.
-    instrs: Vec<u32>,
-    /// `(flip-flop, D source)` of every flip-flop the domain loads.
-    captures: Vec<(NodeId, NodeId)>,
-}
-
-impl CaptureCone {
-    fn build(prog: &KernelProgram, cc: &CompiledCircuit, domain: DomainId) -> CaptureCone {
-        let captures: Vec<(NodeId, NodeId)> = cc
-            .dffs()
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| cc.dff_domain(i) == domain)
-            .map(|(_, &ff)| (ff, cc.fanins(ff)[0]))
-            .collect();
-        let mut cone = CaptureCone {
-            slots: vec![0; prog.num_nodes().div_ceil(64)],
-            instrs: Vec::new(),
-            captures,
-        };
-        for i in 0..cone.captures.len() {
-            cone.insert(cone.captures[i].1.index());
-        }
-        // Operands are defined at strictly lower instruction indices, so
-        // one reverse pass closes the cone.
-        for idx in (0..prog.num_instrs()).rev() {
-            if cone.contains(prog.instr_dst(idx)) {
-                cone.instrs.push(idx as u32);
-                prog.for_each_operand(idx, |s| cone.insert(s));
-            }
-        }
-        cone.instrs.reverse();
-        cone
-    }
-
-    fn insert(&mut self, slot: usize) {
-        self.slots[slot / 64] |= 1 << (slot % 64);
-    }
-
-    /// `true` when `slot` is in the cone.
-    #[inline]
-    pub(crate) fn contains(&self, slot: usize) -> bool {
-        self.slots[slot / 64] >> (slot % 64) & 1 != 0
-    }
-
-    /// `(flip-flop, D source)` of every flip-flop the domain loads.
-    pub(crate) fn captures(&self) -> &[(NodeId, NodeId)] {
-        &self.captures
-    }
-
-    /// Executes only the cone's instructions over `frame`: afterwards
-    /// every cone slot holds its full-execution word, provided the
-    /// frame's source slots are current. Slots outside the cone keep
-    /// whatever they held.
-    pub(crate) fn execute<W: LaneWord>(&self, prog: &KernelProgram, frame: &mut [W]) {
-        for &idx in &self.instrs {
-            let idx = idx as usize;
-            frame[prog.instr_dst(idx)] = prog.eval_instr(idx, |s| frame[s as usize]);
-        }
-    }
+    scratch.memo[stem] = obs;
+    scratch.memo_mark[stem] = scratch.memo_epoch;
+    obs
 }
 
 /// The per-(program, faults, window) transition replay plan: the event
-/// edges, one [`CaptureCone`] per window position, and the up-front
-/// validation that every site and capture source is materialized.
+/// edges, one capture cone per window position with the `(flip-flop,
+/// D source)` list of the domain it loads, and the up-front validation
+/// that every site and capture source is materialized.
 #[derive(Debug)]
 pub struct TransitionKernelPlan {
-    edges: EventEdges,
+    pub(crate) edges: EventEdges,
     /// Indexed by window position: the `k`-th domain the window pulses.
-    cones: Vec<CaptureCone>,
+    cones: Vec<SlotClosure>,
+    captures: Vec<Vec<(NodeId, NodeId)>>,
 }
 
 impl TransitionKernelPlan {
@@ -1068,9 +569,22 @@ impl TransitionKernelPlan {
                  program with grading_keep_set"
             );
         }
+        let loads = |domain: DomainId| -> Vec<(NodeId, NodeId)> {
+            cc.dffs()
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| cc.dff_domain(i) == domain)
+                .map(|(_, &ff)| (ff, cc.fanins(ff)[0]))
+                .collect()
+        };
+        let captures: Vec<_> = window.order().iter().map(|&d| loads(d)).collect();
         TransitionKernelPlan {
             edges: EventEdges::build(prog, cc),
-            cones: window.order().iter().map(|&d| CaptureCone::build(prog, cc, d)).collect(),
+            cones: captures
+                .iter()
+                .map(|c| SlotClosure::build(prog, c.iter().map(|&(_, d)| d.index())))
+                .collect(),
+            captures,
         }
     }
 
@@ -1081,34 +595,50 @@ impl TransitionKernelPlan {
     /// # Panics
     ///
     /// Panics for the window's final frame, which captures nothing.
-    pub(crate) fn cone(&self, frame: usize) -> &CaptureCone {
+    pub(crate) fn cone(&self, frame: usize) -> &SlotClosure {
         &self.cones[frame / 2]
+    }
+
+    /// `(flip-flop, D source)` of every flip-flop loaded at the end of
+    /// window frame `frame`; panics like [`Self::cone`].
+    pub(crate) fn captures(&self, frame: usize) -> &[(NodeId, NodeId)] {
+        &self.captures[frame / 2]
     }
 }
 
-/// The kernel step of transition window replay: within a frame the
-/// overlay's flip-flops and (when the launch activates it) the pinned
-/// site seed the event queue, and only instructions inside the frame's
-/// capture cone that an actually-changed word feeds are re-evaluated,
-/// level-ordered.
+/// The event drain both fault models replay through: seeded words queue
+/// their consumers inside the current closure, and only instructions an
+/// actually-changed word feeds are re-evaluated, level-ordered.
 pub(crate) struct KernelStep<'s, W: LaneWord> {
     prog: &'s KernelProgram,
-    plan: &'s TransitionKernelPlan,
-    /// The capture cone of the frame being replayed.
-    cone: &'s CaptureCone,
+    edges: &'s EventEdges,
+    /// The closure events are confined to until the next `begin`.
+    closure: &'s SlotClosure,
     scratch: &'s mut KernelScratch<W>,
-    /// Level range the seeds queued this frame.
+    /// Level range the seeds queued since `begin`.
     lo: usize,
     hi: usize,
 }
 
 impl<'s, W: LaneWord> KernelStep<'s, W> {
+    /// A drain over `prog`'s event `edges`, begun in `closure`.
     pub(crate) fn new(
         prog: &'s KernelProgram,
-        plan: &'s TransitionKernelPlan,
+        edges: &'s EventEdges,
+        closure: &'s SlotClosure,
         scratch: &'s mut KernelScratch<W>,
     ) -> Self {
-        KernelStep { prog, plan, cone: plan.cone(0), scratch, lo: usize::MAX, hi: 0 }
+        let mut step = KernelStep { prog, edges, closure, scratch, lo: usize::MAX, hi: 0 };
+        step.begin(closure);
+        step
+    }
+
+    /// Starts over with no faulty word anywhere; events stay inside
+    /// `closure` until the next `begin`.
+    pub(crate) fn begin(&mut self, closure: &'s SlotClosure) {
+        self.closure = closure;
+        self.scratch.begin();
+        (self.lo, self.hi) = (usize::MAX, 0);
     }
 }
 
@@ -1118,15 +648,7 @@ impl<W: LaneWord> KernelStep<'_, W> {
         &mut self.scratch.window
     }
 
-    /// Starts window frame `frame` with no faulty word anywhere; events
-    /// stay inside its capture cone until the next `begin`.
-    pub(crate) fn begin(&mut self, frame: usize) {
-        self.cone = self.plan.cone(frame);
-        self.scratch.begin();
-        (self.lo, self.hi) = (usize::MAX, 0);
-    }
-
-    /// `node`'s word under the fault in the current frame.
+    /// `node`'s faulty word since the last `begin`.
     pub(crate) fn value(&self, node: NodeId, good: &[W]) -> W {
         let s = &self.scratch;
         if s.mark[node.index()] == s.epoch {
@@ -1137,22 +659,22 @@ impl<W: LaneWord> KernelStep<'_, W> {
     }
 
     /// Gives `node` the faulty `word` and queues its consumers inside
-    /// the frame's cone, widening the level range the drain must walk.
-    /// A consumer outside the cone is stamped as queued too, so later
+    /// the closure, widening the level range the drain must walk. A
+    /// consumer outside the closure is stamped as queued too, so later
     /// events skip its membership test.
     pub(crate) fn seed(&mut self, node: NodeId, word: W) {
-        let (prog, cone) = (self.prog, self.cone);
+        let (prog, closure) = (self.prog, self.closure);
         let s = &mut *self.scratch;
         let slot = node.index();
         s.vals[slot] = word;
         s.mark[slot] = s.epoch;
-        for &e in self.plan.edges.of(slot) {
+        for &e in self.edges.of(slot) {
             let idx = e as u32 as usize;
             if s.queued[idx] == s.epoch {
                 continue;
             }
             s.queued[idx] = s.epoch;
-            if cone.contains(prog.instr_dst(idx)) {
+            if closure.contains(prog.instr_dst(idx)) {
                 let lvl = (e >> 32) as usize;
                 s.buckets[lvl].push(idx as u32);
                 self.lo = self.lo.min(lvl);
@@ -1161,18 +683,23 @@ impl<W: LaneWord> KernelStep<'_, W> {
         }
     }
 
-    /// Propagates the seeded words through the frame's cone: drains the
-    /// event queue in level order, re-evaluating each queued instruction
+    /// Propagates the seeded words through the closure: drains the event
+    /// queue in level order, re-evaluating each queued instruction
     /// against the overlay. A changed result is stamped into the overlay
-    /// and queues its consumers inside the cone; an unchanged result
+    /// and queues its consumers inside the closure; an unchanged result
     /// kills the event. Level order makes single-fault propagation exact
     /// (all operands are final before a consumer runs). A `pin`ned node
     /// keeps its seeded word even when other events reach it.
-    pub(crate) fn run(&mut self, good: &[W], pin: Option<NodeId>) {
+    ///
+    /// Returns the OR of the differences the drain left at the closure's
+    /// seed slots (seeded slots themselves excluded).
+    pub(crate) fn run(&mut self, good: &[W], pin: Option<NodeId>) -> W {
         let pin = pin.map_or(usize::MAX, NodeId::index);
-        let (prog, edges, cone) = (self.prog, &self.plan.edges, self.cone);
-        let KernelScratch { vals, mark, queued, buckets, epoch, .. } = &mut *self.scratch;
+        let (prog, edges, closure) = (self.prog, self.edges, self.closure);
+        let KernelScratch { vals, mark, queued, buckets, epoch, counts, .. } = &mut *self.scratch;
         let epoch = *epoch;
+        let mut seen = W::zero();
+        let mut evals = 0u64;
         let mut hi = self.hi;
         let mut level = self.lo;
         while level <= hi {
@@ -1186,6 +713,7 @@ impl<W: LaneWord> KernelStep<'_, W> {
                 if dst == pin {
                     continue; // the seeded site stays authoritative
                 }
+                evals += 1;
                 let v = prog.eval_instr(idx, |s| {
                     let s = s as usize;
                     if mark[s] == epoch {
@@ -1201,13 +729,16 @@ impl<W: LaneWord> KernelStep<'_, W> {
                 }
                 vals[dst] = v;
                 mark[dst] = epoch;
+                if closure.is_seed(dst) {
+                    seen = seen.or(v.xor(good[dst]));
+                }
                 for &e in edges.of(dst) {
                     let j = e as u32 as usize;
                     if queued[j] == epoch {
                         continue;
                     }
                     queued[j] = epoch;
-                    if cone.contains(prog.instr_dst(j)) {
+                    if closure.contains(prog.instr_dst(j)) {
                         let lvl = (e >> 32) as usize;
                         buckets[lvl].push(j as u32);
                         hi = hi.max(lvl);
@@ -1217,5 +748,7 @@ impl<W: LaneWord> KernelStep<'_, W> {
             buckets[level].clear();
             level += 1;
         }
+        counts.drain_evals += evals;
+        seen
     }
 }

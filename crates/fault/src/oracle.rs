@@ -1,8 +1,9 @@
 //! The slow reference grader the compiled kernel is checked against.
 //!
-//! [`crate::FaultSim`] grades on the compiled kernel: patched cone and
-//! suffix replay for stuck-at faults, event-driven window replay for
-//! transition faults, sharded across the pool with fault dropping. This
+//! [`crate::FaultSim`] grades on the compiled kernel: tracing to the
+//! fanout-free-region stem plus a memoized stem drain for stuck-at
+//! faults, event-driven window replay for transition faults, sharded
+//! across the pool with fault dropping. This
 //! module grades the same batch the plain way — every fault, no
 //! dropping, one thread, straight netlist evaluation — and returns each
 //! fault's per-lane detection word. Tests and `bench_faultsim` compare

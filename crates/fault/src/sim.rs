@@ -6,7 +6,7 @@
 //! the n-detect drop budget, the cancel token and phase timers, the
 //! kernel program and replay plan built at the first batch, shard
 //! dispatch under panic containment, and the serial merge with
-//! swap-remove compaction. A model supplies only its observation set,
+//! order-keeping compaction. A model supplies only its observation set,
 //! its fault-free evaluation, its replay plan and its per-fault shard
 //! replay on the compiled kernel. The model is a type parameter, so it
 //! is chosen at compile time: no dynamic dispatch and no per-fault
@@ -96,17 +96,22 @@ impl<W: LaneWord> Batch<'_, W> {
         self.cancel.is_some_and(CancelToken::is_cancelled)
     }
 
-    /// Writes `grade(fault)`, lane-masked, for every fault of `shard`
-    /// into `out`. Polls the cancel token every [`CANCEL_POLL_STRIDE`]
-    /// faults and returns early when it fires (the caller then discards
-    /// the whole batch).
-    pub(crate) fn each(&self, shard: &[u32], out: &mut [W], mut grade: impl FnMut(&Fault) -> W) {
+    /// Writes `grade(fault index, fault)`, lane-masked, for every fault
+    /// of `shard` into `out`. Polls the cancel token every
+    /// [`CANCEL_POLL_STRIDE`] faults and returns early when it fires (the
+    /// caller then discards the whole batch).
+    pub(crate) fn each(
+        &self,
+        shard: &[u32],
+        out: &mut [W],
+        mut grade: impl FnMut(u32, &Fault) -> W,
+    ) {
         debug_assert_eq!(shard.len(), out.len());
         for (i, (&fault_idx, slot)) in shard.iter().zip(out.iter_mut()).enumerate() {
             if i % CANCEL_POLL_STRIDE == 0 && self.cancelled() {
                 return;
             }
-            *slot = grade(&self.faults[fault_idx as usize]).and(self.lane_mask);
+            *slot = grade(fault_idx, &self.faults[fault_idx as usize]).and(self.lane_mask);
         }
     }
 }
@@ -132,10 +137,10 @@ impl<W: LaneWord> Batch<'_, W> {
 /// the persistent `lbist-exec` pool. Each worker owns a
 /// replay scratch (reused across batches) and writes per-fault
 /// detection words into its own slice of the batch result; the serial
-/// merge then updates n-detect counts and compacts the active list
-/// (swap-remove on drop) so later batches stop scanning dead faults.
-/// The active list is ordered by logic level so each shard walks a
-/// cache-friendly band of the circuit.
+/// merge then updates n-detect counts and compacts the active list so
+/// later batches stop scanning dropped faults. The active list is
+/// ordered by logic level, and compaction keeps that order, so each
+/// shard walks a cache-friendly band of the circuit.
 ///
 /// Because every fault's detection word depends only on the fault-free
 /// evaluation — never on other faults or on scheduling — parallel and
@@ -146,8 +151,8 @@ impl<W: LaneWord> Batch<'_, W> {
 /// # Engine
 ///
 /// Grading runs on the compiled kernel: the fault-free evaluation
-/// executes a [`KernelProgram`] as flat bytecode, and faults replay as
-/// patched instructions over it (see the `kernel` module). The
+/// executes a [`KernelProgram`] as flat bytecode, and faults replay
+/// over it through one event drain (see the `kernel` module). The
 /// simulator lowers its own program at its first batch, from its
 /// circuit, its fault list and the model's observation set; a caller
 /// sharing one program across simulators installs it with
@@ -158,7 +163,8 @@ pub struct FaultSim<'a, M: FaultModel<W>, W: LaneWord = u64> {
     cc: &'a CompiledCircuit,
     faults: Vec<Fault>,
     /// Indices into `faults` still being graded, ordered by logic level
-    /// (then node) for shard locality; swap-removed as faults drop.
+    /// (then node) for shard locality; dropped faults are compacted out
+    /// in order.
     active: Vec<u32>,
     detections: Vec<u32>,
     drop_after: u32,
@@ -178,7 +184,7 @@ pub struct FaultSim<'a, M: FaultModel<W>, W: LaneWord = u64> {
     /// One kernel replay scratch per worker.
     kscratch: Vec<KernelScratch<W>>,
     /// Per-active-fault detection words of the current batch (aligned
-    /// with `active`, swap-removed in lockstep during the merge).
+    /// with `active`, compacted in lockstep during the merge).
     batch_det: Vec<W>,
     /// Cooperative cancellation: polled at batch entry, every
     /// [`CANCEL_POLL_STRIDE`] faults within a shard, and before the
@@ -289,10 +295,10 @@ impl<'a, M: FaultModel<W>, W: LaneWord> FaultSim<'a, M, W> {
 
     /// Installs phase timers: each batch records its fault-free
     /// evaluation time into `phases.sim_ns` and its sharded replay plus
-    /// merge time into `phases.detect_ns`; the first batch's lowering
-    /// records into the `phases.kernel_*` handles. Timing is
-    /// observational only — grading results are bit-identical with or
-    /// without it.
+    /// merge time into `phases.detect_ns`, and adds its replay counts to
+    /// the `phases` counters; the first batch's lowering records into
+    /// the `phases.kernel_*` handles. Timing is observational only —
+    /// grading results are bit-identical with or without it.
     pub fn set_phase_metrics(&mut self, phases: SimPhaseMetrics) {
         self.phases = phases;
     }
@@ -391,33 +397,38 @@ impl<'a, M: FaultModel<W>, W: LaneWord> FaultSim<'a, M, W> {
             &RetryPolicy::default(),
             cancel,
         );
+        for scratch in &mut self.kscratch {
+            let counts = std::mem::take(&mut scratch.counts);
+            self.phases.stem_replays.add(counts.stem_replays);
+            self.phases.stem_hits.add(counts.stem_hits);
+            self.phases.drain_evals.add(counts.drain_evals);
+        }
         if cancel.is_some_and(CancelToken::is_cancelled) {
             // Unwind cleanly: the half-graded batch is discarded whole.
             return None;
         }
         self.patterns_run += num_patterns as u64;
 
-        // Serial merge: order-independent counts, then swap-remove
-        // compaction of (active, batch_det) in lockstep.
-        let mut newly_dropped = 0usize;
-        let mut pos = 0usize;
-        while pos < self.active.len() {
-            let detected = self.batch_det[pos];
-            if detected.is_zero() {
-                pos += 1;
-                continue;
+        // Serial merge: order-independent counts, then write-cursor
+        // compaction of (active, batch_det) in lockstep, which keeps
+        // the survivors in level order.
+        let mut kept = 0usize;
+        for pos in 0..self.active.len() {
+            let (fault_idx, detected) = (self.active[pos], self.batch_det[pos]);
+            if !detected.is_zero() {
+                let count = &mut self.detections[fault_idx as usize];
+                *count = count.saturating_add(detected.count_ones());
+                if *count >= self.drop_after {
+                    continue;
+                }
             }
-            let fault_idx = self.active[pos] as usize;
-            self.detections[fault_idx] =
-                self.detections[fault_idx].saturating_add(detected.count_ones());
-            if self.detections[fault_idx] >= self.drop_after {
-                self.active.swap_remove(pos);
-                self.batch_det.swap_remove(pos);
-                newly_dropped += 1;
-            } else {
-                pos += 1;
-            }
+            self.active[kept] = fault_idx;
+            self.batch_det[kept] = detected;
+            kept += 1;
         }
+        let newly_dropped = self.active.len() - kept;
+        self.active.truncate(kept);
+        self.batch_det.truncate(kept);
         Some(newly_dropped)
     }
 
@@ -495,4 +506,52 @@ fn level_order(
         (cc.level(f.node), f.node.index())
     });
     order
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{FaultUniverse, StuckAtSim};
+    use lbist_netlist::{GateKind, Netlist};
+    use lbist_sim::CompiledCircuit;
+
+    /// Dropping detected faults leaves the survivors in the constructor's
+    /// level-major order, batch after batch, and the active list holds
+    /// exactly the undetected faults.
+    #[test]
+    fn active_list_stays_level_ordered_across_drops() {
+        let mut nl = Netlist::new("levels");
+        let ins: Vec<_> = (0..4).map(|i| nl.add_input(&format!("i{i}"))).collect();
+        let kinds = [GateKind::And, GateKind::Or, GateKind::Xor, GateKind::Nand, GateKind::Nor];
+        let mut pool = ins.clone();
+        for k in 0..24 {
+            let a = pool[(7 * k + 1) % pool.len()];
+            let b = pool[(5 * k + 3) % pool.len()];
+            pool.push(nl.add_gate(kinds[k % kinds.len()], &[a, b]));
+        }
+        for (k, &g) in pool[pool.len() - 4..].iter().enumerate() {
+            nl.add_output(&format!("y{k}"), g);
+        }
+        let cc = CompiledCircuit::compile(&nl).unwrap();
+        let faults = FaultUniverse::stuck_at(&nl).representatives();
+        let mut sim = StuckAtSim::new(&cc, faults, StuckAtSim::observe_all_captures(&cc));
+        let mut dropped = 0;
+        // One pattern per batch, so drops trickle in across batches.
+        for p in 0..8u64 {
+            let mut frame = cc.new_frame();
+            for (bit, &i) in ins.iter().enumerate() {
+                frame[i.index()] = (p.wrapping_mul(0x9E37) >> bit) & 1;
+            }
+            dropped += sim.run_batch(&mut frame, 1);
+            let key = |i: &u32| {
+                let node = sim.faults[*i as usize].node;
+                (cc.level(node), node.index())
+            };
+            assert!(
+                sim.active.windows(2).all(|w| key(&w[0]) <= key(&w[1])),
+                "batch {p}: active list left level order"
+            );
+            assert_eq!(sim.active_faults(), sim.undetected_indices().len(), "batch {p}");
+        }
+        assert!(dropped > 0 && sim.active_faults() > 0, "drops must leave survivors behind");
+    }
 }

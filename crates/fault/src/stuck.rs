@@ -27,8 +27,9 @@ pub type WideStuckAtSim<'a, W = u64> = FaultSim<'a, StuckAt, W>;
 /// capture sees — every flip-flop `D` source, every primary output
 /// marker, plus any observation test points the DFT step added.
 ///
-/// Each fault replays as a patched cone or suffix of the lowered
-/// program (see the `kernel` module).
+/// Each fault is traced on the lowered program to the stem of its
+/// fanout-free region, and each live stem replays once per shard (see
+/// the `kernel` module).
 #[derive(Debug)]
 pub struct StuckAt {
     /// Observation flag per node.
@@ -457,6 +458,50 @@ mod tests {
                 "kernel detections differ ({threads} threads)"
             );
         }
+    }
+
+    /// The replay counters on a circuit small enough to count by hand.
+    /// `s = a & b` fans out to `y1 = s | c` and `y2 = s ^ c`, so `s` and
+    /// `c` are stems; `a` and `b` lie in `s`'s fanout-free region.
+    #[test]
+    fn replay_counters_count_stems_hits_and_drain_evaluations() {
+        let mut nl = Netlist::new("ffr");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let c = nl.add_input("c");
+        let s = nl.add_gate(GateKind::And, &[a, b]);
+        let g1 = nl.add_gate(GateKind::Or, &[s, c]);
+        let g2 = nl.add_gate(GateKind::Xor, &[s, c]);
+        nl.add_output("y1", g1);
+        nl.add_output("y2", g2);
+        let cc = CompiledCircuit::compile(&nl).unwrap();
+        let faults = vec![
+            Fault::stem(a, FaultKind::StuckAt0), // reaches s on lane 2: replays s
+            Fault::stem(a, FaultKind::StuckAt1), // blocked at s: b = 0 where a = 0
+            Fault::stem(b, FaultKind::StuckAt0), // reaches s: memo hit
+            Fault::stem(s, FaultKind::StuckAt0), // the stem itself: memo hit
+            Fault::stem(c, FaultKind::StuckAt1), // its own stem: replays c
+        ];
+        let registry = lbist_obs::Registry::new();
+        let mut sim = StuckAtSim::new(&cc, faults, StuckAtSim::observe_all_captures(&cc)).serial();
+        sim.set_phase_metrics(crate::SimPhaseMetrics {
+            stem_replays: registry.counter("replays"),
+            stem_hits: registry.counter("hits"),
+            drain_evals: registry.counter("evals"),
+            ..Default::default()
+        });
+        // Lanes 0..3: (a, b, c) = (0, 0, 1), (1, 0, 0), (1, 1, 1).
+        let mut frame = cc.new_frame();
+        frame[a.index()] = 0b110;
+        frame[b.index()] = 0b100;
+        frame[c.index()] = 0b101;
+        sim.run_batch(&mut frame, 3);
+        assert_eq!(sim.detections(), &[1, 0, 1, 1, 1]);
+        assert_eq!(registry.counter("replays").value(), 2);
+        assert_eq!(registry.counter("hits").value(), 2);
+        // Each stem's drain evaluates both gates it feeds and both
+        // output markers.
+        assert_eq!(registry.counter("evals").value(), 8);
     }
 
     /// A kernel program lowered without the grading keep set fails

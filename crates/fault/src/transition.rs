@@ -207,7 +207,7 @@ impl<W: LaneWord> FaultModel<W> for Transition<W> {
             let prev = &prev_slice[frame - 1];
             let cur = &mut rest[0];
             cur.copy_from_slice(prev);
-            for &(ff, d_src) in plan.cone(frame - 1).captures() {
+            for &(ff, d_src) in plan.captures(frame - 1) {
                 cur[ff.index()] = prev[d_src.index()];
             }
             if frame == last {
@@ -237,7 +237,7 @@ impl<W: LaneWord> FaultModel<W> for Transition<W> {
         scratch: &mut KernelScratch<W>,
         out: &mut [W],
     ) {
-        let step = &mut KernelStep::new(prog, plan, scratch);
+        let step = &mut KernelStep::new(prog, &plan.edges, plan.cone(0), scratch);
         replay_window(batch, &self.window, &self.good_frames, plan, shard, out, step);
     }
 }
@@ -269,17 +269,17 @@ impl<W> WindowState<W> {
 /// each fault's multi-lane detection word into `out`. Reads only the
 /// shared fault-free frames; all mutable state is the worker's own
 /// `step` scratch, so shard scheduling cannot affect results.
-fn replay_window<W: LaneWord>(
+fn replay_window<'s, W: LaneWord>(
     batch: &Batch<'_, W>,
     window: &CaptureWindow,
     good_frames: &[Vec<W>],
-    plan: &TransitionKernelPlan,
+    plan: &'s TransitionKernelPlan,
     shard: &[u32],
     out: &mut [W],
-    step: &mut KernelStep<'_, W>,
+    step: &mut KernelStep<'s, W>,
 ) {
     let nframes = window.num_frames();
-    batch.each(shard, out, |fault| {
+    batch.each(shard, out, |_, fault| {
         let site = fault.node;
         // Precompute the activation word of every at-speed frame: where
         // the launch pulse actually creates the fault's slow transition
@@ -344,7 +344,7 @@ fn replay_window<W: LaneWord>(
                 continue; // nothing differs in this frame
             }
 
-            step.begin(frame);
+            step.begin(plan.cone(frame));
             for k in 0..step.window().overlay.len() {
                 let (ff, word) = step.window().overlay[k];
                 step.seed(ff, word);
@@ -367,7 +367,7 @@ fn replay_window<W: LaneWord>(
             // their faulty `D` words; the fault-free frame after the
             // boundary holds `good[d_src]` there.
             step.window().overlay.truncate(own);
-            for &(ff, d_src) in plan.cone(frame).captures() {
+            for &(ff, d_src) in plan.captures(frame) {
                 let faulty_d = step.value(d_src, good);
                 if faulty_d != good[d_src.index()] {
                     step.window().overlay.push((ff, faulty_d));

@@ -44,10 +44,13 @@
 //! instruction for a forced word (`Force0`/`Force1` for stuck-at, the
 //! [`PatchKind::FlipLanes`] delay variant for transition faults) and
 //! leaves the program itself untouched, so the same shared program
-//! serves fault-free simulation and every per-fault replay — the fault
-//! simulators in `lbist-fault` run the sparse equivalent (the
-//! precomputed forward cone of the patched slot) for speed, and
-//! property tests pin both to the full patched execution.
+//! serves fault-free simulation and every per-fault replay. The fault
+//! simulators in `lbist-fault` reach the same detection words sparsely,
+//! for speed: stuck-at faults by tracing each effect to its
+//! fanout-free-region stem and draining events from there, transition
+//! faults by draining events frame by frame, both with
+//! [`KernelProgram::eval_instr`] over an overlay read. Property tests
+//! pin them to a slow reference grader with the same semantics.
 
 use crate::compiled::CompiledCircuit;
 use lbist_exec::LaneWord;
@@ -459,7 +462,8 @@ impl KernelProgram {
     /// Evaluates one instruction against an arbitrary read function
     /// (`read(slot)` returns the current word of a frame slot; operand
     /// inversions are applied on top). This is the primitive the fault
-    /// simulators' sparse cone replay uses with an overlay read.
+    /// simulators' event drain uses with an overlay read, and stuck-at
+    /// tracing with one operand's slot read complemented.
     #[inline]
     pub fn eval_instr<W: LaneWord>(&self, idx: usize, read: impl Fn(u32) -> W) -> W {
         let ins = &self.instrs[idx];
@@ -497,72 +501,6 @@ impl KernelProgram {
         }
     }
 
-    /// [`Self::eval_instr`] against two read functions at once: one
-    /// instruction fetch and opcode dispatch serves both evaluations.
-    /// This is what makes paired fault replay pay — two faults on the
-    /// same gate walk their shared cone with the dispatch cost of one.
-    #[inline]
-    pub fn eval_instr2<W: LaneWord>(
-        &self,
-        idx: usize,
-        read1: impl Fn(u32) -> W,
-        read2: impl Fn(u32) -> W,
-    ) -> (W, W) {
-        let ins = &self.instrs[idx];
-        let rd1 = |o: u32| {
-            let w = read1(o & SLOT);
-            if o & INV != 0 {
-                w.not()
-            } else {
-                w
-            }
-        };
-        let rd2 = |o: u32| {
-            let w = read2(o & SLOT);
-            if o & INV != 0 {
-                w.not()
-            } else {
-                w
-            }
-        };
-        match ins.op {
-            Op::Const0 => (W::zero(), W::zero()),
-            Op::Const1 => (W::ones(), W::ones()),
-            Op::Copy => (rd1(ins.a), rd2(ins.a)),
-            Op::And2 => (rd1(ins.a).and(rd1(ins.b)), rd2(ins.a).and(rd2(ins.b))),
-            Op::Or2 => (rd1(ins.a).or(rd1(ins.b)), rd2(ins.a).or(rd2(ins.b))),
-            Op::Xor2 => (rd1(ins.a).xor(rd1(ins.b)), rd2(ins.a).xor(rd2(ins.b))),
-            Op::And3 => (
-                rd1(ins.a).and(rd1(ins.b)).and(rd1(ins.c)),
-                rd2(ins.a).and(rd2(ins.b)).and(rd2(ins.c)),
-            ),
-            Op::Or3 => {
-                (rd1(ins.a).or(rd1(ins.b)).or(rd1(ins.c)), rd2(ins.a).or(rd2(ins.b)).or(rd2(ins.c)))
-            }
-            Op::Xor3 => (
-                rd1(ins.a).xor(rd1(ins.b)).xor(rd1(ins.c)),
-                rd2(ins.a).xor(rd2(ins.b)).xor(rd2(ins.c)),
-            ),
-            Op::AndN => self.pool[ins.a as usize..(ins.a + ins.b) as usize]
-                .iter()
-                .fold((W::ones(), W::ones()), |acc, &o| (acc.0.and(rd1(o)), acc.1.and(rd2(o)))),
-            Op::OrN => self.pool[ins.a as usize..(ins.a + ins.b) as usize]
-                .iter()
-                .fold((W::zero(), W::zero()), |acc, &o| (acc.0.or(rd1(o)), acc.1.or(rd2(o)))),
-            Op::XorN => self.pool[ins.a as usize..(ins.a + ins.b) as usize]
-                .iter()
-                .fold((W::zero(), W::zero()), |acc, &o| (acc.0.xor(rd1(o)), acc.1.xor(rd2(o)))),
-            Op::Mux => {
-                let s1 = rd1(ins.a);
-                let s2 = rd2(ins.a);
-                (
-                    s1.not().and(rd1(ins.b)).or(s1.and(rd1(ins.c))),
-                    s2.not().and(rd2(ins.b)).or(s2.and(rd2(ins.c))),
-                )
-            }
-        }
-    }
-
     /// Executes the instruction range `[lo, hi)` in place. Used for
     /// level-sharded execution; `execute` is the `0..num_instrs` case.
     #[inline]
@@ -571,62 +509,6 @@ impl KernelProgram {
         for idx in lo..hi {
             let v = self.eval_instr(idx, |slot| frame[slot as usize]);
             frame[self.instrs[idx].dst as usize] = v;
-        }
-    }
-
-    /// [`Self::execute_range`] over two frames at once: one instruction
-    /// fetch and opcode dispatch per instruction serves both. This is
-    /// the paired-suffix primitive of kernel fault replay — two faults
-    /// patching the same instruction re-execute their shared suffix for
-    /// the dispatch cost of one.
-    #[inline]
-    pub fn execute_range2<W: LaneWord>(
-        &self,
-        frame1: &mut [W],
-        frame2: &mut [W],
-        lo: usize,
-        hi: usize,
-    ) {
-        debug_assert_eq!(frame1.len(), self.num_nodes);
-        debug_assert_eq!(frame2.len(), self.num_nodes);
-        for idx in lo..hi {
-            let (v1, v2) =
-                self.eval_instr2(idx, |slot| frame1[slot as usize], |slot| frame2[slot as usize]);
-            let dst = self.instrs[idx].dst as usize;
-            frame1[dst] = v1;
-            frame2[dst] = v2;
-        }
-    }
-
-    /// [`Self::execute_range2`] with per-frame patch protection: the
-    /// instruction at `skip1`/`skip2` evaluates but does not overwrite
-    /// the corresponding frame's destination slot. This lets fault
-    /// replay pair two faults patching **different** instructions into
-    /// one shared suffix pass — the range covers both suffixes and each
-    /// frame keeps its own forced word where its fault is injected
-    /// (pass `usize::MAX` for a frame that needs no protection).
-    #[inline]
-    pub fn execute_range2_skip<W: LaneWord>(
-        &self,
-        frame1: &mut [W],
-        frame2: &mut [W],
-        lo: usize,
-        hi: usize,
-        skip1: usize,
-        skip2: usize,
-    ) {
-        debug_assert_eq!(frame1.len(), self.num_nodes);
-        debug_assert_eq!(frame2.len(), self.num_nodes);
-        for idx in lo..hi {
-            let (v1, v2) =
-                self.eval_instr2(idx, |slot| frame1[slot as usize], |slot| frame2[slot as usize]);
-            let dst = self.instrs[idx].dst as usize;
-            if idx != skip1 {
-                frame1[dst] = v1;
-            }
-            if idx != skip2 {
-                frame2[dst] = v2;
-            }
         }
     }
 
@@ -665,8 +547,9 @@ impl KernelProgram {
     /// shared program stays valid for concurrent fault-free use.
     ///
     /// This is the reference semantics of kernel fault injection; the
-    /// fault simulators replay only the patched slot's precomputed
-    /// forward cone, which property tests pin to this full execution.
+    /// fault simulators reach the same observed words sparsely, by
+    /// fanout-free-region tracing and an event drain (see the module
+    /// doc).
     ///
     /// # Panics
     ///

@@ -75,6 +75,45 @@ fn arb_seq_netlist(domains: u16) -> impl Strategy<Value = Netlist> {
         })
 }
 
+/// Strategy: a random small two-domain sequential netlist over every
+/// gate kind the kernel lowers: NOT, 2-input AND/OR/XOR/NAND/NOR/XNOR,
+/// MUX2, and 3–5-input gates (the kernel's three-operand and pooled
+/// n-ary instructions). Fanins are drawn with repetition, so a gate may
+/// read one node on several pins, select and data pins included.
+fn arb_all_gates_netlist() -> impl Strategy<Value = Netlist> {
+    (2usize..5, proptest::collection::vec((0usize..12, any::<u64>()), 4..40)).prop_map(
+        |(num_inputs, specs)| {
+            use GateKind::*;
+            let mut nl = Netlist::new("gates");
+            let mut pool: Vec<NodeId> =
+                (0..num_inputs).map(|i| nl.add_input(&format!("i{i}"))).collect();
+            for (sel, pick) in specs {
+                let pin = |k: usize| pool[(pick >> (10 * k)) as usize % pool.len()];
+                let node = match sel {
+                    0 => nl.add_gate(Not, &[pin(0)]),
+                    1..=6 => {
+                        nl.add_gate([And, Or, Xor, Nand, Nor, Xnor][sel - 1], &[pin(0), pin(1)])
+                    }
+                    7 => nl.add_gate(Mux2, &[pin(0), pin(1), pin(2)]),
+                    8 | 9 => {
+                        let kind = [And, Or, Xor, Nand, Nor, Xnor][(pick >> 50) as usize % 6];
+                        let arity = 3 + (pick >> 60) as usize % 3;
+                        nl.add_gate(kind, &(0..arity).map(pin).collect::<Vec<_>>())
+                    }
+                    _ => nl.add_dff(pin(0), DomainId::new((sel % 2) as u16)),
+                };
+                pool.push(node);
+            }
+            let mut last = *pool.last().unwrap();
+            for d in 0..2 {
+                last = nl.add_dff(last, DomainId::new(d));
+            }
+            nl.add_output("y", last);
+            nl
+        },
+    )
+}
+
 /// `nl` with some flip-flops' `D` pins rewired to arbitrary nodes, later
 /// ones included: sequential feedback, so an effect captured into a
 /// flip-flop can reach its own fault site again within the capture
@@ -109,10 +148,18 @@ fn random_sources<W: LaneWord>(cc: &CompiledCircuit, stim: u64, k: u64) -> Vec<W
 /// Grades the collapsed stuck-at universe of `nl` over `batches` batches
 /// with no dropping, at lane width `W` and on `threads` workers, and
 /// checks every fault's detection count against the oracle's popcounts.
-fn stuck_at_matches_oracle<W: LaneWord>(nl: &Netlist, stim: u64, batches: u64, threads: usize) {
+/// The observation set is the captures plus `extra_observed`.
+fn stuck_at_matches_oracle<W: LaneWord>(
+    nl: &Netlist,
+    extra_observed: &[NodeId],
+    stim: u64,
+    batches: u64,
+    threads: usize,
+) {
     let cc = CompiledCircuit::compile(nl).unwrap();
     let faults = FaultUniverse::stuck_at(nl).representatives();
-    let observed = StuckAtSim::observe_all_captures(&cc);
+    let mut observed = StuckAtSim::observe_all_captures(&cc);
+    observed.extend_from_slice(extra_observed);
     let mut sim = WideStuckAtSim::<W>::new(&cc, faults.clone(), observed.clone());
     sim.set_drop_after(u32::MAX);
     sim.set_threads(threads);
@@ -345,8 +392,32 @@ proptest! {
     ) {
         let nl = with_feedback(nl, feedback);
         for threads in [1, 3] {
-            stuck_at_matches_oracle::<u64>(&nl, stim, batches, threads);
-            stuck_at_matches_oracle::<u128>(&nl, stim, batches, threads);
+            stuck_at_matches_oracle::<u64>(&nl, &[], stim, batches, threads);
+            stuck_at_matches_oracle::<u128>(&nl, &[], stim, batches, threads);
+        }
+    }
+
+    /// The same contract over every gate kind the kernel lowers, with
+    /// random interior nodes observed beside the captures: fault effects
+    /// cross MUX select and data pins, inverting and 3–5-input gates,
+    /// and observed nodes inside what would otherwise be a fanout-free
+    /// region.
+    #[test]
+    fn stuck_at_grading_matches_oracle_every_gate_kind(
+        nl in arb_all_gates_netlist(),
+        feedback: u64,
+        observe: u64,
+        stim: u64,
+        batches in 2u64..4,
+    ) {
+        let nl = with_feedback(nl, feedback);
+        let interior: Vec<NodeId> = nl
+            .ids()
+            .filter(|&n| nl.kind(n).is_logic() && observe.rotate_right(n.index() as u32) & 3 == 0)
+            .collect();
+        for threads in [1, 3] {
+            stuck_at_matches_oracle::<u64>(&nl, &interior, stim, batches, threads);
+            stuck_at_matches_oracle::<u128>(&nl, &interior, stim, batches, threads);
         }
     }
 
