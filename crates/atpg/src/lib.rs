@@ -45,13 +45,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod compact;
 mod pattern;
 mod podem;
 mod topup;
 mod values;
 
-pub use compact::{compact_cubes, compacted_count, compatible, cube_of, merge};
 pub use pattern::{Pattern, TestCube};
 pub use podem::{AtpgOutcome, Podem};
 pub use topup::{PassStats, TopUpAtpg, TopUpReport};

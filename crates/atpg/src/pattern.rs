@@ -42,25 +42,6 @@ impl TestCube {
         self.assignments.len()
     }
 
-    /// `true` when the two cubes agree on every node both specify — the
-    /// precondition for sharing one stored pattern or one LFSR seed.
-    pub fn compatible(&self, other: &TestCube) -> bool {
-        self.assignments.iter().all(|&(n, v)| other.value_of(n).map(|ov| ov == v).unwrap_or(true))
-    }
-
-    /// Merges two compatible cubes into one cube carrying the union of
-    /// their care bits, or `None` if they conflict on some node.
-    pub fn merged(&self, other: &TestCube) -> Option<TestCube> {
-        if !self.compatible(other) {
-            return None;
-        }
-        let mut out = self.clone();
-        for &(n, v) in other.assignments() {
-            out.assign(n, v);
-        }
-        Some(out)
-    }
-
     /// Random-fills the don't-cares into a full [`Pattern`] over the
     /// circuit's inputs and flip-flops.
     pub fn fill(&self, cc: &CompiledCircuit, rng: &mut impl Rng) -> Pattern {

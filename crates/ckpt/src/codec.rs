@@ -151,7 +151,7 @@ impl<'a> Decoder<'a> {
         Ok(s)
     }
 
-    fn take_len(&mut self, what: &'static str) -> Result<usize, CkptError> {
+    pub(crate) fn take_len(&mut self, what: &'static str) -> Result<usize, CkptError> {
         let n = self.take_u64()?;
         if n > MAX_ELEMS {
             return Err(CkptError::Malformed(what));

@@ -85,7 +85,9 @@ pub fn encode_netlist(netlist: &Netlist) -> Vec<u8> {
 pub fn decode_netlist(payload: &[u8]) -> Result<Netlist, CkptError> {
     let mut d = Decoder::new(payload);
     let mut netlist = Netlist::new(take_string(&mut d)?);
-    let count = d.take_usize()?;
+    // Capped like every length, so each in-range fanin index fits a
+    // `NodeId`.
+    let count = d.take_len("node count")?;
     // Forward references patched after every node exists: (node, pin, src).
     let mut fixups: Vec<(NodeId, usize, NodeId)> = Vec::new();
     for idx in 0..count {
@@ -96,7 +98,8 @@ pub fn decode_netlist(payload: &[u8]) -> Result<Netlist, CkptError> {
         if !fanin_count_ok {
             return Err(CkptError::Malformed("fanin count illegal for gate kind"));
         }
-        let mut fanins = Vec::with_capacity(num_fanins);
+        // Not pre-sized: the count is untrusted until its fanins are read.
+        let mut fanins = Vec::new();
         for _ in 0..num_fanins {
             let f = d.take_u64()? as usize;
             if f >= count {
@@ -241,7 +244,9 @@ pub fn decode_faults(payload: &[u8]) -> Result<Vec<Fault>, CkptError> {
     let count = d.take_usize()?;
     let mut faults = Vec::with_capacity(count.min(1 << 20));
     for _ in 0..count {
-        let node = NodeId::from_index(d.take_u64()? as usize);
+        let node = u32::try_from(d.take_u64()?)
+            .map_err(|_| CkptError::Malformed("fault node index exceeds u32"))?;
+        let node = NodeId::from_index(node as usize);
         let pin = if d.take_bool()? { Some(d.take_u8()?) } else { None };
         let kind = fault_kind_from_code(d.take_u8()?)?;
         faults.push(match pin {
@@ -385,6 +390,37 @@ mod tests {
         e.put_u64(1);
         e.put_bool(false);
         assert!(matches!(decode_netlist(&e.finish()), Err(CkptError::Malformed(_))));
+    }
+
+    /// A gate declaring a huge fanin count is rejected when its fanins
+    /// run out of range, without pre-sizing for the declared count.
+    #[test]
+    fn huge_fanin_count_is_rejected() {
+        let mut e = Encoder::new();
+        e.put_bytes(b"evil");
+        e.put_usize(2);
+        e.put_u8(kind_code(GateKind::Input));
+        e.put_usize(0);
+        e.put_bool(true);
+        e.put_bytes(b"a");
+        e.put_u8(kind_code(GateKind::And));
+        e.put_usize(1 << 61);
+        e.put_u64(0);
+        e.put_u64(9); // out of range for two nodes
+        let sealed = crate::seal(KIND_NETLIST, &e.finish());
+        assert!(matches!(open_netlist(&sealed), Err(CkptError::Malformed(_))));
+    }
+
+    /// A fault node index past `u32::MAX` is malformed, not a panic.
+    #[test]
+    fn fault_node_index_past_u32_is_rejected() {
+        let mut e = Encoder::new();
+        e.put_usize(1);
+        e.put_u64(u64::from(u32::MAX) + 1);
+        e.put_bool(false);
+        e.put_u8(fault_kind_code(FaultKind::StuckAt0));
+        let sealed = crate::seal(KIND_FAULTS, &e.finish());
+        assert!(matches!(open_faults(&sealed), Err(CkptError::Malformed(_))));
     }
 
     #[test]

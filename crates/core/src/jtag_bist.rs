@@ -6,8 +6,9 @@
 //! internal states for fault diagnosis". [`JtagBist`] implements exactly
 //! that contract over a [`SelfTestSession`]: `LBIST_START` runs a session,
 //! `LBIST_STATUS` reports `(finish, result)` against the golden reference,
-//! `LBIST_SEED` re-seeds the PRPGs, `LBIST_SIGNATURE` downloads the
-//! concatenated MISR contents.
+//! `LBIST_SIGNATURE` downloads the concatenated MISR contents.
+//! `LBIST_SEED` accepts the shifted bits and drops them: seeds reach the
+//! PRPGs through [`SessionConfig::reseed`], not through the TAP.
 
 use crate::session::{SelfTestSession, SessionConfig, SessionResult};
 use crate::tap::TapBackend;
@@ -21,14 +22,13 @@ pub struct JtagBist<'a> {
     golden: Option<SessionResult>,
     last: Option<SessionResult>,
     finish: bool,
-    seed_entropy: u64,
 }
 
 impl<'a> JtagBist<'a> {
     /// Wraps a session. The first `Start` records the golden signatures;
     /// later runs compare against them.
     pub fn new(session: SelfTestSession<'a>, config: SessionConfig) -> Self {
-        JtagBist { session, config, golden: None, last: None, finish: false, seed_entropy: 0 }
+        JtagBist { session, config, golden: None, last: None, finish: false }
     }
 
     /// Injects a defect for subsequent runs (defect emulation for bring-up
@@ -72,18 +72,10 @@ impl<'a> TapBackend for JtagBist<'a> {
         (self.finish, self.finish && pass)
     }
 
-    fn load_seed(&mut self, bits: &[bool]) {
-        // Fold the shifted bits into seed entropy; the next run's PRPGs
-        // start from a schedule derived from it. (The architecture re-seeds
-        // deterministically per session; entropy perturbs the derivation.)
-        let mut e = 0u64;
-        for (i, &b) in bits.iter().enumerate() {
-            if b {
-                e ^= 1u64.rotate_left(i as u32);
-            }
-        }
-        self.seed_entropy = e;
-    }
+    /// Accepts and drops the bits: every run resets the PRPGs to the
+    /// architecture's seeds, and a seed schedule is set with
+    /// [`SessionConfig::reseed`].
+    fn load_seed(&mut self, _bits: &[bool]) {}
 
     fn signature_bits(&self) -> Vec<bool> {
         match &self.last {
@@ -179,17 +171,5 @@ mod tests {
         tap.load_instruction(TapInstruction::LbistStatus);
         let status = tap.shift_dr(&[false, false]);
         assert_eq!(status, vec![true, true]);
-    }
-
-    #[test]
-    fn seed_entropy_is_absorbed() {
-        let c = core();
-        let session = SelfTestSession::new(&c, &StumpsConfig::default());
-        let backend =
-            JtagBist::new(session, SessionConfig { num_patterns: 4, ..Default::default() });
-        let mut tap = TapController::new(backend);
-        tap.load_instruction(TapInstruction::LbistSeed);
-        tap.shift_dr(&[true, false, true, true]);
-        assert_ne!(tap.backend().seed_entropy, 0);
     }
 }

@@ -117,15 +117,15 @@ mod tests {
         assert!(nl.validate().is_ok());
         assert_eq!(nl.dffs().len(), 3);
         assert_eq!(nl.outputs().len(), 1);
-        // Sequential sanity: runs without X (2-valued sim init 0).
+        // From the all-zero reset state (G5 = G6 = G7 = 0),
+        // G17 = NOT(G11) = NOT(G3 AND NOT G1).
         let cc = CompiledCircuit::compile(&nl).unwrap();
-        let mut sim = lbist_sim::SeqSim::new(&cc);
-        for &pi in cc.inputs() {
-            sim.set_input(pi, 0x0F0F_0F0F_0F0F_0F0F);
-        }
-        sim.run_cycles(5);
-        let po = cc.outputs()[0];
-        let _ = sim.value(po); // reachable, no panic
+        let mut frame = cc.new_frame();
+        let (g1, g3) = (0x0F0F_0F0F_0F0F_0F0Fu64, 0x3333_3333_3333_3333u64);
+        frame[nl.find("G1").unwrap().index()] = g1;
+        frame[nl.find("G3").unwrap().index()] = g3;
+        cc.eval2(&mut frame);
+        assert_eq!(frame[cc.outputs()[0].index()], !(g3 & !g1));
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! observability instead.
 
 use crate::cop::CopMeasures;
+use lbist_exec::RetryPolicy;
 use lbist_netlist::{DomainId, Fanouts, GateKind, Netlist, NodeId};
 use lbist_sim::CompiledCircuit;
 use rand::rngs::SmallRng;
@@ -87,7 +88,9 @@ impl TestPointInsertion {
             );
             let frame_ro: &[u64] = &frame;
             let mut no_scratch: Vec<()> = Vec::new();
-            lbist_exec::parallel_chunks_with_scratch(
+            // A shard re-run after a contained panic only pushes nodes
+            // again; the sort and dedup below drop the repeats.
+            lbist_exec::resilient_chunks_with_scratch(
                 undetected,
                 &mut reach,
                 workers,
@@ -103,6 +106,8 @@ impl TestPointInsertion {
                         });
                     }
                 },
+                &RetryPolicy::default(),
+                None,
             );
         }
         for r in &mut reach {
@@ -181,7 +186,7 @@ fn best_candidate(cand: &[(u32, Vec<u32>)], covered: &[bool]) -> Option<(usize, 
     );
     let mut gains = vec![0usize; cand.len()];
     let mut no_scratch: Vec<()> = Vec::new();
-    lbist_exec::parallel_chunks_with_scratch(
+    lbist_exec::resilient_chunks_with_scratch(
         cand,
         &mut gains,
         workers,
@@ -193,6 +198,8 @@ fn best_candidate(cand: &[(u32, Vec<u32>)], covered: &[bool]) -> Option<(usize, 
                 *gain = faults.iter().filter(|&&f| !covered[f as usize]).count();
             }
         },
+        &RetryPolicy::default(),
+        None,
     );
     let mut best: Option<(usize, u32)> = None;
     for (&(node, _), &gain) in cand.iter().zip(&gains) {

@@ -9,7 +9,7 @@
 //! * [`ThreadPool`] — a **persistent pool**: workers are spawned once,
 //!   park when idle, and pop tasks from one shared FIFO queue; a batch
 //!   no longer pays OS-thread spawn/join per invocation. [`scope`],
-//!   [`join`] and [`parallel_chunks_with_scratch`] run on the current
+//!   [`join`] and [`resilient_chunks_with_scratch`] run on the current
 //!   pool (the lazily-initialised [`global`] pool unless a
 //!   [`ThreadPool::install`] overrides it). Threads waiting for a
 //!   scope *help*: they execute queued tasks instead of blocking, so
@@ -18,11 +18,12 @@
 //!   the `u64` 64-lane assumption of the original TPG/fault-sim stack
 //!   generalised over `u64`/`u128` (64/128 lanes per pass).
 //! * **Resilience** — [`CancelToken`] for cooperative cancellation and
-//!   deadlines, [`resilient_chunks_with_scratch`] for per-shard panic
-//!   containment with bounded retries and serial degrade (failures
-//!   surface as a [`ShardPanic`] naming the shard and carrying the
-//!   original payload), and the [`chaos`] module's deterministic
-//!   fault-injection hook that lets tests rehearse worker failure.
+//!   deadlines, per-shard panic containment in
+//!   [`resilient_chunks_with_scratch`] with bounded retries and serial
+//!   degrade (failures surface as a [`ShardPanic`] naming the shard and
+//!   carrying the original payload), and the [`chaos`] module's
+//!   deterministic fault-injection hook that lets tests rehearse worker
+//!   failure.
 //! * **Telemetry** — every pool charges per-worker `tasks_run`
 //!   counters (readable via [`ThreadPool::stats`] or by name through
 //!   `lbist_obs::global()` snapshots), and resilient dispatch
@@ -69,7 +70,7 @@ mod resilient;
 pub use cancel::{CancelReason, CancelToken};
 pub use lanes::LaneWord;
 pub use pool::{
-    current_num_threads, global, join, parallel_chunks_with_scratch, scope, worker_budget,
-    PoolStats, Scope, ThreadPool, WorkerStats,
+    current_num_threads, global, join, scope, worker_budget, PoolStats, Scope, ThreadPool,
+    WorkerStats,
 };
 pub use resilient::{resilient_chunks_with_scratch, retry_backoff, RetryPolicy, ShardPanic};

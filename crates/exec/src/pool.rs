@@ -282,8 +282,9 @@ impl ThreadPool {
 
     /// Runs `f` with this pool installed as the calling thread's
     /// current pool: [`scope`], [`join`],
-    /// [`parallel_chunks_with_scratch`] and [`current_num_threads`]
-    /// inside `f` target it instead of the global pool.
+    /// [`resilient_chunks_with_scratch`](crate::resilient_chunks_with_scratch)
+    /// and [`current_num_threads`] inside `f` target it instead of the
+    /// global pool.
     pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
         struct PopGuard;
         impl Drop for PopGuard {
@@ -486,16 +487,18 @@ pub fn worker_budget(threads: usize, len: usize, min_shard: Option<usize>) -> us
     }
 }
 
-/// Shards per worker in the chunk dispatchers. More shards than workers
+/// Shards per worker in the chunk dispatcher. More shards than workers
 /// let a worker that finishes early pull another shard instead of
 /// idling while a slower one finishes its band; each shard also pays its
 /// consumer's per-shard set-up. 1, 4 and 8 were measured on the fault
 /// simulators, and 4 was best.
 const SHARDS_PER_WORKER: usize = 4;
 
-/// The shard length both chunk dispatchers split `len` items into for
-/// `workers` workers (the split their docs describe). `len` must be at
-/// least 1: both dispatchers return early on no items.
+/// The shard length the chunk dispatcher,
+/// [`resilient_chunks_with_scratch`](crate::resilient_chunks_with_scratch),
+/// splits `len` items into for `workers` workers (the split its doc
+/// describes). `len` must be at least 1: the dispatcher returns early
+/// on no items.
 pub(crate) fn shard_len(len: usize, workers: usize, min_shard: Option<usize>) -> usize {
     let most = workers * SHARDS_PER_WORKER;
     let shards = match min_shard {
@@ -504,93 +507,6 @@ pub(crate) fn shard_len(len: usize, workers: usize, min_shard: Option<usize>) ->
         None => most,
     };
     len.div_ceil(shards.min(len))
-}
-
-/// The 3-way zip dispatch shape shared by every sharded grader:
-/// `items` are split into contiguous shards, `out` is split in lockstep
-/// (`out[i]` belongs to `items[i]`), and `workers` tasks pull shards
-/// from a shared cursor until none is left, each running its shards
-/// with its own reusable per-worker `scratch` entry. `scratch` is grown
-/// on demand with `make_scratch` and kept for the next call — the
-/// allocation-heavy propagation state survives across batches.
-///
-/// The split makes up to four shards per worker, so a worker that
-/// finishes its shard early takes another instead of idling. In auto
-/// mode (`min_shard: Some(m)`, as passed to [`worker_budget`]) it makes
-/// no more shards than keep `m` items each, beyond the one per worker
-/// the budget granted; with `None` it goes down to single items.
-///
-/// A budget of 1 runs inline on the caller as one shard (the `--serial`
-/// escape hatch); shard boundaries depend only on `items.len()`,
-/// `workers` and `min_shard`, and every shard writes its own disjoint
-/// `out` slice, so results are bit-identical at any budget.
-///
-/// # Panics
-///
-/// Panics if `items` and `out` lengths differ.
-///
-/// # Example
-///
-/// ```
-/// let items = [1u32, 2, 3, 4, 5];
-/// let mut out = [0u32; 5];
-/// let mut scratch: Vec<u32> = Vec::new();
-/// lbist_exec::parallel_chunks_with_scratch(
-///     &items,
-///     &mut out,
-///     2,
-///     None,
-///     &mut scratch,
-///     || 0,
-///     |items, out, calls| {
-///         *calls += 1;
-///         for (i, o) in items.iter().zip(out.iter_mut()) {
-///             *o = i * 10;
-///         }
-///     },
-/// );
-/// assert_eq!(out, [10, 20, 30, 40, 50]);
-/// // Five single-item shards, shared between the two workers.
-/// assert_eq!(scratch.iter().sum::<u32>(), 5);
-/// ```
-pub fn parallel_chunks_with_scratch<T, U, S>(
-    items: &[T],
-    out: &mut [U],
-    workers: usize,
-    min_shard: Option<usize>,
-    scratch: &mut Vec<S>,
-    mut make_scratch: impl FnMut() -> S,
-    f: impl Fn(&[T], &mut [U], &mut S) + Sync,
-) where
-    T: Sync,
-    U: Send,
-    S: Send,
-{
-    assert_eq!(items.len(), out.len(), "items and outputs must align one-to-one");
-    if items.is_empty() {
-        return;
-    }
-    let workers = workers.clamp(1, items.len());
-    while scratch.len() < workers {
-        scratch.push(make_scratch());
-    }
-    if workers == 1 {
-        f(items, out, &mut scratch[0]);
-        return;
-    }
-    let len = shard_len(items.len(), workers, min_shard);
-    let cursor = Mutex::new(items.chunks(len).zip(out.chunks_mut(len)));
-    let next_shard = || cursor.lock().expect("shard cursor poisoned").next();
-    scope(|s| {
-        for scratch in scratch.iter_mut().take(workers) {
-            let (f, next_shard) = (&f, &next_shard);
-            s.spawn(move |_| {
-                while let Some((item_shard, out_shard)) = next_shard() {
-                    f(item_shard, out_shard, scratch);
-                }
-            });
-        }
-    });
 }
 
 #[cfg(test)]
@@ -691,71 +607,6 @@ mod tests {
         // Explicit budgets: four per worker, down to single items.
         assert_eq!(shard_len(257, 2, None), 33);
         assert_eq!(shard_len(5, 4, None), 1);
-    }
-
-    #[test]
-    fn chunks_with_scratch_is_budget_invariant() {
-        let items: Vec<u64> = (0..257).collect();
-        let run = |workers: usize| {
-            let mut out = vec![0u64; items.len()];
-            let mut scratch: Vec<Vec<u64>> = Vec::new();
-            parallel_chunks_with_scratch(
-                &items,
-                &mut out,
-                workers,
-                None,
-                &mut scratch,
-                Vec::new,
-                |items, out, seen| {
-                    for (i, o) in items.iter().zip(out.iter_mut()) {
-                        seen.push(*i);
-                        *o = i * 3 + 1;
-                    }
-                },
-            );
-            (out, scratch)
-        };
-        let (serial, serial_scratch) = run(1);
-        assert_eq!(serial_scratch.len(), 1);
-        for workers in [2, 3, 8, 300] {
-            let (parallel, scratch) = run(workers);
-            assert_eq!(parallel, serial, "{workers}-worker output differs");
-            // Every item was visited exactly once across all workers.
-            let visited: usize = scratch.iter().map(Vec::len).sum();
-            assert_eq!(visited, items.len());
-        }
-    }
-
-    #[test]
-    fn chunks_with_scratch_reuses_scratch_across_calls() {
-        let items = [0u8; 40];
-        let mut out = [0u8; 40];
-        let mut scratch: Vec<u32> = Vec::new();
-        let mut builds = 0;
-        parallel_chunks_with_scratch(&items, &mut out, 4, None, &mut scratch, || 7, |_, _, _| {});
-        assert_eq!(scratch.len(), 4);
-        parallel_chunks_with_scratch(
-            &items,
-            &mut out,
-            4,
-            None,
-            &mut scratch,
-            || {
-                builds += 1;
-                7
-            },
-            |_, _, _| {},
-        );
-        assert_eq!(builds, 0, "a second same-budget call must reuse the scratch");
-    }
-
-    #[test]
-    #[should_panic(expected = "align")]
-    fn chunks_with_scratch_rejects_misaligned_outputs() {
-        let items = [1u8, 2];
-        let mut out = [0u8; 3];
-        let mut scratch: Vec<()> = Vec::new();
-        parallel_chunks_with_scratch(&items, &mut out, 2, None, &mut scratch, || (), |_, _, _| {});
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Resilient sharded dispatch: retries, graceful degradation, and
 //! shard-identified panic propagation.
 //!
-//! [`resilient_chunks_with_scratch`] is the fault-tolerant sibling of
-//! [`parallel_chunks_with_scratch`](crate::parallel_chunks_with_scratch):
-//! the same deterministic split into up to four contiguous shards per
-//! worker, pulled by the workers from a shared cursor, but each shard
-//! runs under panic containment. A shard that panics is retried on the
+//! [`resilient_chunks_with_scratch`] is the workspace's one chunk
+//! dispatcher: a deterministic split into up to four contiguous shards
+//! per worker, pulled by the workers from a shared cursor, with each
+//! shard run under panic containment. A shard that panics is retried on the
 //! pool with per-shard-jittered doubling backoff ([`RetryPolicy`],
 //! [`retry_backoff`]); a shard that keeps failing is
 //! **degraded to the serial path** — re-run once on the calling thread —
@@ -15,12 +14,12 @@
 //! which shard died). Chaos actions, retries and the degrade all key on
 //! the shard index, which runs past the worker count.
 //!
-//! The shard closure contract is therefore stricter than the plain
-//! dispatcher's: `f` may be executed more than once for the same shard,
-//! so it must fully overwrite its `out` slice on success and tolerate
-//! running against a scratch value any earlier attempt or shard already
-//! touched — scratch belongs to a worker, not to a shard (the fault
-//! sims' replay scratch resets on entry, so they qualify).
+//! The shard closure contract follows: `f` may be executed more than
+//! once for the same shard, so it must fully overwrite its `out` slice
+//! on success and tolerate running against a scratch value any earlier
+//! attempt or shard already touched — scratch belongs to a worker, not
+//! to a shard (the fault sims' replay scratch resets on entry, so they
+//! qualify).
 
 use crate::cancel::CancelToken;
 use crate::chaos::{self, ChaosAction};
@@ -169,13 +168,29 @@ fn backoff_sleep(policy: &RetryPolicy, retry: u32, shard: usize, cancel: Option<
     std::thread::sleep(retry_backoff(policy, retry, shard));
 }
 
-/// Fault-tolerant variant of
-/// [`parallel_chunks_with_scratch`](crate::parallel_chunks_with_scratch);
-/// identical split and (on success) identical results, plus per-shard
-/// panic containment with bounded retries, serial degrade, and
-/// [`ShardPanic`] propagation. The shard — not the worker — is the unit
-/// of chaos actions, retries, the serial degrade and
-/// [`ShardPanic::shard`]; shards outnumber workers, and each worker
+/// The 3-way zip dispatch shape shared by every sharded consumer:
+/// `items` are split into contiguous shards, `out` is split in lockstep
+/// (`out[i]` belongs to `items[i]`), and `workers` tasks pull shards
+/// from a shared cursor until none is left, each running its shards
+/// with its own reusable per-worker `scratch` entry. `scratch` is grown
+/// on demand with `make_scratch` and kept for the next call — the
+/// allocation-heavy propagation state survives across batches.
+///
+/// The split makes up to four shards per worker, so a worker that
+/// finishes its shard early takes another instead of idling. In auto
+/// mode (`min_shard: Some(m)`, as passed to
+/// [`worker_budget`](crate::worker_budget)) it makes no more shards
+/// than keep `m` items each, beyond the one per worker the budget
+/// granted; with `None` it goes down to single items. A budget of 1
+/// runs on the caller as one shard (the `--serial` escape hatch); shard
+/// boundaries depend only on `items.len()`, `workers` and `min_shard`,
+/// and every shard writes its own disjoint `out` slice, so results are
+/// bit-identical at any budget.
+///
+/// Every shard runs under panic containment with bounded retries,
+/// serial degrade, and [`ShardPanic`] propagation. The shard — not the
+/// worker — is the unit of chaos actions, retries, the serial degrade
+/// and [`ShardPanic::shard`]; shards outnumber workers, and each worker
 /// retries a failed shard on its own scratch before pulling the next.
 ///
 /// When `cancel` fires mid-dispatch, pending retries and degrades are
@@ -188,6 +203,35 @@ fn backoff_sleep(policy: &RetryPolicy, retry: u32, shard: usize, cancel: Option<
 /// Panics with a [`ShardPanic`] payload if a shard fails every pool
 /// attempt and the serial degrade; panics if `items` and `out` lengths
 /// differ.
+///
+/// # Example
+///
+/// ```
+/// use lbist_exec::{resilient_chunks_with_scratch, RetryPolicy};
+///
+/// let items = [1u32, 2, 3, 4, 5];
+/// let mut out = [0u32; 5];
+/// let mut scratch: Vec<u32> = Vec::new();
+/// resilient_chunks_with_scratch(
+///     &items,
+///     &mut out,
+///     2,
+///     None,
+///     &mut scratch,
+///     || 0,
+///     |items, out, calls| {
+///         *calls += 1;
+///         for (i, o) in items.iter().zip(out.iter_mut()) {
+///             *o = i * 10;
+///         }
+///     },
+///     &RetryPolicy::default(),
+///     None,
+/// );
+/// assert_eq!(out, [10, 20, 30, 40, 50]);
+/// // Five single-item shards, shared between the two workers.
+/// assert_eq!(scratch.iter().sum::<u32>(), 5);
+/// ```
 #[allow(clippy::too_many_arguments)]
 pub fn resilient_chunks_with_scratch<T, U, S>(
     items: &[T],
@@ -376,6 +420,96 @@ mod tests {
         for workers in [1, 2, 3, 8] {
             assert_eq!(run_resilient(workers, &RetryPolicy::default(), None), expected(257));
         }
+    }
+
+    #[test]
+    fn chunks_with_scratch_is_budget_invariant() {
+        let items: Vec<u64> = (0..257).collect();
+        let run = |workers: usize| {
+            let mut out = vec![0u64; items.len()];
+            let mut scratch: Vec<Vec<u64>> = Vec::new();
+            resilient_chunks_with_scratch(
+                &items,
+                &mut out,
+                workers,
+                None,
+                &mut scratch,
+                Vec::new,
+                |items, out, seen| {
+                    for (i, o) in items.iter().zip(out.iter_mut()) {
+                        seen.push(*i);
+                        *o = i * 3 + 1;
+                    }
+                },
+                &RetryPolicy::default(),
+                None,
+            );
+            (out, scratch)
+        };
+        let (serial, serial_scratch) = run(1);
+        assert_eq!(serial_scratch.len(), 1);
+        for workers in [2, 3, 8, 300] {
+            let (parallel, scratch) = run(workers);
+            assert_eq!(parallel, serial, "{workers}-worker output differs");
+            // Every item was visited exactly once across all workers.
+            let visited: usize = scratch.iter().map(Vec::len).sum();
+            assert_eq!(visited, items.len());
+        }
+    }
+
+    #[test]
+    fn chunks_with_scratch_reuses_scratch_across_calls() {
+        let items = [0u8; 40];
+        let mut out = [0u8; 40];
+        let mut scratch: Vec<u32> = Vec::new();
+        let mut builds = 0;
+        let policy = RetryPolicy::default();
+        resilient_chunks_with_scratch(
+            &items,
+            &mut out,
+            4,
+            None,
+            &mut scratch,
+            || 7,
+            |_, _, _| {},
+            &policy,
+            None,
+        );
+        assert_eq!(scratch.len(), 4);
+        resilient_chunks_with_scratch(
+            &items,
+            &mut out,
+            4,
+            None,
+            &mut scratch,
+            || {
+                builds += 1;
+                7
+            },
+            |_, _, _| {},
+            &policy,
+            None,
+        );
+        assert_eq!(builds, 0, "a second same-budget call must reuse the scratch");
+    }
+
+    #[test]
+    #[should_panic(expected = "align")]
+    fn chunks_with_scratch_rejects_misaligned_outputs() {
+        let items = [1u8, 2];
+        let mut out = [0u8; 3];
+        let mut scratch: Vec<()> = Vec::new();
+        resilient_chunks_with_scratch(
+            &items,
+            &mut out,
+            2,
+            None,
+            &mut scratch,
+            || (),
+            |_, _, _| {},
+            &RetryPolicy::default(),
+            None,
+        );
     }
 
     #[test]

@@ -31,10 +31,9 @@
 //!   the `D` sources it loads. Most frames carry little difference, so
 //!   early-dying events are the right shape.
 //!
-//! Both paths give the detection words of full patched execution
-//! ([`KernelProgram::execute_patched`]) at a fraction of the work, and
-//! equal those of the slow reference grader in [`crate::oracle`]
-//! (property-tested).
+//! Both paths give the detection words of a full faulty re-simulation
+//! at a fraction of the work: they equal those of the slow reference
+//! grader in [`crate::oracle`] (property-tested).
 //!
 //! The plans here are built once per (program, fault list, observation
 //! set) and validated up front: every node the replay reads — fault

@@ -161,7 +161,18 @@ pub fn parse_bench(text: &str) -> Result<Netlist, BenchParseError> {
         let src = *signals
             .get(name)
             .ok_or_else(|| err(*line, format!("output `{name}` never defined")))?;
-        nl.add_output(&format!("{name}__po"), src);
+        let marker = format!("{name}__po");
+        if let Some(taken) = nl.find(&marker) {
+            return Err(err(
+                *line,
+                if nl.kind(taken) == GateKind::Output {
+                    format!("output `{name}` declared twice")
+                } else {
+                    format!("output marker `{marker}` is already a signal name")
+                },
+            ));
+        }
+        nl.add_output(&marker, src);
     }
     Ok(nl)
 }
@@ -299,6 +310,18 @@ o1 = NAND(i1, i2)
     fn duplicate_definition_is_reported() {
         let e = parse_bench("INPUT(a)\na = NOT(a)\n").unwrap_err();
         assert!(e.message.contains("twice"));
+    }
+
+    /// An output listed twice, or a signal already carrying an output's
+    /// marker name, is an error on the `OUTPUT` line, not a panic.
+    #[test]
+    fn duplicate_outputs_are_reported() {
+        let e = parse_bench("INPUT(a)\nOUTPUT(y)\nOUTPUT(y)\ny = NOT(a)\n").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("twice"), "{e}");
+        let e = parse_bench("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\ny__po = BUF(a)\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("y__po"), "{e}");
     }
 
     #[test]

@@ -213,23 +213,6 @@ impl CompiledCircuit {
             values[node.index()] = self.eval_node2(node, values);
         }
     }
-
-    /// Evaluates into a caller-owned destination frame, leaving `base`
-    /// untouched: `dst` is overwritten with `base`'s source words and then
-    /// evaluated in place. Lets batch simulators derive evaluated frames
-    /// from a shared, read-only base (e.g. the capture-window replay in
-    /// `lbist-fault`) while reusing their own frame storage instead of
-    /// cloning.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frame lengths differ from [`CompiledCircuit::num_nodes`].
-    pub fn eval2_into<W: LaneWord>(&self, base: &[W], dst: &mut [W]) {
-        assert_eq!(base.len(), self.num_nodes, "base frame length mismatch");
-        assert_eq!(dst.len(), self.num_nodes, "destination frame length mismatch");
-        dst.copy_from_slice(base);
-        self.eval2(dst);
-    }
 }
 
 // A `CompiledCircuit` is immutable after compilation and holds only plain

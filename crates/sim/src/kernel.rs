@@ -27,30 +27,25 @@
 //!    so a chain of inverters costs zero instructions. Output-inverting
 //!    gates (`Nand`/`Nor`/`Xnor`) are canonicalized by De Morgan into
 //!    the base family with inverted operands — bit-exact at word level.
-//! 4. **Level runs** — instructions are emitted in schedule (level)
-//!    order and [`KernelProgram::level_starts`] records each level's
-//!    run, so pool sharding across a level stays possible exactly as
-//!    with the interpreter's schedule.
+//!
+//! Instructions are emitted in schedule (level) order, so one forward
+//! pass over the list evaluates every instruction after its operands.
 //!
 //! Nodes in the caller-supplied **keep set** (observed nodes, capture
 //! `D` sources, fault sites…) are always materialized: their slots hold
 //! bit-identical values to the interpreter, which is what makes fault
 //! injection, detection and MISR absorption drop-in.
 //!
-//! # Patched-instruction fault injection
+//! # Fault injection
 //!
-//! A fault is not a netlist overlay here but a **patched instruction**:
-//! [`KernelProgram::execute_patched`] swaps the result of exactly one
-//! instruction for a forced word (`Force0`/`Force1` for stuck-at, the
-//! [`PatchKind::FlipLanes`] delay variant for transition faults) and
-//! leaves the program itself untouched, so the same shared program
-//! serves fault-free simulation and every per-fault replay. The fault
-//! simulators in `lbist-fault` reach the same detection words sparsely,
-//! for speed: stuck-at faults by tracing each effect to its
+//! The program never carries a fault: the same shared program serves
+//! fault-free simulation and every per-fault replay. The fault
+//! simulators in `lbist-fault` reach a fault's detection words
+//! sparsely: stuck-at faults by tracing each effect to its
 //! fanout-free-region stem and draining events from there, transition
 //! faults by draining events frame by frame, both with
 //! [`KernelProgram::eval_instr`] over an overlay read. Property tests
-//! pin them to a slow reference grader with the same semantics.
+//! pin them to the slow reference grader, `lbist_fault::oracle`.
 
 use crate::compiled::CompiledCircuit;
 use lbist_exec::LaneWord;
@@ -60,8 +55,6 @@ use lbist_netlist::GateKind;
 const INV: u32 = 1 << 31;
 /// Low bits of an operand: the frame slot to read.
 const SLOT: u32 = INV - 1;
-/// `instr_of_node` sentinel for nodes without an instruction.
-const NO_INSTR: u32 = u32::MAX;
 
 /// One word operation. Output-inverting gate kinds never appear: they
 /// are canonicalized into these by De Morgan / parity folding during
@@ -108,25 +101,6 @@ struct Instr {
     op: Op,
 }
 
-/// What the kernel knows about a node's frame slot; see
-/// [`KernelProgram::slot_state`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SlotState {
-    /// A frame source (input, flip-flop, X-source, constant): the
-    /// caller loads the slot, the kernel reads it. Constant sources
-    /// count too — frames preload them.
-    Source,
-    /// Computed by the instruction at this index: the slot holds the
-    /// bit-exact interpreter value after [`KernelProgram::execute`].
-    Instr(usize),
-    /// Fused into consumers (NOT/BUF chain interior): the slot is
-    /// **stale** after kernel execution; no one reads it.
-    Fused,
-    /// Constant-resolved and folded away: the node's value is this
-    /// constant on every lane, no slot is written.
-    Const(bool),
-}
-
 /// Lowering statistics, also published as kernel telemetry
 /// (`sim.kernel.instrs`, `sim.kernel.fused_gates`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -137,20 +111,6 @@ pub struct LowerStats {
     pub fused_gates: usize,
     /// Operand-pool words used by n-ary instructions.
     pub pool_words: usize,
-}
-
-/// How a patched instruction forces its destination word; see
-/// [`KernelProgram::execute_patched`].
-#[derive(Clone, Copy, Debug)]
-pub enum PatchKind<W: LaneWord> {
-    /// Stuck-at-0: the instruction writes all-zero.
-    Force0,
-    /// Stuck-at-1: the instruction writes all-ones.
-    Force1,
-    /// Delay-fault variant: the instruction's computed word with the
-    /// given lanes flipped (a slow transition holds its previous value
-    /// exactly on the activated lanes).
-    FlipLanes(W),
 }
 
 /// A compiled simulation program: the product of lowering a
@@ -164,14 +124,11 @@ pub struct KernelProgram {
     num_nodes: usize,
     instrs: Vec<Instr>,
     pool: Vec<u32>,
-    /// `level_starts[l]` = index of the first instruction of level `l`;
-    /// one past-the-end entry, so level `l` runs over
-    /// `instrs[level_starts[l]..level_starts[l+1]]`.
-    level_starts: Vec<u32>,
-    /// Node index → instruction index ([`NO_INSTR`] if none).
-    instr_of_node: Vec<u32>,
-    /// Per-node slot bookkeeping for replay planning: 0 = source,
-    /// 1 = instr, 2 = fused, 3 = const0, 4 = const1.
+    /// Per-node slot bookkeeping for replay planning: 0 = source
+    /// (loaded by the caller; constant sources count, frames preload
+    /// them), 1 = computed by an instruction, 2 = fused into its
+    /// consumers (the slot is stale after execution), 3 = const0,
+    /// 4 = const1 (folded away, no slot is written).
     state: Vec<u8>,
     stats: LowerStats,
 }
@@ -242,8 +199,6 @@ impl KernelProgram {
             num_nodes: n,
             instrs: Vec::new(),
             pool: Vec::new(),
-            level_starts: Vec::new(),
-            instr_of_node: vec![NO_INSTR; n],
             state: vec![0u8; n],
             stats: LowerStats::default(),
         };
@@ -309,25 +264,6 @@ impl KernelProgram {
             }
         }
 
-        // Level runs: instructions are in schedule (level) order, so
-        // each level is one contiguous run of the instruction list.
-        let max_level = cc.max_level() as usize;
-        let mut starts = vec![0u32; max_level + 2];
-        let mut cur = 0usize;
-        for (i, ins) in prog.instrs.iter().enumerate() {
-            let lvl = cc.level(lbist_netlist::NodeId::from_index(ins.dst as usize)) as usize;
-            debug_assert!(lvl >= cur, "schedule order must be level order");
-            while cur < lvl {
-                cur += 1;
-                starts[cur] = i as u32;
-            }
-        }
-        while cur <= max_level {
-            cur += 1;
-            starts[cur] = prog.instrs.len() as u32;
-        }
-        prog.level_starts = starts;
-
         prog.stats.instrs = prog.instrs.len();
         prog.stats.pool_words = prog.pool.len();
         prog
@@ -353,7 +289,6 @@ impl KernelProgram {
     }
 
     fn emit(&mut self, dst: usize, op: Op, a: u32, b: u32, c: u32) {
-        self.instr_of_node[dst] = self.instrs.len() as u32;
         self.instrs.push(Instr { dst: dst as u32, a, b, c, op });
     }
 
@@ -397,39 +332,18 @@ impl KernelProgram {
         &self.stats
     }
 
-    /// What the program did with a node's slot — replay planners use
-    /// this to validate that every site they patch and every node they
-    /// observe is materialized.
-    pub fn slot_state(&self, node: lbist_netlist::NodeId) -> SlotState {
-        match self.state[node.index()] {
-            0 => SlotState::Source,
-            1 => SlotState::Instr(self.instr_of_node[node.index()] as usize),
-            2 => SlotState::Fused,
-            3 => SlotState::Const(false),
-            4 => SlotState::Const(true),
-            _ => unreachable!(),
-        }
-    }
-
     /// `true` when the node's slot holds a valid value after
     /// [`KernelProgram::execute`] (a source or a materialized node).
+    /// Replay planners use this to validate that every fault site they
+    /// seed and every node they observe is materialized.
     pub fn has_slot(&self, node: lbist_netlist::NodeId) -> bool {
-        matches!(self.slot_state(node), SlotState::Source | SlotState::Instr(_))
+        self.state[node.index()] <= 1
     }
 
     /// The frame slot an instruction writes.
     #[inline]
     pub fn instr_dst(&self, idx: usize) -> usize {
         self.instrs[idx].dst as usize
-    }
-
-    /// Per-level instruction runs: level `l` occupies
-    /// `level_starts()[l]..level_starts()[l + 1]` of the instruction
-    /// list. Level order is the only execution-order constraint, so a
-    /// pool can shard *within* a level exactly as the interpreter's
-    /// schedule allowed.
-    pub fn level_starts(&self) -> &[u32] {
-        &self.level_starts
     }
 
     /// Visits the frame slots instruction `idx` reads (inversion flags
@@ -501,22 +415,11 @@ impl KernelProgram {
         }
     }
 
-    /// Executes the instruction range `[lo, hi)` in place. Used for
-    /// level-sharded execution; `execute` is the `0..num_instrs` case.
-    #[inline]
-    pub fn execute_range<W: LaneWord>(&self, frame: &mut [W], lo: usize, hi: usize) {
-        debug_assert_eq!(frame.len(), self.num_nodes);
-        for idx in lo..hi {
-            let v = self.eval_instr(idx, |slot| frame[slot as usize]);
-            frame[self.instrs[idx].dst as usize] = v;
-        }
-    }
-
     /// Full fault-free evaluation: the kernel equivalent of
     /// [`CompiledCircuit::eval2`]. The caller loads source slots; on
     /// return every **materialized** slot holds the bit-exact
     /// interpreter value (fused slots are stale by design — nothing
-    /// reads them; see [`SlotState`]).
+    /// reads them; see [`KernelProgram::has_slot`]).
     ///
     /// # Panics
     ///
@@ -524,11 +427,14 @@ impl KernelProgram {
     /// [`KernelProgram::num_nodes`].
     pub fn execute<W: LaneWord>(&self, frame: &mut [W]) {
         assert_eq!(frame.len(), self.num_nodes, "frame length mismatch");
-        self.execute_range(frame, 0, self.instrs.len());
+        for idx in 0..self.instrs.len() {
+            let v = self.eval_instr(idx, |slot| frame[slot as usize]);
+            frame[self.instrs[idx].dst as usize] = v;
+        }
     }
 
-    /// The kernel equivalent of [`CompiledCircuit::eval2_into`]:
-    /// copies `base` into `dst` and executes in place.
+    /// Copies `base` into `dst` and executes in place, leaving `base`
+    /// untouched.
     ///
     /// # Panics
     ///
@@ -538,42 +444,6 @@ impl KernelProgram {
         assert_eq!(base.len(), self.num_nodes, "base frame length mismatch");
         dst.copy_from_slice(base);
         self.execute(dst);
-    }
-
-    /// Full evaluation with exactly one **patched instruction**: the
-    /// instruction at `patched` has its result swapped for the forced
-    /// word ([`PatchKind`]), every downstream instruction consumes the
-    /// faulty value, and the program itself is never mutated — so the
-    /// shared program stays valid for concurrent fault-free use.
-    ///
-    /// This is the reference semantics of kernel fault injection; the
-    /// fault simulators reach the same observed words sparsely, by
-    /// fanout-free-region tracing and an event drain (see the module
-    /// doc).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frame length differs from
-    /// [`KernelProgram::num_nodes`] or `patched` is out of range.
-    pub fn execute_patched<W: LaneWord>(
-        &self,
-        frame: &mut [W],
-        patched: usize,
-        patch: PatchKind<W>,
-    ) {
-        assert_eq!(frame.len(), self.num_nodes, "frame length mismatch");
-        assert!(patched < self.instrs.len(), "patched instruction out of range");
-        for idx in 0..self.instrs.len() {
-            let mut v = self.eval_instr(idx, |slot| frame[slot as usize]);
-            if idx == patched {
-                v = match patch {
-                    PatchKind::Force0 => W::zero(),
-                    PatchKind::Force1 => W::ones(),
-                    PatchKind::FlipLanes(m) => v.xor(m),
-                };
-            }
-            frame[self.instrs[idx].dst as usize] = v;
-        }
     }
 }
 
@@ -771,89 +641,14 @@ mod tests {
         // The dead const cone (`dead`, `dead2`) resolves: the kept
         // output marker becomes a Const instruction, the interiors
         // vanish.
-        let dead_like: Vec<SlotState> = (0..cc.num_nodes())
-            .map(|i| min.slot_state(NodeId::from_index(i)))
-            .filter(|s| matches!(s, SlotState::Const(_)))
-            .collect();
-        assert!(!dead_like.is_empty(), "const folding must resolve the dead cone");
-    }
-
-    /// Level runs partition the instruction list and executing them
-    /// level by level (the pool-sharding shape) equals one flat pass.
-    #[test]
-    fn level_runs_partition_and_execute() {
-        let nl = mixed_netlist();
-        let cc = CompiledCircuit::compile(&nl).unwrap();
-        let prog = lower_keep_captures(&cc);
-        let starts = prog.level_starts();
-        assert_eq!(*starts.last().unwrap() as usize, prog.num_instrs());
-        assert!(starts.windows(2).all(|w| w[0] <= w[1]), "level runs must be ordered");
-
-        let mut x = 7u64;
-        let mut flat = cc.new_frame();
-        for &i in cc.inputs() {
-            flat[i.index()] = rand_word(&mut x);
-        }
-        let mut level_by_level = flat.clone();
-        prog.execute(&mut flat);
-        for w in prog.level_starts().windows(2) {
-            prog.execute_range(&mut level_by_level, w[0] as usize, w[1] as usize);
-        }
-        assert_eq!(flat, level_by_level);
-    }
-
-    /// `execute_patched` is the interpreter's pinned-site faulty
-    /// evaluation: force a site, compare observed slots.
-    #[test]
-    fn patched_execution_matches_pinned_interpreter() {
-        let nl = mixed_netlist();
-        let cc = CompiledCircuit::compile(&nl).unwrap();
-        let prog = lower_keep_all(&cc);
-        let mut x = 99u64;
-        let mut base = cc.new_frame();
-        for &i in cc.inputs() {
-            base[i.index()] = rand_word(&mut x);
-        }
-        for &site in cc.schedule() {
-            let SlotState::Instr(idx) = prog.slot_state(site) else { continue };
-            for force1 in [false, true] {
-                // Interpreter reference: evaluate with the site pinned.
-                let forced = if force1 { !0u64 } else { 0 };
-                let mut reference = base.clone();
-                for &n in cc.schedule() {
-                    reference[n.index()] = cc.eval_node2(n, &reference);
-                    if n == site {
-                        reference[n.index()] = forced;
-                    }
-                }
-                let mut frame = base.clone();
-                let patch = if force1 { PatchKind::Force1 } else { PatchKind::<u64>::Force0 };
-                prog.execute_patched(&mut frame, idx, patch);
-                for i in 0..cc.num_nodes() {
-                    assert_eq!(
-                        frame[i], reference[i],
-                        "patched slot {i} diverged (site {site}, force1={force1})"
-                    );
-                }
-            }
-        }
-    }
-
-    /// The delay-variant patch flips exactly the activated lanes.
-    #[test]
-    fn flip_lanes_patch_is_partial() {
-        let mut nl = Netlist::new("flip");
-        let a = nl.add_input("a");
-        let inv = nl.add_gate(GateKind::Not, &[a]);
-        nl.add_output("y", inv);
-        let cc = CompiledCircuit::compile(&nl).unwrap();
-        let prog = lower_keep_all(&cc);
-        let SlotState::Instr(idx) = prog.slot_state(inv) else { panic!("kept") };
-        let mut frame = cc.new_frame();
-        frame[a.index()] = 0b1100;
-        prog.execute_patched(&mut frame, idx, PatchKind::FlipLanes(0b0110u64));
-        // Fault-free NOT(a) = ...0011; lanes 1 and 2 flipped -> ...0101.
-        assert_eq!(frame[inv.index()] & 0b1111, 0b0101);
+        let z = nl.find("z").unwrap();
+        let dead2 = nl.fanins(z)[0];
+        let dead = nl.fanins(dead2)[0];
+        assert!(min.has_slot(z), "the kept output marker stays materialized");
+        assert!(
+            !min.has_slot(dead) && !min.has_slot(dead2),
+            "const folding must resolve the dead cone"
+        );
     }
 
     /// Executing at every lane width produces the same sub-words (the
@@ -888,31 +683,23 @@ mod tests {
         check::<u128>();
     }
 
-    /// Slot-state bookkeeping: sources report `Source`, kept nodes
-    /// report their instruction, fused interiors report `Fused`.
+    /// Slot bookkeeping: sources have slots, and the scheduled nodes
+    /// split into the materialized ones (one instruction each, emitted
+    /// in schedule order into the node's own slot) and the fused or
+    /// folded ones.
     #[test]
     fn slot_states_are_consistent() {
         let nl = mixed_netlist();
         let cc = CompiledCircuit::compile(&nl).unwrap();
         let prog = lower_keep_captures(&cc);
         for &i in cc.inputs() {
-            assert_eq!(prog.slot_state(i), SlotState::Source);
             assert!(prog.has_slot(i));
         }
-        let mut fused = 0;
-        let mut materialized = 0;
-        for &n in cc.schedule() {
-            match prog.slot_state(n) {
-                SlotState::Instr(idx) => {
-                    assert_eq!(prog.instr_dst(idx), n.index());
-                    materialized += 1;
-                }
-                SlotState::Fused | SlotState::Const(_) => fused += 1,
-                SlotState::Source => panic!("scheduled node {n} cannot be a source"),
-            }
-        }
-        assert_eq!(materialized, prog.num_instrs());
-        assert_eq!(fused, prog.stats().fused_gates);
+        let dsts: Vec<usize> = (0..prog.num_instrs()).map(|idx| prog.instr_dst(idx)).collect();
+        let materialized: Vec<usize> =
+            cc.schedule().iter().filter(|&&n| prog.has_slot(n)).map(|n| n.index()).collect();
+        assert_eq!(dsts, materialized, "one instruction per materialized node, in schedule order");
+        assert_eq!(cc.schedule().len() - materialized.len(), prog.stats().fused_gates);
     }
 
     /// Telemetry lowering records compile time and shape counters.

@@ -15,14 +15,11 @@
 //! * **3-valued** simulation ([`CompiledCircuit::eval3`]): a
 //!   `(value, x-mask)` word pair per net tracks unknowns pessimistically —
 //!   used to prove X-bounding actually blocks every X source.
-//! * A **sequential engine** ([`SeqSim`] / [`WideSeqSim`]) with
-//!   per-clock-domain capture, the primitive underneath the double-capture
-//!   at-speed scheme.
 //! * A **compiled kernel** ([`KernelProgram`]): the circuit lowered once
 //!   into flat word-op bytecode (constants folded, inverter chains fused
-//!   into operand flags) that executes with no per-gate dispatch, and
-//!   injects faults as patched instructions — the fast path under fault
-//!   grading.
+//!   into operand flags) that executes with no per-gate dispatch — the
+//!   fast path under fault grading, which replays fault effects over it
+//!   instruction by instruction ([`KernelProgram::eval_instr`]).
 //!
 //! # Example
 //!
@@ -50,11 +47,9 @@
 mod compiled;
 mod kernel;
 mod logic;
-mod seq;
 mod three;
 
 pub use compiled::{eval_gate, CompiledCircuit};
-pub use kernel::{KernelProgram, LowerStats, PatchKind, SlotState};
-pub use logic::{pack_bits, unpack_bits, Logic};
-pub use seq::{SeqSim, WideSeqSim};
+pub use kernel::{KernelProgram, LowerStats};
+pub use logic::Logic;
 pub use three::{Frame3, WideFrame3};

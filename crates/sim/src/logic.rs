@@ -1,4 +1,4 @@
-//! Scalar logic values and bit-packing helpers.
+//! Scalar ternary logic values.
 
 use std::fmt;
 
@@ -104,35 +104,6 @@ impl fmt::Display for Logic {
     }
 }
 
-/// Packs up to 64 booleans into a pattern word, bit `i` = `bits[i]`.
-///
-/// # Panics
-///
-/// Panics if more than 64 bits are supplied.
-///
-/// # Example
-///
-/// ```
-/// use lbist_sim::{pack_bits, unpack_bits};
-/// let w = pack_bits(&[true, false, true]);
-/// assert_eq!(w, 0b101);
-/// assert_eq!(unpack_bits(w, 3), vec![true, false, true]);
-/// ```
-pub fn pack_bits(bits: &[bool]) -> u64 {
-    assert!(bits.len() <= 64, "a pattern word holds at most 64 bits");
-    bits.iter().enumerate().fold(0u64, |acc, (i, &b)| acc | ((b as u64) << i))
-}
-
-/// Unpacks the low `n` bits of a pattern word into booleans.
-///
-/// # Panics
-///
-/// Panics if `n > 64`.
-pub fn unpack_bits(word: u64, n: usize) -> Vec<bool> {
-    assert!(n <= 64);
-    (0..n).map(|i| (word >> i) & 1 == 1).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,18 +146,5 @@ mod tests {
             assert_eq!(!!v, v);
         }
         assert_eq!(!Logic::X, Logic::X);
-    }
-
-    #[test]
-    fn pack_unpack_round_trip() {
-        let bits: Vec<bool> = (0..64).map(|i| i % 3 == 0).collect();
-        assert_eq!(unpack_bits(pack_bits(&bits), 64), bits);
-        assert_eq!(pack_bits(&[]), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at most 64")]
-    fn pack_too_many_panics() {
-        pack_bits(&[false; 65]);
     }
 }

@@ -39,7 +39,6 @@
 pub mod aliasing;
 mod compactor;
 mod expander;
-mod galois;
 mod gf2;
 mod lanes;
 mod lfsr;
@@ -50,7 +49,6 @@ mod prpg;
 
 pub use compactor::SpaceCompactor;
 pub use expander::SpaceExpander;
-pub use galois::{GaloisLfsr, ReseedSchedule};
 pub use gf2::{Gf2Matrix, Gf2Vec};
 pub use lanes::LaneLfsr;
 pub use lfsr::Lfsr;

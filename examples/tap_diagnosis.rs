@@ -9,47 +9,12 @@
 //! ```
 
 use lbist::core::{
-    diagnose_first_failing_interval, SelfTestSession, SessionConfig, StumpsConfig, TapBackend,
-    TapController, TapInstruction,
+    diagnose_first_failing_interval, JtagBist, SelfTestSession, SessionConfig, StumpsConfig,
+    TapBackend, TapController, TapInstruction,
 };
 use lbist::cores::{CoreProfile, CpuCoreGenerator};
 use lbist::dft::{prepare_core, PrepConfig, TpiMethod};
 use lbist::fault::{Fault, FaultKind};
-
-/// A chip model: BIST engine state the TAP pokes at. The sessions
-/// themselves run when `start` is pulsed.
-struct Chip<'a> {
-    session: SelfTestSession<'a>,
-    cfg: SessionConfig,
-    finish: bool,
-    pass: Option<bool>,
-    golden: Option<lbist::core::SessionResult>,
-    signature_bits: Vec<bool>,
-}
-
-impl<'a> TapBackend for Chip<'a> {
-    fn start(&mut self) {
-        let result = self.session.run(&self.cfg);
-        let pass = self.golden.as_ref().map(|g| result.matches(g));
-        self.signature_bits = result
-            .signatures
-            .iter()
-            .flat_map(|sig| (0..sig.len()).map(move |i| sig.get(i)))
-            .collect();
-        if self.golden.is_none() {
-            self.golden = Some(result);
-        }
-        self.finish = true;
-        self.pass = pass.or(Some(true));
-    }
-    fn status(&self) -> (bool, bool) {
-        (self.finish, self.pass.unwrap_or(false))
-    }
-    fn load_seed(&mut self, _bits: &[bool]) {}
-    fn signature_bits(&self) -> Vec<bool> {
-        self.signature_bits.clone()
-    }
-}
 
 fn main() {
     let netlist = CpuCoreGenerator::new(CoreProfile::core_x().scaled(200), 99).generate();
@@ -67,15 +32,9 @@ fn main() {
     let cfg = SessionConfig { num_patterns: 48, snapshot_every: 8, ..Default::default() };
 
     println!("=== golden pass over JTAG ===");
-    let chip = Chip {
-        session,
-        cfg: cfg.clone(),
-        finish: false,
-        pass: None,
-        golden: None,
-        signature_bits: Vec::new(),
-    };
-    let mut tap = TapController::new(chip);
+    // The chip's BIST engine behind the TAP: the first `Start` records
+    // the golden signatures, later runs compare against them.
+    let mut tap = TapController::new(JtagBist::new(session, cfg.clone()));
 
     // Start BIST: IR <- LBIST_START, DR <- 1.
     tap.load_instruction(TapInstruction::LbistStart);
@@ -87,7 +46,7 @@ fn main() {
 
     // Download the signature.
     tap.load_instruction(TapInstruction::LbistSignature);
-    let n = tap.backend().signature_bits.len();
+    let n = tap.backend().signature_bits().len();
     let sig = tap.shift_dr(&vec![false; n]);
     let ones = sig.iter().filter(|&&b| b).count();
     println!("downloaded {} signature bits ({} ones)", sig.len(), ones);
@@ -100,11 +59,7 @@ fn main() {
         let mut s = SelfTestSession::new(&core, &StumpsConfig::default());
         s.run(&cfg)
     };
-    {
-        let backend = tap.backend_mut();
-        backend.cfg.injected_fault = Some(fault);
-        backend.finish = false;
-    }
+    tap.backend_mut().inject(Some(fault));
     tap.load_instruction(TapInstruction::LbistStart);
     tap.shift_dr(&[true]);
     tap.load_instruction(TapInstruction::LbistStatus);

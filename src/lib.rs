@@ -16,7 +16,7 @@
 //! |---|---|
 //! | [`exec`] | persistent thread pool + 64/128-lane frame words |
 //! | [`netlist`] | gate-level circuits, levelization, `.bench` I/O |
-//! | [`sim`] | 64-way bit-parallel 2-/3-valued and sequential simulation |
+//! | [`sim`] | 64/128-way bit-parallel 2-/3-valued simulation and the compiled kernel |
 //! | [`tpg`] | LFSR/PRPG, phase shifters, space expanders, MISRs, compactors |
 //! | [`fault`] | stuck-at & transition faults, collapsing, PPSFP, LOC grading |
 //! | [`dft`] | X-bounding, IO wrappers, scan stitching, test point insertion |
