@@ -21,11 +21,6 @@ impl Pulse {
         assert!(rise_ps < fall_ps, "a pulse must rise before it falls");
         Pulse { rise_ps, fall_ps }
     }
-
-    /// Pulse width.
-    pub fn width_ps(&self) -> u64 {
-        self.fall_ps - self.rise_ps
-    }
 }
 
 /// A named train of non-overlapping pulses (a gated clock line).

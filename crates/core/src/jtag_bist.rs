@@ -38,16 +38,6 @@ impl<'a> JtagBist<'a> {
         self.finish = false;
     }
 
-    /// The golden result, once recorded.
-    pub fn golden(&self) -> Option<&SessionResult> {
-        self.golden.as_ref()
-    }
-
-    /// The most recent run.
-    pub fn last_result(&self) -> Option<&SessionResult> {
-        self.last.as_ref()
-    }
-
     /// Access to the wrapped session.
     pub fn session(&self) -> &SelfTestSession<'a> {
         &self.session

@@ -2,6 +2,8 @@
 
 use crate::architecture::StumpsArchitecture;
 use lbist_atpg::Pattern;
+use lbist_netlist::NodeId;
+use std::collections::HashMap;
 
 /// Where the next load's chain bits come from.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
@@ -31,6 +33,8 @@ pub enum PatternSource {
 pub struct InputSelector {
     source: PatternSource,
     top_up: Vec<Pattern>,
+    /// Each flip-flop's position in a top-up pattern's `ff_values`.
+    ff_bit: HashMap<NodeId, usize>,
     next_top_up: usize,
 }
 
@@ -50,15 +54,13 @@ impl InputSelector {
         self.source = source;
     }
 
-    /// Loads the deterministic pattern store (ATPG output).
-    pub fn load_top_up(&mut self, patterns: Vec<Pattern>) {
+    /// Loads the deterministic pattern store (ATPG output). Each
+    /// pattern's `ff_values` hold one bit per flip-flop of `dffs`, in
+    /// that order: the `CompiledCircuit::dffs` order ATPG fills them in.
+    pub fn load_top_up(&mut self, patterns: Vec<Pattern>, dffs: &[NodeId]) {
         self.top_up = patterns;
+        self.ff_bit = dffs.iter().enumerate().map(|(i, &ff)| (ff, i)).collect();
         self.next_top_up = 0;
-    }
-
-    /// Number of stored top-up patterns.
-    pub fn num_top_up(&self) -> usize {
-        self.top_up.len()
     }
 
     /// Top-up patterns not yet dispensed.
@@ -78,8 +80,14 @@ impl InputSelector {
     ///
     /// In `Random` mode this steps every domain's PRPG `shift_cycles`
     /// times; bit `s` of a chain's vector is what enters at shift cycle
-    /// `s`. In `TopUp` mode the next stored pattern is dealt into chain
-    /// positions (and `None` is returned when the store is exhausted).
+    /// `s`. In `TopUp` mode each chain cell gets its own flip-flop's bit
+    /// of the next stored pattern (and `None` is returned when the store
+    /// is exhausted).
+    ///
+    /// # Panics
+    ///
+    /// Panics in `TopUp` mode if a chain cell is not one of the
+    /// flip-flops the store was loaded with.
     pub fn next_load(
         &mut self,
         arch: &mut StumpsArchitecture,
@@ -113,21 +121,21 @@ impl InputSelector {
                 }
                 let pattern = &self.top_up[self.next_top_up];
                 self.next_top_up += 1;
-                // Deal the pattern's FF values into chain/shift positions:
-                // the bit destined for cell i of a chain must be inserted
-                // at shift cycle (shift_cycles - 1 - i) so that after the
+                // Deal each cell's FF value into its shift position: the
+                // bit destined for cell i of a chain must be inserted at
+                // shift cycle (shift_cycles - 1 - i) so that after the
                 // full load it rests in cell i.
-                let mut ff_cursor = 0usize;
                 let mut per_chain = Vec::new();
                 for db in arch.domains() {
                     for chain in &db.chains {
                         let mut bits = vec![false; shift_cycles];
-                        for (i, _cell) in chain.cells.iter().enumerate() {
-                            let v = pattern.ff_values.get(ff_cursor).copied().unwrap_or(false);
-                            ff_cursor += 1;
-                            if shift_cycles > i {
-                                bits[shift_cycles - 1 - i] = v;
-                            }
+                        for (i, cell) in chain.cells.iter().enumerate().take(shift_cycles) {
+                            let bit = *self
+                                .ff_bit
+                                .get(cell)
+                                .expect("every chain cell is a flip-flop of the top-up store");
+                            bits[shift_cycles - 1 - i] =
+                                pattern.ff_values.get(bit).copied().unwrap_or(false);
                         }
                         per_chain.push(bits);
                     }
@@ -145,23 +153,26 @@ mod tests {
     use lbist_cores::{CoreProfile, CpuCoreGenerator};
     use lbist_dft::{prepare_core, PrepConfig, TpiMethod};
 
-    fn arch() -> StumpsArchitecture {
-        let nl = CpuCoreGenerator::new(CoreProfile::core_x().scaled(800), 3).generate();
+    /// Core X at 1/`scale` from generator `seed`, stitched into `chains`
+    /// chains, and its flip-flops in `CompiledCircuit::dffs` order.
+    fn arch_of(scale: usize, seed: u64, chains: usize) -> (StumpsArchitecture, Vec<NodeId>) {
+        let nl = CpuCoreGenerator::new(CoreProfile::core_x().scaled(scale), seed).generate();
         let core = prepare_core(
             &nl,
             &PrepConfig {
-                total_chains: 4,
+                total_chains: chains,
                 obs_budget: 0,
                 tpi: TpiMethod::None,
                 ..PrepConfig::default()
             },
         );
-        StumpsArchitecture::build(&core, &StumpsConfig::default())
+        let arch = StumpsArchitecture::build(&core, &StumpsConfig::default());
+        (arch, core.netlist.dffs().to_vec())
     }
 
     #[test]
     fn random_mode_streams_bits() {
-        let mut a = arch();
+        let (mut a, _) = arch_of(800, 3, 4);
         let mut sel = InputSelector::new();
         let load1 = sel.next_load(&mut a, 10).unwrap();
         let load2 = sel.next_load(&mut a, 10).unwrap();
@@ -173,14 +184,15 @@ mod tests {
 
     #[test]
     fn top_up_mode_dispenses_then_exhausts() {
-        let mut a = arch();
-        let total_ffs: usize =
-            a.domains().iter().flat_map(|d| &d.chains).map(|c| c.cells.len()).sum();
+        let (mut a, dffs) = arch_of(800, 3, 4);
         let mut sel = InputSelector::new();
-        sel.load_top_up(vec![lbist_atpg::Pattern {
-            pi_values: vec![],
-            ff_values: (0..total_ffs).map(|i| i % 2 == 0).collect(),
-        }]);
+        sel.load_top_up(
+            vec![lbist_atpg::Pattern {
+                pi_values: vec![],
+                ff_values: (0..dffs.len()).map(|i| i % 2 == 0).collect(),
+            }],
+            &dffs,
+        );
         sel.select(PatternSource::TopUp);
         assert_eq!(sel.top_up_remaining(), 1);
         let shift = a.max_chain_length();
@@ -190,29 +202,31 @@ mod tests {
         assert!(sel.next_load(&mut a, shift).is_none());
     }
 
+    /// After one top-up load every cell holds its own flip-flop's
+    /// `ff_values` bit. Stitching deals a domain's flip-flops round-robin
+    /// over its chains, so on a domain with several chains, chain order
+    /// is not `dffs` order.
     #[test]
     fn top_up_bits_land_in_their_cells() {
-        let mut a = arch();
-        let total_ffs: usize =
-            a.domains().iter().flat_map(|d| &d.chains).map(|c| c.cells.len()).sum();
-        let want: Vec<bool> = (0..total_ffs).map(|i| i % 3 == 0).collect();
+        let (mut a, dffs) = arch_of(600, 21, 5);
+        assert!(a.domains().iter().any(|d| d.chains.len() > 1), "needs a multi-chain domain");
+        let want: Vec<bool> = (0..dffs.len()).map(|i| i % 3 == 0).collect();
         let mut sel = InputSelector::new();
-        sel.load_top_up(vec![lbist_atpg::Pattern { pi_values: vec![], ff_values: want.clone() }]);
+        sel.load_top_up(
+            vec![lbist_atpg::Pattern { pi_values: vec![], ff_values: want.clone() }],
+            &dffs,
+        );
         sel.select(PatternSource::TopUp);
         let shift = a.max_chain_length();
         let load = sel.next_load(&mut a, shift).unwrap();
         // Emulate the shift: cell i ends with the bit inserted at cycle
         // shift-1-i.
-        let mut cursor = 0usize;
-        let mut chain_idx = 0usize;
-        for db in a.domains() {
-            for chain in &db.chains {
-                for (i, _) in chain.cells.iter().enumerate() {
-                    let inserted = load[chain_idx][shift - 1 - i];
-                    assert_eq!(inserted, want[cursor], "chain {chain_idx} cell {i}");
-                    cursor += 1;
-                }
-                chain_idx += 1;
+        let chains = a.domains().iter().flat_map(|d| &d.chains);
+        for (chain_idx, chain) in chains.enumerate() {
+            for (i, cell) in chain.cells.iter().enumerate() {
+                let own = dffs.iter().position(|ff| ff == cell).unwrap();
+                let inserted = load[chain_idx][shift - 1 - i];
+                assert_eq!(inserted, want[own], "chain {chain_idx} cell {i} ({cell})");
             }
         }
     }

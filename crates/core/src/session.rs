@@ -26,7 +26,9 @@ pub struct SessionConfig {
     /// Record MISR snapshots every `n` patterns (fault-diagnosis support;
     /// `0` disables).
     pub snapshot_every: usize,
-    /// Deterministic top-up patterns appended after the random phase.
+    /// Deterministic top-up patterns appended after the random phase,
+    /// `ff_values` in `CompiledCircuit::dffs` order as ATPG emits them;
+    /// each bit is loaded into its own flip-flop's scan cell.
     pub top_up: Vec<Pattern>,
     /// Hybrid-BIST seed schedule. When set, it replaces the plain random
     /// phase (`num_patterns` is ignored): pseudorandom windows run the
@@ -292,7 +294,7 @@ impl<'a> SelfTestSession<'a> {
     ) -> Result<ControlledSessionOutcome, CkptError> {
         self.arch.reset();
         let mut selector = InputSelector::new();
-        selector.load_top_up(cfg.top_up.clone());
+        selector.load_top_up(cfg.top_up.clone(), self.cc.dffs());
 
         let steps = build_steps(cfg);
         let shift_cycles = self.arch.max_chain_length().max(1);

@@ -7,22 +7,23 @@
 //! simulation, instead of observability calculation" (§2.1).
 //!
 //! [`TestPointInsertion::fault_sim_guided`] implements that: grade the
-//! random-pattern phase, take the faults that survived, propagate each one
-//! and record every net its effect reaches but dies at; then greedily pick
-//! the nets covering the most surviving faults. The COP baseline
+//! random-pattern phase, take the faults that survived, drain each one's
+//! effect on the compiled kernel ([`lbist_fault::StuckAtReach`]) and
+//! record every unobserved net it reaches; then greedily pick the nets
+//! covering the most surviving faults. The COP baseline
 //! ([`TestPointInsertion::cop_guided`]) ranks nets by calculated
 //! observability instead.
 
 use crate::cop::CopMeasures;
 use lbist_exec::RetryPolicy;
+use lbist_fault::StuckAtReach;
 use lbist_netlist::{DomainId, Fanouts, GateKind, Netlist, NodeId};
 use lbist_sim::CompiledCircuit;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Minimum surviving faults per worker shard when profiling fault
-/// propagation on the pool (per-fault event-driven propagation is
-/// moderately heavy).
+/// reach on the pool (a per-fault drain is moderately heavy).
 const MIN_SHARD_FAULTS: usize = 16;
 
 /// Minimum candidate sites per worker shard when scoring the greedy
@@ -49,11 +50,12 @@ impl TestPointInsertion {
     /// `budget` sites.
     ///
     /// Both expensive stages run on the `lbist-exec` pool: per-batch
-    /// fault propagation is sharded over the survivors (each fault's
-    /// reach profile is owned by one worker), and each greedy round
-    /// scores the candidate sites in parallel chunks reduced under a
-    /// total order (max gain, then lowest node id) — so the selection
-    /// is bit-identical at any worker count.
+    /// reach profiling is sharded over the survivors (each fault's
+    /// profile is owned by one worker, which drains it on the compiled
+    /// kernel through its own [`lbist_fault::KernelScratch`]), and each
+    /// greedy round scores the candidate sites in parallel chunks
+    /// reduced under a total order (max gain, then lowest node id) — so
+    /// the selection is bit-identical at any worker count.
     ///
     /// Sites already observed (D pins, PO nets) are never selected — an
     /// observation point there would be redundant.
@@ -66,6 +68,8 @@ impl TestPointInsertion {
     ) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
         let already = already_observed(cc);
+        let profiler = StuckAtReach::new(cc);
+        let mut scratch = Vec::new();
 
         // fault -> set of candidate nodes its effect reaches.
         let mut reach: Vec<Vec<u32>> = vec![Vec::new(); undetected.len()];
@@ -87,7 +91,6 @@ impl TestPointInsertion {
                 Some(MIN_SHARD_FAULTS),
             );
             let frame_ro: &[u64] = &frame;
-            let mut no_scratch: Vec<()> = Vec::new();
             // A shard re-run after a contained panic only pushes nodes
             // again; the sort and dedup below drop the repeats.
             lbist_exec::resilient_chunks_with_scratch(
@@ -95,11 +98,11 @@ impl TestPointInsertion {
                 &mut reach,
                 workers,
                 Some(MIN_SHARD_FAULTS),
-                &mut no_scratch,
-                || (),
-                |faults, out, ()| {
+                &mut scratch,
+                || profiler.scratch(),
+                |faults, out, scratch| {
                     for (fault, r) in faults.iter().zip(out.iter_mut()) {
-                        lbist_fault::propagate_fault(cc, fault, frame_ro, |node, _diff| {
+                        profiler.visit(fault, frame_ro, scratch, |node, _diff| {
                             if !already[node.index()] && cc.kind(node) != GateKind::Output {
                                 r.push(node.as_u32());
                             }
@@ -260,24 +263,28 @@ mod tests {
     /// random patterns essentially never observe the cone.
     fn shadowed() -> (Netlist, NodeId) {
         let mut nl = Netlist::new("shadow");
-        let ins: Vec<NodeId> = (0..16).map(|i| nl.add_input(&format!("i{i}"))).collect();
+        let hidden = add_shadowed_cone(&mut nl, "");
+        (nl, hidden)
+    }
+
+    /// Adds one shadowed cone (see [`shadowed`]) with its own inputs and
+    /// output, names prefixed by `tag`; returns the cone's XOR root.
+    fn add_shadowed_cone(nl: &mut Netlist, tag: &str) -> NodeId {
+        let ins: Vec<NodeId> = (0..16).map(|i| nl.add_input(&format!("{tag}i{i}"))).collect();
         let x1 = nl.add_gate(GateKind::Xor, &[ins[0], ins[1]]);
         let x2 = nl.add_gate(GateKind::Xor, &[x1, ins[2]]);
         let hidden = nl.add_gate(GateKind::Xor, &[x2, ins[3]]);
         let mask = nl.add_gate(GateKind::And, &ins[4..16]);
         let out = nl.add_gate(GateKind::And, &[hidden, mask]);
-        nl.add_output("y", out);
-        (nl, hidden)
+        nl.add_output(&format!("{tag}y"), out);
+        hidden
     }
 
-    #[test]
-    fn fault_sim_guided_finds_the_shadowed_cone() {
-        let (nl, hidden) = shadowed();
-        let cc = CompiledCircuit::compile(&nl).unwrap();
-        let universe = FaultUniverse::stuck_at(&nl);
+    /// The faults of `cc` four random batches leave undetected.
+    fn random_survivors(cc: &CompiledCircuit, nl: &Netlist) -> Vec<Fault> {
+        let universe = FaultUniverse::stuck_at(nl);
         let mut sim =
-            StuckAtSim::new(&cc, universe.representatives(), StuckAtSim::observe_all_captures(&cc));
-        // A few random batches: the masked cone stays undetected.
+            StuckAtSim::new(cc, universe.representatives(), StuckAtSim::observe_all_captures(cc));
         let mut rng = SmallRng::seed_from_u64(1);
         for _ in 0..4 {
             let mut frame = cc.new_frame();
@@ -286,7 +293,15 @@ mod tests {
             }
             sim.run_batch(&mut frame, 64);
         }
-        let undetected = sim.undetected();
+        sim.undetected()
+    }
+
+    #[test]
+    fn fault_sim_guided_finds_the_shadowed_cone() {
+        let (nl, hidden) = shadowed();
+        let cc = CompiledCircuit::compile(&nl).unwrap();
+        // A few random batches: the masked cone stays undetected.
+        let undetected = random_survivors(&cc, &nl);
         assert!(!undetected.is_empty(), "the shadowed cone must resist random patterns");
 
         let plan = TestPointInsertion::fault_sim_guided(&cc, &undetected, 2, 4, 99);
@@ -301,6 +316,28 @@ mod tests {
             "selection missed the shadowed cone: {:?}",
             plan.sites
         );
+    }
+
+    /// Reach profiling and greedy scoring both shard over the pool, and
+    /// the selection must not depend on how many workers ran them.
+    #[test]
+    fn selection_is_identical_at_any_worker_count() {
+        let mut nl = Netlist::new("bank");
+        for c in 0..12 {
+            add_shadowed_cone(&mut nl, &format!("c{c}"));
+        }
+        let cc = CompiledCircuit::compile(&nl).unwrap();
+        let undetected = random_survivors(&cc, &nl);
+        // Enough survivors for three reach workers.
+        assert!(undetected.len() >= 3 * MIN_SHARD_FAULTS, "{} survivors", undetected.len());
+        let select = |threads: usize| {
+            lbist_exec::ThreadPool::new(threads)
+                .install(|| TestPointInsertion::fault_sim_guided(&cc, &undetected, 8, 4, 11))
+        };
+        let serial = select(1);
+        assert_eq!(serial.sites.len(), 8);
+        assert!(serial.covered_faults > 0);
+        assert_eq!(select(3), serial);
     }
 
     #[test]

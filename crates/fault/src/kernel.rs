@@ -33,7 +33,10 @@
 //!
 //! Both paths give the detection words of a full faulty re-simulation
 //! at a fraction of the work: they equal those of the slow reference
-//! grader in [`crate::oracle`] (property-tested).
+//! grader in [`crate::oracle`] (property-tested). Test-point selection
+//! drains stuck-at faults unconfined, through [`StuckAtReach`], to learn
+//! every node an effect changes; that set equals the one a full faulty
+//! re-simulation changes (property-tested too).
 //!
 //! The plans here are built once per (program, fault list, observation
 //! set) and validated up front: every node the replay reads — fault
@@ -220,6 +223,7 @@ pub(crate) struct ReplayCounts {
 /// Per-worker replay scratch: the epoch-stamped faulty-slot overlay and
 /// level-bucketed event queue of the drain, the stuck-at stem memo, and
 /// the transition window state — reused across faults and batches.
+/// Outside the simulators, [`StuckAtReach::scratch`] makes one.
 #[derive(Debug)]
 pub struct KernelScratch<W: LaneWord> {
     /// Faulty slot words, valid where `mark` holds the current epoch.
@@ -272,6 +276,22 @@ impl<W: LaneWord> KernelScratch<W> {
         }
     }
 
+    /// The word a branch fault puts on `gate`'s output in `frame`: the
+    /// gate re-evaluated with input `pin` held at `forced`.
+    fn branch_word(
+        &mut self,
+        cc: &CompiledCircuit,
+        gate: NodeId,
+        pin: u8,
+        forced: W,
+        frame: &[W],
+    ) -> W {
+        self.fanin_buf.clear();
+        self.fanin_buf.extend(cc.fanins(gate).iter().map(|f| frame[f.index()]));
+        self.fanin_buf[pin as usize] = forced;
+        eval_gate(cc.kind(gate), &self.fanin_buf)
+    }
+
     /// Starts a fresh stem-memo epoch for a shard graded against a new
     /// fault-free frame.
     fn begin_memo(&mut self) {
@@ -294,7 +314,7 @@ const UNREAD: u32 = u32::MAX;
 const STEM: u32 = u32::MAX - 1;
 
 /// How one stuck-at fault is injected on the kernel path, resolved once
-/// at plan build (the per-fault twin of `inject_stuck_at`).
+/// at plan build.
 #[derive(Debug, Clone, Copy)]
 enum Inject {
     /// The injection site is a flip-flop (stem on Q, or a branch on the
@@ -469,12 +489,9 @@ pub(crate) fn kernel_grade_shard<W: LaneWord>(
                 (slot as usize, if force1 { W::ones() } else { W::zero() })
             }
             Inject::Branch { dst, pin, force1 } => {
+                let forced = if force1 { W::ones() } else { W::zero() };
                 let site = NodeId::from_index(dst as usize);
-                let cc = batch.cc;
-                scratch.fanin_buf.clear();
-                scratch.fanin_buf.extend(cc.fanins(site).iter().map(|f| frame[f.index()]));
-                scratch.fanin_buf[pin as usize] = if force1 { W::ones() } else { W::zero() };
-                (dst as usize, eval_gate(cc.kind(site), &scratch.fanin_buf))
+                (dst as usize, scratch.branch_word(batch.cc, site, pin, forced, frame))
             }
         };
         // The excited lanes, traced hop by hop to the region's stem.
@@ -524,11 +541,115 @@ fn stem_observability<W: LaneWord>(
     } else {
         let mut step = KernelStep::new(prog, &plan.edges, &plan.closure, scratch);
         step.seed(NodeId::from_index(stem), frame[stem].not());
-        step.run(frame, None)
+        step.run(frame, None, |_, _| {})
     };
     scratch.memo[stem] = obs;
     scratch.memo_mark[stem] = scratch.memo_epoch;
     obs
+}
+
+/// Where stuck-at fault effects travel in one fault-free frame: the
+/// reach profiles fault-simulation-guided test-point selection builds
+/// from the faults random patterns leave undetected.
+///
+/// Grading needs only the lanes on which an effect reaches an observed
+/// slot; reach needs every node it changes. So the program is lowered
+/// with every node kept, every slot holds its interpreter word, and the
+/// drain's closure is the whole program: an effect is followed until it
+/// dies. Faults are injected the way
+/// grading resolves them: a stem fault forces its slot, a branch fault
+/// re-evaluates its gate with one pin forced, and a fault on a
+/// flip-flop (a stem on `Q` or a branch on the `D` pin) is reported at
+/// the flip-flop alone, because the capture latches the forced value
+/// directly.
+///
+/// # Example
+///
+/// ```
+/// use lbist_netlist::{Netlist, GateKind};
+/// use lbist_sim::CompiledCircuit;
+/// use lbist_fault::{Fault, FaultKind, StuckAtReach};
+///
+/// let mut nl = Netlist::new("p");
+/// let a = nl.add_input("a");
+/// let g = nl.add_gate(GateKind::Not, &[a]);
+/// nl.add_output("y", g);
+/// let cc = CompiledCircuit::compile(&nl).unwrap();
+/// let mut frame = cc.new_frame();
+/// frame[a.index()] = 0; // all patterns drive a = 0
+/// cc.eval2(&mut frame);
+///
+/// let reach = StuckAtReach::new(&cc);
+/// let mut scratch = reach.scratch();
+/// let mut reached = Vec::new();
+/// reach.visit(&Fault::stem(a, FaultKind::StuckAt1), &frame, &mut scratch,
+///             |node, _diff| reached.push(node));
+/// assert_eq!(reached[0], a);
+/// assert!(reached.contains(&g));
+/// ```
+#[derive(Debug)]
+pub struct StuckAtReach<'a> {
+    cc: &'a CompiledCircuit,
+    prog: KernelProgram,
+    edges: EventEdges,
+    /// Every slot, so no event is cut short.
+    closure: SlotClosure,
+}
+
+impl<'a> StuckAtReach<'a> {
+    /// Lowers `cc` with every node kept.
+    pub fn new(cc: &'a CompiledCircuit) -> Self {
+        let prog = KernelProgram::lower(cc, &vec![true; cc.num_nodes()]);
+        let edges = EventEdges::build(&prog, cc);
+        let closure = SlotClosure::build(&prog, 0..prog.num_nodes());
+        StuckAtReach { cc, prog, edges, closure }
+    }
+
+    /// A replay scratch for one worker, reused across faults and frames.
+    pub fn scratch<W: LaneWord>(&self) -> KernelScratch<W> {
+        KernelScratch::new(&self.prog, self.cc)
+    }
+
+    /// Calls `visitor(node, diff)` for every node whose word `fault`
+    /// changes in `frame`, with the lanes on which it differs: the site
+    /// first, then every node the effect reaches. `frame` is a fully
+    /// evaluated fault-free frame. An unexcited fault visits nothing; a
+    /// flip-flop site is visited with the forced word against the
+    /// fault-free `D` source's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fault` is not a stuck-at fault.
+    pub fn visit<W: LaneWord>(
+        &self,
+        fault: &Fault,
+        frame: &[W],
+        scratch: &mut KernelScratch<W>,
+        mut visitor: impl FnMut(NodeId, W),
+    ) {
+        assert!(fault.kind.is_stuck_at(), "reach profiles stuck-at faults");
+        let (cc, site) = (self.cc, fault.node);
+        let forced = if fault.kind.faulty_value() { W::ones() } else { W::zero() };
+        if cc.kind(site) == GateKind::Dff {
+            let d_src = cc.fanins(site)[0];
+            let held = if fault.is_stem() { site } else { d_src };
+            if forced != frame[held.index()] {
+                visitor(site, forced.xor(frame[d_src.index()]));
+            }
+            return;
+        }
+        let word = match fault.pin {
+            None => forced,
+            Some(pin) => scratch.branch_word(cc, site, pin, forced, frame),
+        };
+        if word == frame[site.index()] {
+            return;
+        }
+        visitor(site, word.xor(frame[site.index()]));
+        let mut step = KernelStep::new(&self.prog, &self.edges, &self.closure, scratch);
+        step.seed(site, word);
+        step.run(frame, None, visitor);
+    }
 }
 
 /// The per-(program, faults, window) transition replay plan: the event
@@ -605,9 +726,10 @@ impl TransitionKernelPlan {
     }
 }
 
-/// The event drain both fault models replay through: seeded words queue
-/// their consumers inside the current closure, and only instructions an
-/// actually-changed word feeds are re-evaluated, level-ordered.
+/// The event drain both fault models and [`StuckAtReach`] replay
+/// through: seeded words queue their consumers inside the current
+/// closure, and only instructions an actually-changed word feeds are
+/// re-evaluated, level-ordered.
 pub(crate) struct KernelStep<'s, W: LaneWord> {
     prog: &'s KernelProgram,
     edges: &'s EventEdges,
@@ -691,8 +813,15 @@ impl<W: LaneWord> KernelStep<'_, W> {
     /// keeps its seeded word even when other events reach it.
     ///
     /// Returns the OR of the differences the drain left at the closure's
-    /// seed slots (seeded slots themselves excluded).
-    pub(crate) fn run(&mut self, good: &[W], pin: Option<NodeId>) -> W {
+    /// seed slots (seeded slots themselves excluded), and calls
+    /// `changed(node, diff)` for every slot the drain changes, with its
+    /// difference from `good`.
+    pub(crate) fn run(
+        &mut self,
+        good: &[W],
+        pin: Option<NodeId>,
+        mut changed: impl FnMut(NodeId, W),
+    ) -> W {
         let pin = pin.map_or(usize::MAX, NodeId::index);
         let (prog, edges, closure) = (self.prog, self.edges, self.closure);
         let KernelScratch { vals, mark, queued, buckets, epoch, counts, .. } = &mut *self.scratch;
@@ -728,8 +857,10 @@ impl<W: LaneWord> KernelStep<'_, W> {
                 }
                 vals[dst] = v;
                 mark[dst] = epoch;
+                let diff = v.xor(good[dst]);
+                changed(NodeId::from_index(dst), diff);
                 if closure.is_seed(dst) {
-                    seen = seen.or(v.xor(good[dst]));
+                    seen = seen.or(diff);
                 }
                 for &e in edges.of(dst) {
                     let j = e as u32 as usize;
@@ -749,5 +880,115 @@ impl<W: LaneWord> KernelStep<'_, W> {
         }
         counts.drain_evals += evals;
         seen
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::FaultKind;
+    use lbist_netlist::Netlist;
+
+    /// Every `(node, diff)` `fault` changes in `frame`, in visit order.
+    fn reached(cc: &CompiledCircuit, fault: Fault, frame: &[u64]) -> Vec<(NodeId, u64)> {
+        let reach = StuckAtReach::new(cc);
+        let mut scratch = reach.scratch();
+        let mut out = Vec::new();
+        reach.visit(&fault, frame, &mut scratch, |node, diff| out.push((node, diff)));
+        out
+    }
+
+    fn nodes(reached: &[(NodeId, u64)]) -> Vec<NodeId> {
+        reached.iter().map(|&(node, _)| node).collect()
+    }
+
+    #[test]
+    fn stem_fault_propagates_through_chain() {
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a");
+        let n1 = nl.add_gate(GateKind::Not, &[a]);
+        let n2 = nl.add_gate(GateKind::Buf, &[n1]);
+        let y = nl.add_output("y", n2);
+        let cc = CompiledCircuit::compile(&nl).unwrap();
+        let mut frame = cc.new_frame();
+        frame[a.index()] = 0b10;
+        cc.eval2(&mut frame);
+
+        // a=1 only in pattern 1, so the diff mask is 0b10 everywhere.
+        let diffs = reached(&cc, Fault::stem(a, FaultKind::StuckAt0), &frame);
+        assert_eq!(diffs, vec![(a, 0b10), (n1, 0b10), (n2, 0b10), (y, 0b10)]);
+    }
+
+    #[test]
+    fn unexcited_fault_reaches_nothing() {
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a");
+        let g = nl.add_gate(GateKind::Buf, &[a]);
+        nl.add_output("y", g);
+        let cc = CompiledCircuit::compile(&nl).unwrap();
+        let mut frame = cc.new_frame();
+        frame[a.index()] = 0; // a always 0: SA0 not excited
+        cc.eval2(&mut frame);
+        assert!(reached(&cc, Fault::stem(a, FaultKind::StuckAt0), &frame).is_empty());
+    }
+
+    #[test]
+    fn branch_fault_affects_only_reading_gate() {
+        // a fans out to g1 (AND with b=1) and g2 (OR with 0).
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let g1 = nl.add_gate(GateKind::And, &[a, b]);
+        let g2 = nl.add_gate(GateKind::Or, &[a, a]);
+        nl.add_output("y1", g1);
+        nl.add_output("y2", g2);
+        let cc = CompiledCircuit::compile(&nl).unwrap();
+        let mut frame = cc.new_frame();
+        frame[a.index()] = !0;
+        frame[b.index()] = !0;
+        cc.eval2(&mut frame);
+
+        let reached = nodes(&reached(&cc, Fault::branch(g1, 0, FaultKind::StuckAt0), &frame));
+        assert!(reached.contains(&g1));
+        assert!(!reached.contains(&g2), "branch fault leaked to sibling gate");
+        assert!(!reached.contains(&a), "branch fault must not affect the stem");
+    }
+
+    #[test]
+    fn masking_blocks_propagation() {
+        // AND(a, b) with b=0: a-fault cannot pass.
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let g = nl.add_gate(GateKind::And, &[a, b]);
+        nl.add_output("y", g);
+        let cc = CompiledCircuit::compile(&nl).unwrap();
+        let mut frame = cc.new_frame();
+        frame[a.index()] = !0;
+        frame[b.index()] = 0;
+        cc.eval2(&mut frame);
+        let reached = nodes(&reached(&cc, Fault::stem(a, FaultKind::StuckAt0), &frame));
+        assert_eq!(reached, vec![a], "effect must die at the masked AND");
+    }
+
+    #[test]
+    fn reconvergence_is_exact() {
+        // a -> (NOT, BUF) -> XOR: the two paths reconverge; with both
+        // inverted/buffered the XOR output is constant 1 regardless of a,
+        // so an a-fault must NOT reach the XOR output.
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a");
+        let inv = nl.add_gate(GateKind::Not, &[a]);
+        let buf = nl.add_gate(GateKind::Buf, &[a]);
+        let x = nl.add_gate(GateKind::Xor, &[inv, buf]);
+        nl.add_output("y", x);
+        let cc = CompiledCircuit::compile(&nl).unwrap();
+        let mut frame = cc.new_frame();
+        frame[a.index()] = 0b0101;
+        cc.eval2(&mut frame);
+        let reached = nodes(&reached(&cc, Fault::stem(a, FaultKind::StuckAt1), &frame));
+        assert!(reached.contains(&inv));
+        assert!(reached.contains(&buf));
+        assert!(!reached.contains(&x), "XOR of complementary diffs must cancel");
     }
 }

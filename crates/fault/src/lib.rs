@@ -18,16 +18,20 @@
 //!   the compiled kernel the simulator lowers itself, fault dropping and
 //!   n-detect counting.
 //! * [`StuckAtSim`] / [`WideStuckAtSim`] — PPSFP under the [`StuckAt`]
-//!   model: fault-free simulation followed by single-fault forward
-//!   propagation.
+//!   model: fault-free simulation, then each fault traced to its
+//!   fanout-free-region stem and the stem's observability drained on
+//!   the kernel.
 //! * [`TransitionSim`] / [`WideTransitionSim`] — launch-on-capture
 //!   transition grading under the [`Transition`] model, across the
 //!   paper's **double-capture window**: per-domain pulse pairs in `d3`
 //!   order, launches at each first pulse, captures at the second, fault
 //!   effects carried across the window through flip-flop state.
+//! * [`StuckAtReach`] — the nodes each stuck-at fault's effect changes
+//!   in one frame, drained on the same kernel: the profiles
+//!   observation points are chosen from.
 //! * [`CoverageReport`] — the numbers the paper's Table 1 rows report.
 //! * [`oracle`] — the slow reference grader the kernel is checked
-//!   against.
+//!   against: plain per-fault re-simulation.
 //!
 //! # Example
 //!
@@ -60,17 +64,15 @@ mod kernel;
 mod model;
 pub mod oracle;
 mod phases;
-mod propagate;
 mod sim;
 mod stuck;
 mod transition;
 mod universe;
 
 pub use coverage::CoverageReport;
-pub use kernel::grading_keep_set;
+pub use kernel::{grading_keep_set, KernelScratch, StuckAtReach};
 pub use model::{Fault, FaultKind};
 pub use phases::SimPhaseMetrics;
-pub use propagate::propagate_fault;
 pub use sim::{FaultModel, FaultSim};
 pub use stuck::{StuckAt, StuckAtSim, WideStuckAtSim};
 pub use transition::{CaptureWindow, Transition, TransitionSim, WideTransitionSim};

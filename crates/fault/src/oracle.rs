@@ -3,11 +3,12 @@
 //! [`crate::FaultSim`] grades on the compiled kernel: tracing to the
 //! fanout-free-region stem plus a memoized stem drain for stuck-at
 //! faults, event-driven window replay for transition faults, sharded
-//! across the pool with fault dropping. This
-//! module grades the same batch the plain way — every fault, no
-//! dropping, one thread, straight netlist evaluation — and returns each
-//! fault's per-lane detection word. Tests and `bench_faultsim` compare
-//! the kernel's detection counts against the popcounts of these words.
+//! across the pool with fault dropping. This module grades the same
+//! batch the plain way — every fault, no dropping, one thread, a full
+//! netlist re-simulation per fault, no propagation code shared with the
+//! kernel — and returns each fault's per-lane detection word. Tests and
+//! `bench_faultsim` compare the kernel's detection counts against the
+//! popcounts of these words.
 //!
 //! Both graders mask their words to the first `num_patterns` lanes, as
 //! the simulator does.
@@ -15,13 +16,18 @@
 //! # Stuck-at
 //!
 //! [`stuck_at`] evaluates the source frame with
-//! [`CompiledCircuit::eval2`], then injects each fault with
-//! [`propagate_fault`] and ORs the difference word of every observed node
-//! the effect reaches. A fault on a flip-flop (a stem on `Q` or a branch
-//! on the `D` pin) is reported by [`propagate_fault`] as one word at the
-//! flip-flop itself — the forced value against the fault-free `D`
-//! source, which the capture latches directly. That word counts whether
-//! or not the flip-flop is in the observation set.
+//! [`CompiledCircuit::eval2`], then re-simulates the whole frame per
+//! fault with [`CompiledCircuit::eval_node2`] in schedule order, the
+//! site holding its faulty word: the forced value for a stem, the gate
+//! evaluated with one pin forced for a branch. The detection word ORs
+//! the differences at every observed node.
+//!
+//! A fault on a flip-flop (a stem on `Q` or a branch on the `D` pin) is
+//! not re-simulated: its word is the forced value against the
+//! fault-free `D` source, which the capture latches directly, and it
+//! counts whether or not the flip-flop is in the observation set. A
+//! `Q` stem whose fault-free word already equals the forced value
+//! detects nothing.
 //!
 //! # Transition
 //!
@@ -47,12 +53,11 @@
 //!   fault-free flip-flop states at the end of the window — what the
 //!   unload shifts into the MISRs.
 
-use crate::propagate::propagate_fault;
 use crate::transition::CaptureWindow;
 use crate::{Fault, FaultKind};
 use lbist_exec::LaneWord;
 use lbist_netlist::{GateKind, NodeId};
-use lbist_sim::CompiledCircuit;
+use lbist_sim::{eval_gate, CompiledCircuit};
 
 /// Grades `faults` under the stuck-at model against one batch: `source`
 /// holds the source words (inputs, flip-flop states, X-source
@@ -65,22 +70,39 @@ pub fn stuck_at<W: LaneWord>(
     source: &[W],
     num_patterns: usize,
 ) -> Vec<W> {
-    let mut frame = source.to_vec();
-    cc.eval2(&mut frame);
-    let mut is_observed = vec![false; cc.num_nodes()];
-    for &o in observed {
-        is_observed[o.index()] = true;
-    }
+    let mut good = source.to_vec();
+    cc.eval2(&mut good);
     let lane_mask = W::mask_lanes(num_patterns);
     faults
         .iter()
         .map(|fault| {
-            let mut detected = W::zero();
-            propagate_fault(cc, fault, &frame, |node, diff| {
-                if is_observed[node.index()] || cc.kind(node) == GateKind::Dff {
-                    detected = detected.or(diff);
+            let site = fault.node;
+            let forced = if fault.kind.faulty_value() { W::ones() } else { W::zero() };
+            let detected = if cc.kind(site) == GateKind::Dff {
+                if fault.is_stem() && good[site.index()] == forced {
+                    W::zero()
+                } else {
+                    forced.xor(good[cc.fanins(site)[0].index()])
                 }
-            });
+            } else {
+                // A source site keeps the forced word; a gate site gets
+                // its faulty word in schedule order.
+                let mut faulty = source.to_vec();
+                faulty[site.index()] = forced;
+                for &node in cc.schedule() {
+                    faulty[node.index()] = match fault.pin {
+                        _ if node != site => cc.eval_node2(node, &faulty),
+                        None => forced,
+                        Some(pin) => {
+                            let mut words: Vec<W> =
+                                cc.fanins(site).iter().map(|f| faulty[f.index()]).collect();
+                            words[pin as usize] = forced;
+                            eval_gate(cc.kind(site), &words)
+                        }
+                    };
+                }
+                observed.iter().fold(W::zero(), |d, o| d.or(faulty[o.index()].xor(good[o.index()])))
+            };
             detected.and(lane_mask)
         })
         .collect()

@@ -40,9 +40,8 @@ mod sealed {
 ///
 /// The items are the simulator core's hooks; callers use the
 /// [`FaultSim`] methods instead. The hooks name crate-internal types
-/// (`Batch`, the replay scratches, the kernel plans), which are `pub`
-/// only so this public trait can name them: no path outside the crate
-/// reaches them.
+/// (`Batch`, the kernel plans), which are `pub` only so this public
+/// trait can name them: no path outside the crate reaches them.
 pub trait FaultModel<W: LaneWord>: Debug + Send + Sync + sealed::Sealed {
     /// What a batch hands the simulator: the caller's value frame,
     /// evaluated in place (`&mut [W]`, stuck-at), or the window's base

@@ -361,7 +361,7 @@ fn replay_window<'s, W: LaneWord>(
                 step.seed(site, cur.xor(act));
                 pin = Some(site);
             }
-            step.run(good, pin);
+            step.run(good, pin, |_, _| {});
 
             // Frame boundary: the capturing domain's flip-flops load
             // their faulty `D` words; the fault-free frame after the

@@ -20,17 +20,6 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<(u32, u64)>,
 }
 
-impl HistogramSnapshot {
-    /// Mean recorded value, if any values were recorded.
-    pub fn mean(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.sum as f64 / self.count as f64)
-        }
-    }
-}
-
 /// A point-in-time view of every metric in a [`crate::Registry`],
 /// sorted by name within each kind.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]

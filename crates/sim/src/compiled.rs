@@ -7,9 +7,10 @@ use lbist_netlist::{DomainId, Fanouts, GateKind, Levelization, Netlist, NetlistE
 ///
 /// Compilation copies the structure out of the arena into flat arrays:
 /// a CSR fanin table, a level-ordered evaluation schedule of non-source
-/// nodes, a CSR fanout table (for event-driven fault propagation) and the
-/// source-node lists (inputs, flip-flops, X-sources, constants). After
-/// compilation the original [`Netlist`] is no longer needed for simulation.
+/// nodes, a CSR fanout table (PODEM's implication and X-path walks, and
+/// kernel lowering's fusion test) and the source-node lists (inputs,
+/// flip-flops, X-sources, constants). After compilation the original
+/// [`Netlist`] is no longer needed for simulation.
 ///
 /// Pattern-parallel convention: every net's value is one
 /// [`LaneWord`] holding `W::LANES` independent patterns; lane `p` of
@@ -190,9 +191,11 @@ impl CompiledCircuit {
         v
     }
 
-    /// Evaluates one 2-valued gate from its fanin words. Exposed so fault
-    /// simulators can re-evaluate single gates during event-driven
-    /// propagation.
+    /// Evaluates one node from the words in `values`: a gate from its
+    /// fanin words, a frame source as the word loaded for it. Exposed so
+    /// faulty frames can be re-simulated node by node, with the fault
+    /// site's word overridden: the slow reference grader
+    /// (`lbist_fault::oracle`) and a session's injected defect do.
     #[inline]
     pub fn eval_node2<W: LaneWord>(&self, node: NodeId, values: &[W]) -> W {
         let kind = self.kinds[node.index()];
@@ -230,8 +233,8 @@ const _: () = {
 /// Evaluates a 2-valued gate function from an explicit slice of fanin
 /// pattern words (`words[i]` = value on pin `i`), at any lane width.
 ///
-/// This is the primitive event-driven fault propagation uses to
-/// re-evaluate a single gate with some pins overridden.
+/// The fault simulators and the reference grader use it to evaluate a
+/// gate with a branch fault: the fanin words with one pin forced.
 ///
 /// # Panics
 ///

@@ -2,7 +2,7 @@
 //! [`Misr`] and the bit-sliced, lane-parallel [`LaneMisr`] bank the
 //! wide grading pipeline compacts responses with.
 
-use crate::{Gf2Vec, Lfsr, LfsrPoly};
+use crate::{Gf2Vec, LfsrPoly};
 use lbist_exec::LaneWord;
 
 /// A multiple-input signature register (MISR).
@@ -107,12 +107,6 @@ impl Misr {
     pub fn set_signature(&mut self, sig: Gf2Vec) {
         assert_eq!(sig.len(), self.width());
         self.state = sig;
-    }
-
-    /// Builds the MISR whose shift structure matches an existing LFSR
-    /// (convenience for tests that cross-check against [`Lfsr`]).
-    pub fn from_lfsr(lfsr: &Lfsr, inputs: usize) -> Self {
-        Misr::new(lfsr.poly().clone(), inputs)
     }
 }
 

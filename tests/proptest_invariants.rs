@@ -2,13 +2,14 @@
 
 use lbist::exec::LaneWord;
 use lbist::fault::{
-    oracle, CaptureWindow, Fault, FaultKind, FaultUniverse, StuckAtSim, TransitionSim,
-    WideStuckAtSim, WideTransitionSim,
+    oracle, CaptureWindow, Fault, FaultKind, FaultUniverse, StuckAtReach, StuckAtSim,
+    TransitionSim, WideStuckAtSim, WideTransitionSim,
 };
 use lbist::netlist::{parse_bench, to_bench, DomainId, GateKind, Netlist, NodeId};
-use lbist::sim::{CompiledCircuit, Logic};
+use lbist::sim::{eval_gate, CompiledCircuit, Logic};
 use lbist::tpg::{Lfsr, LfsrPoly, Misr, PhaseShifter, SpaceCompactor, SpaceExpander};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Strategy: a random small combinational netlist (acyclic by
 /// construction: gates only read earlier nodes).
@@ -211,6 +212,58 @@ fn transition_matches_oracle<W: LaneWord>(
         W::LANES,
         window.order()
     );
+}
+
+/// Checks [`StuckAtReach`] against full re-simulation on one batch of
+/// `nl`: every fault of the uncollapsed stuck-at universe must visit
+/// exactly the nodes whose word changes when the whole frame is
+/// re-simulated with the fault in place, with the same difference
+/// words. A flip-flop site is not re-simulated: an excited one is
+/// visited alone, with the forced word against its `D` source's.
+fn reach_matches_resimulation<W: LaneWord>(nl: &Netlist, stim: u64) {
+    let cc = CompiledCircuit::compile(nl).unwrap();
+    let reach = StuckAtReach::new(&cc);
+    let mut scratch = reach.scratch();
+    let source = random_sources::<W>(&cc, stim, 0);
+    let mut good = source.clone();
+    cc.eval2(&mut good);
+    for fault in FaultUniverse::stuck_at(nl).faults() {
+        let site = fault.node;
+        let forced = if fault.kind.faulty_value() { W::ones() } else { W::zero() };
+        let mut expect = BTreeMap::new();
+        if cc.kind(site) == GateKind::Dff {
+            let d_src = cc.fanins(site)[0];
+            let held = if fault.is_stem() { site } else { d_src };
+            if good[held.index()] != forced {
+                expect.insert(site, forced.xor(good[d_src.index()]));
+            }
+        } else {
+            let mut faulty = source.clone();
+            faulty[site.index()] = forced;
+            for &node in cc.schedule() {
+                faulty[node.index()] = match fault.pin {
+                    _ if node != site => cc.eval_node2(node, &faulty),
+                    None => forced,
+                    Some(pin) => {
+                        let mut words: Vec<W> =
+                            cc.fanins(site).iter().map(|f| faulty[f.index()]).collect();
+                        words[pin as usize] = forced;
+                        eval_gate(cc.kind(site), &words)
+                    }
+                };
+            }
+            for (i, (&f, &g)) in faulty.iter().zip(&good).enumerate() {
+                if f != g {
+                    expect.insert(NodeId::from_index(i), f.xor(g));
+                }
+            }
+        }
+        let mut got = BTreeMap::new();
+        reach.visit(fault, &good, &mut scratch, |node, diff| {
+            assert!(got.insert(node, diff).is_none(), "{fault:?} visited {node} twice");
+        });
+        assert_eq!(got, expect, "{fault:?}, {} lanes", W::LANES);
+    }
 }
 
 proptest! {
@@ -461,6 +514,23 @@ proptest! {
                 transition_matches_oracle::<u64>(&nl, window, stim, batches, threads);
                 transition_matches_oracle::<u128>(&nl, window, stim, batches, threads);
             }
+        }
+    }
+
+    /// The kernel reach test-point selection profiles equals full
+    /// re-simulation of the faulty frame, on random two-domain
+    /// sequential netlists with feedback and on netlists drawing every
+    /// gate kind the kernel lowers, at both lane widths.
+    #[test]
+    fn stuck_at_reach_matches_resimulation(
+        seq in arb_seq_netlist(2),
+        gates in arb_all_gates_netlist(),
+        feedback: u64,
+        stim: u64,
+    ) {
+        for nl in [with_feedback(seq, feedback), with_feedback(gates, feedback)] {
+            reach_matches_resimulation::<u64>(&nl, stim);
+            reach_matches_resimulation::<u128>(&nl, stim);
         }
     }
 
