@@ -23,7 +23,7 @@
 
 use lbist_atpg::TopUpAtpg;
 use lbist_core::{
-    fill_frame_from_prpg, CheckpointSpec, RunControl, StumpsArchitecture, StumpsConfig,
+    CheckpointSpec, RunControl, StumpsArchitecture, StumpsConfig, WideGradingSession,
 };
 use lbist_cores::{CoreProfile, CpuCoreGenerator};
 use lbist_dft::{prepare_core, BistReadyCore, PrepConfig, TpiMethod};
@@ -128,25 +128,21 @@ pub fn run_random_phase(
     let chains_needed = target_chains.max(core.netlist.num_domains());
     core.chains = lbist_dft::ScanChains::stitch(&core.netlist, chains_needed);
     let cc = CompiledCircuit::compile(&core.netlist).expect("core compiles");
-    let universe = FaultUniverse::stuck_at(&core.netlist);
-    let mut sim =
-        StuckAtSim::new(&cc, universe.representatives(), StuckAtSim::observe_all_captures(&cc));
-    // Rayon-sharded PPSFP by default; `--serial` / `--threads N` override.
-    if let Some(threads) = cli_thread_budget() {
-        sim.set_threads(threads);
-    }
+    let faults = FaultUniverse::stuck_at(&core.netlist).representatives();
 
     // Random phase with genuine PRPG patterns through the architecture.
-    let mut arch = StumpsArchitecture::build(&core, &StumpsConfig::default());
-    let mut frame = cc.new_frame();
-    let batches = random_patterns.div_ceil(64);
-    for _ in 0..batches {
-        fill_frame_from_prpg(&mut arch, &core, &mut frame);
-        sim.run_batch(&mut frame, 64);
-    }
-    let fc1 = sim.coverage();
-    let survivors = sim.undetected();
-    RandomPhase { core, cc, arch, fc1, patterns: batches * 64, survivors }
+    let (outcome, arch) = {
+        let mut session = WideGradingSession::<u64>::new(&core, &cc, &StumpsConfig::default());
+        // Sharded grading by default; `--serial` / `--threads N` override.
+        if let Some(threads) = cli_thread_budget() {
+            session.set_threads(threads);
+        }
+        let outcome = session.run_stuck_at(faults.clone(), random_patterns.div_ceil(64));
+        (outcome, session.architecture().clone())
+    };
+    let survivors = outcome.undetected_indices().into_iter().map(|i| faults[i]).collect();
+    let (fc1, patterns) = (outcome.coverage, outcome.patterns as usize);
+    RandomPhase { core, cc, arch, fc1, patterns, survivors }
 }
 
 /// Runs the full Table 1 measurement pipeline for one profile.
@@ -385,7 +381,7 @@ pub fn cli_run_control() -> Option<RunControl> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lbist_core::{fill_lane_from_prpg, outcome_digest};
+    use lbist_core::{fill_frame_from_prpg, fill_lane_from_prpg, outcome_digest};
     use lbist_tpg::Gf2Vec;
 
     #[test]

@@ -2,7 +2,7 @@
 
 use lbist_dft::{BistReadyCore, ScanChain};
 use lbist_netlist::DomainId;
-use lbist_tpg::{Lfsr, LfsrPoly, Misr, PhaseShifter, Prpg, SpaceCompactor, SpaceExpander};
+use lbist_tpg::{Gf2Vec, Lfsr, LfsrPoly, Misr, PhaseShifter, Prpg, SpaceCompactor, SpaceExpander};
 
 /// Architecture-level configuration (the knobs Table 1 reports).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -122,11 +122,7 @@ impl StumpsArchitecture {
             } else {
                 PhaseShifter::identity(&poly, channels)
             };
-            // Per-domain distinct nonzero seed derived from config.seed.
-            let seed_word = config.seed.rotate_left(d as u32 * 7) | 1;
-            let seed = lbist_tpg::Gf2Vec::from_fn(poly.degree(), |i| {
-                (seed_word >> (i % 64)) & 1 == 1 || i == 0
-            });
+            let seed = domain_seed(config, d, poly.degree());
             let lfsr = Lfsr::new(poly, seed);
             let prpg = if config.use_expander || channels < n_chains {
                 Prpg::with_expander(lfsr, shifter, SpaceExpander::new(channels, n_chains))
@@ -188,17 +184,19 @@ impl StumpsArchitecture {
 
     /// Resets all MISRs and re-seeds all PRPGs to their build-time state.
     pub fn reset(&mut self) {
-        let config = self.config.clone();
         for (d, db) in self.domains.iter_mut().enumerate() {
             db.misr.reset();
-            let seed_word = config.seed.rotate_left(d as u32 * 7) | 1;
-            let poly = db.prpg.lfsr().poly().clone();
-            let seed = lbist_tpg::Gf2Vec::from_fn(poly.degree(), |i| {
-                (seed_word >> (i % 64)) & 1 == 1 || i == 0
-            });
+            let seed = domain_seed(&self.config, d, db.prpg.lfsr().len());
             db.prpg.lfsr_mut().set_state(seed);
         }
     }
+}
+
+/// Domain `d`'s build-time PRPG state: a distinct nonzero seed of
+/// `degree` bits derived from `config.seed`.
+fn domain_seed(config: &StumpsConfig, d: usize, degree: usize) -> Gf2Vec {
+    let seed_word = config.seed.rotate_left(d as u32 * 7) | 1;
+    Gf2Vec::from_fn(degree, |i| (seed_word >> (i % 64)) & 1 == 1 || i == 0)
 }
 
 #[cfg(test)]

@@ -37,7 +37,9 @@ pub struct ControllerConfig {
 /// `Load`/`Unload`, or one capture pulse during the capture window. The
 /// controller exposes the paper's three-pin interface (`start`,
 /// `finish`, `result`) plus the scan-enable level and the identity of the
-/// current capture pulse, which the session uses to sequence simulation.
+/// current capture pulse. It is a standalone model of the sequencing:
+/// [`crate::SelfTestSession`] applies the same load/capture/unload order
+/// without stepping one.
 ///
 /// # Example
 ///

@@ -20,14 +20,15 @@
 //!   kernel: each run's simulator lowers its own program at its first
 //!   batch, unless the session shares a prebuilt one
 //!   ([`WideGradingSession::set_kernel_program`]).
-//! * **Compact** — each batch's fault-free responses unload through the
-//!   domain's [`SpaceCompactor`] (word-level) into a [`LaneMisr`] bank;
-//!   the per-lane signatures fold into one accumulated signature per
-//!   domain. Linearity of the MISR makes the accumulated signature
-//!   **width-invariant**: 64- and 128-lane runs over the same pattern
-//!   stream produce bit-identical signatures (property-tested in the
-//!   bench crate), so a signature regression caught at 128 lanes is a
-//!   real regression, not a width artifact.
+//! * **Compact** — after the grade, each batch's fault-free responses
+//!   unload through the architecture's chains and
+//!   [`lbist_tpg::SpaceCompactor`]s (word-level) into one [`LaneMisr`]
+//!   bank per domain; the per-lane signatures fold into one accumulated
+//!   signature per domain. Linearity of the MISR makes the accumulated
+//!   signature **width-invariant**: 64- and 128-lane runs over the same
+//!   pattern stream produce bit-identical signatures (property-tested in
+//!   the bench crate), so a signature regression caught at 128 lanes is
+//!   a real regression, not a width artifact.
 
 use crate::architecture::{StumpsArchitecture, StumpsConfig};
 use crate::checkpoint::{
@@ -44,7 +45,7 @@ use lbist_fault::{
 use lbist_netlist::NodeId;
 use lbist_obs::{Counter, Histogram, Registry};
 use lbist_sim::{CompiledCircuit, KernelProgram};
-use lbist_tpg::{Gf2Vec, LaneMisr, SpaceCompactor};
+use lbist_tpg::{Gf2Vec, LaneMisr};
 use std::sync::Arc;
 
 /// Telemetry handles for the grading pipeline: per-batch phase timers
@@ -55,7 +56,7 @@ use std::sync::Arc;
 ///
 /// Telemetry is observational only — with metrics on, off, or exported
 /// mid-run, outcomes, digests and checkpoints are bit-identical
-/// (enforced by the `metrics_leave_grading_bit_identical` test).
+/// (enforced by the `metrics_determinism` tests).
 ///
 /// In the pipelined session the `fill` of batch *k+1* overlaps the
 /// `sim`+`detect` of batch *k*, so summed phase times can legitimately
@@ -71,33 +72,16 @@ pub struct GradingMetrics {
     pub faults_graded: Counter,
     /// PRPG scan-fill time per batch (`grading.fill_ns`).
     pub fill_ns: Histogram,
-    /// Fault-free evaluation time per batch (`grading.sim_ns`).
-    pub sim_ns: Histogram,
-    /// Sharded propagation + detection-merge time per batch
-    /// (`grading.detect_ns`).
-    pub detect_ns: Histogram,
     /// MISR signature absorption time per batch (`grading.absorb_ns`).
     pub absorb_ns: Histogram,
     /// Whole-batch wall time (`grading.batch_ns`).
     pub batch_ns: Histogram,
-    /// Kernel lowering time per run whose simulator lowers its own
-    /// program — keep-set construction plus bytecode emission
-    /// (`sim.kernel.compile_ns`).
-    pub kernel_compile_ns: Histogram,
-    /// Instructions in lowered kernel programs (`sim.kernel.instrs`).
-    pub kernel_instrs: Counter,
-    /// Gates fused away during lowering (`sim.kernel.fused_gates`).
-    pub kernel_fused_gates: Counter,
-    /// Stuck-at stem observabilities computed
-    /// (`grading.stuck.stem_replays`).
-    pub stem_replays: Counter,
-    /// Stuck-at faults that reached an already-computed stem
-    /// (`grading.stuck.stem_hits`). `faults_graded` minus both stem
-    /// counters is the faults settled without a stem replay.
-    pub stem_hits: Counter,
-    /// Instructions the replay event drain evaluated
-    /// (`grading.drain_evals`).
-    pub drain_evals: Counter,
+    /// The phase, lowering and replay-count handles every run installs
+    /// on its fault simulator: `grading.sim_ns`, `grading.detect_ns`,
+    /// `sim.kernel.{compile_ns,instrs,fused_gates}`,
+    /// `grading.stuck.{stem_replays,stem_hits}` and
+    /// `grading.drain_evals`.
+    pub sim: SimPhaseMetrics,
 }
 
 impl GradingMetrics {
@@ -109,31 +93,18 @@ impl GradingMetrics {
             patterns: registry.counter("grading.patterns"),
             faults_graded: registry.counter("grading.faults_graded"),
             fill_ns: registry.histogram("grading.fill_ns"),
-            sim_ns: registry.histogram("grading.sim_ns"),
-            detect_ns: registry.histogram("grading.detect_ns"),
             absorb_ns: registry.histogram("grading.absorb_ns"),
             batch_ns: registry.histogram("grading.batch_ns"),
-            kernel_compile_ns: registry.histogram("sim.kernel.compile_ns"),
-            kernel_instrs: registry.counter("sim.kernel.instrs"),
-            kernel_fused_gates: registry.counter("sim.kernel.fused_gates"),
-            stem_replays: registry.counter("grading.stuck.stem_replays"),
-            stem_hits: registry.counter("grading.stuck.stem_hits"),
-            drain_evals: registry.counter("grading.drain_evals"),
-        }
-    }
-
-    /// The phase, lowering and replay-count handles the session forwards
-    /// into the fault simulator.
-    fn sim_phases(&self) -> SimPhaseMetrics {
-        SimPhaseMetrics {
-            sim_ns: self.sim_ns.clone(),
-            detect_ns: self.detect_ns.clone(),
-            kernel_compile_ns: self.kernel_compile_ns.clone(),
-            kernel_instrs: self.kernel_instrs.clone(),
-            kernel_fused_gates: self.kernel_fused_gates.clone(),
-            stem_replays: self.stem_replays.clone(),
-            stem_hits: self.stem_hits.clone(),
-            drain_evals: self.drain_evals.clone(),
+            sim: SimPhaseMetrics {
+                sim_ns: registry.histogram("grading.sim_ns"),
+                detect_ns: registry.histogram("grading.detect_ns"),
+                kernel_compile_ns: registry.histogram("sim.kernel.compile_ns"),
+                kernel_instrs: registry.counter("sim.kernel.instrs"),
+                kernel_fused_gates: registry.counter("sim.kernel.fused_gates"),
+                stem_replays: registry.counter("grading.stuck.stem_replays"),
+                stem_hits: registry.counter("grading.stuck.stem_hits"),
+                drain_evals: registry.counter("grading.drain_evals"),
+            },
         }
     }
 }
@@ -217,16 +188,6 @@ pub struct ControlledGradingOutcome {
     pub resumed_from: Option<u64>,
 }
 
-/// Snapshot of one domain's unload path, taken at session build so the
-/// response compaction can run while the architecture's PRPG state is
-/// mutably borrowed by the pipelined fill.
-#[derive(Debug)]
-struct DomainUnload {
-    /// Scan cells per chain, chain order preserved.
-    chains: Vec<Vec<NodeId>>,
-    compactor: SpaceCompactor,
-}
-
 /// A whole-session grading run at lane width `W`.
 ///
 /// # Example
@@ -253,13 +214,10 @@ pub struct WideGradingSession<'a, W: LaneWord = u64> {
     core: &'a BistReadyCore,
     cc: &'a CompiledCircuit,
     arch: StumpsArchitecture,
-    /// Unload-path snapshot per domain (chain cells + compactor).
-    unload: Vec<DomainUnload>,
     /// One signature bank per domain, reused across batches.
     banks: Vec<LaneMisr<W>>,
     /// Accumulated per-domain signatures of the current run.
     signatures: Vec<Gf2Vec>,
-    shift_cycles: usize,
     threads: Option<usize>,
     drop_after: u32,
     /// `false` disables the fill/grade overlap (the sequential
@@ -279,14 +237,6 @@ impl<'a, W: LaneWord> WideGradingSession<'a, W> {
     /// response-signature bank per domain.
     pub fn new(core: &'a BistReadyCore, cc: &'a CompiledCircuit, config: &StumpsConfig) -> Self {
         let arch = StumpsArchitecture::build(core, config);
-        let unload: Vec<DomainUnload> = arch
-            .domains()
-            .iter()
-            .map(|db| DomainUnload {
-                chains: db.chains.iter().map(|c| c.cells.clone()).collect(),
-                compactor: db.compactor.clone(),
-            })
-            .collect();
         let banks: Vec<LaneMisr<W>> = arch
             .domains()
             .iter()
@@ -294,11 +244,9 @@ impl<'a, W: LaneWord> WideGradingSession<'a, W> {
             .collect();
         let signatures = banks.iter().map(|b| Gf2Vec::zeros(b.width())).collect();
         WideGradingSession {
-            shift_cycles: arch.max_chain_length().max(1),
             core,
             cc,
             arch,
-            unload,
             banks,
             signatures,
             threads: None,
@@ -355,6 +303,11 @@ impl<'a, W: LaneWord> WideGradingSession<'a, W> {
         );
         self.kernel = Some(program);
         self
+    }
+
+    /// The architecture in use.
+    pub fn architecture(&self) -> &StumpsArchitecture {
+        &self.arch
     }
 
     /// Lanes graded per pass.
@@ -441,7 +394,7 @@ impl<'a, W: LaneWord> WideGradingSession<'a, W> {
             sim.set_threads(n);
         }
         sim.set_cancel(control.cancel.clone());
-        sim.set_phase_metrics(self.metrics.sim_phases());
+        sim.set_phase_metrics(self.metrics.sim.clone());
 
         let netlist_hash = lbist_ckpt::netlist_fingerprint(&self.core.netlist);
         let mut resumed_from = None;
@@ -553,13 +506,9 @@ impl<'a, W: LaneWord> WideGradingSession<'a, W> {
             faults_graded += active_before;
             {
                 let _absorb_span = metrics.absorb_ns.start();
-                absorb_batch(
-                    &self.unload,
-                    &mut self.banks,
-                    &mut self.signatures,
-                    self.shift_cycles,
-                    |cell| M::captured(&sim, cc, &cur, cell),
-                );
+                absorb_batch(arch, &mut self.banks, &mut self.signatures, |cell| {
+                    M::captured(&sim, cc, &cur, cell)
+                });
             }
             batches_done += 1;
             metrics.batches.inc();
@@ -696,20 +645,21 @@ impl<W: LaneWord> SessionModel<W> for Transition<W> {
 /// emits chain cell `len-1-s` (scan-out end first); exhausted chains
 /// contribute zero — a fixed convention, identical at every width.
 fn absorb_batch<W: LaneWord>(
-    unload: &[DomainUnload],
+    arch: &StumpsArchitecture,
     banks: &mut [LaneMisr<W>],
     signatures: &mut [Gf2Vec],
-    shift_cycles: usize,
     captured: impl Fn(NodeId) -> W,
 ) {
+    let shift_cycles = arch.max_chain_length().max(1);
     let mut tails: Vec<W> = Vec::new();
     let mut compacted: Vec<W> = Vec::new();
-    for ((dom, bank), sig) in unload.iter().zip(banks.iter_mut()).zip(signatures.iter_mut()) {
+    for ((dom, bank), sig) in arch.domains().iter().zip(banks).zip(signatures) {
         compacted.clear();
         compacted.resize(dom.compactor.num_outputs(), W::zero());
         for s in 0..shift_cycles {
             tails.clear();
-            for cells in &dom.chains {
+            for chain in &dom.chains {
+                let cells = &chain.cells;
                 let w =
                     if s < cells.len() { captured(cells[cells.len() - 1 - s]) } else { W::zero() };
                 tails.push(w);

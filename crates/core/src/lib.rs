@@ -16,8 +16,8 @@
 //!   count, e.g. 99 bits for a 99-chain main domain).
 //! * [`InputSelector`] — random patterns from the TPG or deterministic
 //!   top-up patterns from ATPG, through the same chains.
-//! * [`BistController`] — the load/capture/unload state machine and its
-//!   `Start`/`Finish`/`Result` interface.
+//! * [`BistController`] — a standalone model of the load/capture/unload
+//!   state machine and its `Start`/`Finish`/`Result` interface.
 //! * [`SelfTestSession`] — a cycle-faithful self-test run: shift-in
 //!   through phase shifters and expanders, double-capture window in `d3`
 //!   domain order, shift-out through compactors into MISRs, golden

@@ -2,11 +2,10 @@
 
 use crate::architecture::{StumpsArchitecture, StumpsConfig};
 use crate::checkpoint::{expect_field, RunControl, RunStatus, SessionCheckpoint};
-use crate::controller::{BistController, ControllerConfig};
 use crate::selector::{InputSelector, PatternSource};
 use lbist_atpg::Pattern;
 use lbist_ckpt::{CkptError, Fnv64};
-use lbist_dft::BistReadyCore;
+use lbist_dft::{BistReadyCore, ScanChain};
 use lbist_fault::Fault;
 use lbist_netlist::{DomainId, NodeId};
 use lbist_reseed::{SeedSchedule, SeedWindow};
@@ -188,7 +187,13 @@ fn hash_bools(h: &mut Fnv64, bits: &[bool]) {
     h.write(&bytes);
 }
 
-/// Assembles a [`SessionCheckpoint`] at a load-step boundary.
+/// Every scan chain of `arch`, in domain-then-chain order.
+fn scan_chains(arch: &StumpsArchitecture) -> impl Iterator<Item = &ScanChain> {
+    arch.domains().iter().flat_map(|d| &d.chains)
+}
+
+/// Assembles a [`SessionCheckpoint`] at a load-step boundary: the chain
+/// state is read from the cell words of `frame`.
 #[allow(clippy::too_many_arguments)]
 fn session_snapshot(
     netlist_hash: u64,
@@ -196,7 +201,7 @@ fn session_snapshot(
     steps_done: u64,
     total_shifts: u64,
     top_up_used: u64,
-    chain_state: &[Vec<bool>],
+    frame: &[u64],
     arch: &StumpsArchitecture,
     snapshots: &[Vec<Gf2Vec>],
 ) -> SessionCheckpoint {
@@ -206,7 +211,9 @@ fn session_snapshot(
         steps_done,
         total_shifts,
         top_up_used,
-        chain_state: chain_state.iter().map(|bits| Gf2Vec::from_bools(bits)).collect(),
+        chain_state: scan_chains(arch)
+            .map(|c| Gf2Vec::from_fn(c.len(), |i| frame[c.cells[i].index()] & 1 == 1))
+            .collect(),
         lfsr_states: arch.domains().iter().map(|d| d.prpg.lfsr().state().clone()).collect(),
         misr_signatures: arch.domains().iter().map(|d| d.misr.signature().clone()).collect(),
         snapshots: snapshots.to_vec(),
@@ -219,7 +226,10 @@ fn session_snapshot(
 /// cycle moves one bit per chain (PRPG/phase-shifter/expander on the way
 /// in, compactor/MISR on the way out, responses unloading while the next
 /// pattern loads), and every capture window replays the paper's
-/// double-capture sequence domain by domain.
+/// double-capture sequence domain by domain. The scan state lives in
+/// the flip-flop words of one simulation frame (every lane the same
+/// bit), which the shifts move along the chains and the captures
+/// overwrite.
 ///
 /// # Example
 ///
@@ -240,13 +250,6 @@ pub struct SelfTestSession<'a> {
     core: &'a BistReadyCore,
     cc: CompiledCircuit,
     arch: StumpsArchitecture,
-    /// Kept so verdict runs can build an identical sibling session.
-    stumps: StumpsConfig,
-    /// Lazily-built identical session reused by every
-    /// [`SelfTestSession::run_with_verdict`] call, so repeated verdicts
-    /// (e.g. a per-fault coverage audit) compile the netlist once, not
-    /// per call.
-    sibling: Option<Box<SelfTestSession<'a>>>,
 }
 
 impl<'a> SelfTestSession<'a> {
@@ -258,8 +261,7 @@ impl<'a> SelfTestSession<'a> {
     /// cycle).
     pub fn new(core: &'a BistReadyCore, config: &StumpsConfig) -> Self {
         let cc = CompiledCircuit::compile(&core.netlist).expect("BIST-ready core compiles");
-        let arch = StumpsArchitecture::build(core, config);
-        SelfTestSession { core, cc, arch, stumps: config.clone(), sibling: None }
+        SelfTestSession { core, cc, arch: StumpsArchitecture::build(core, config) }
     }
 
     /// The architecture in use.
@@ -303,20 +305,6 @@ impl<'a> SelfTestSession<'a> {
         });
         let netlist_hash = lbist_ckpt::netlist_fingerprint(&self.core.netlist);
         let plan = plan_hash(cfg, &order, shift_cycles);
-        let mut controller = BistController::new(ControllerConfig {
-            shift_cycles,
-            num_patterns: steps.len(),
-            num_domains: order.len(),
-        });
-        controller.start();
-
-        // Chain state: bool per cell, aligned with arch chain order.
-        let mut chain_state: Vec<Vec<bool>> = self
-            .arch
-            .domains()
-            .iter()
-            .flat_map(|d| d.chains.iter().map(|c| vec![false; c.cells.len()]))
-            .collect();
 
         let mut frame = self.cc.new_frame();
         // Pads held low, test-mode high for the whole session.
@@ -337,9 +325,14 @@ impl<'a> SelfTestSession<'a> {
             let ckpt = SessionCheckpoint::load(&spec.path)?;
             expect_field("netlist fingerprint", ckpt.netlist_hash, netlist_hash)?;
             expect_field("load-plan fingerprint", ckpt.plan_hash, plan)?;
-            expect_field("chain count", ckpt.chain_state.len(), chain_state.len())?;
-            for (saved, live) in ckpt.chain_state.iter().zip(&chain_state) {
-                expect_field("chain length", saved.len(), live.len())?;
+            expect_field("chain count", ckpt.chain_state.len(), scan_chains(&self.arch).count())?;
+            // The frame is local, so a later mismatch discards the cells
+            // written here.
+            for (saved, chain) in ckpt.chain_state.iter().zip(scan_chains(&self.arch)) {
+                expect_field("chain length", saved.len(), chain.len())?;
+                for (i, &cell) in chain.cells.iter().enumerate() {
+                    frame[cell.index()] = if saved.get(i) { !0 } else { 0 };
+                }
             }
             expect_field("domain count", ckpt.lfsr_states.len(), self.arch.domains().len())?;
             for (db, state) in self.arch.domains().iter().zip(&ckpt.lfsr_states) {
@@ -354,9 +347,6 @@ impl<'a> SelfTestSession<'a> {
                     "checkpoint is {} steps in, but the plan has only {total_patterns}",
                     ckpt.steps_done
                 )));
-            }
-            for (live, saved) in chain_state.iter_mut().zip(&ckpt.chain_state) {
-                *live = saved.to_bools();
             }
             for (db, state) in self.arch.domains_mut().iter_mut().zip(&ckpt.lfsr_states) {
                 db.prpg.lfsr_mut().set_state(state.clone());
@@ -376,8 +366,7 @@ impl<'a> SelfTestSession<'a> {
         let budget_limit = control.budget.map(|b| start_step.saturating_add(b));
         let mut status = RunStatus::Completed;
 
-        #[allow(clippy::needless_range_loop)] // `p` counts steps for the budget/checkpoint math
-        for p in (start_step as usize)..total_patterns {
+        for &step in &steps[start_step as usize..] {
             if budget_limit.is_some_and(|limit| patterns_applied as u64 >= limit) {
                 status = RunStatus::BudgetExhausted;
                 break;
@@ -388,11 +377,8 @@ impl<'a> SelfTestSession<'a> {
             }
             // Pattern source per the plan (random, reseed-then-load, or
             // top-up).
-            let load_bits: Vec<Vec<bool>> = match steps[p] {
-                LoadStep::Random => {
-                    selector.select(PatternSource::Random);
-                    selector.next_load(&mut self.arch, shift_cycles).expect("random never exhausts")
-                }
+            let source = match step {
+                LoadStep::Random => PatternSource::Random,
                 LoadStep::Reseed(seeds) => {
                     // The Boundary-Scan seed load of the paper's TAP:
                     // overwrite each seeded domain's PRPG state, then
@@ -408,29 +394,28 @@ impl<'a> SelfTestSession<'a> {
                             db.prpg.lfsr_mut().set_state(s.clone());
                         }
                     }
-                    selector.select(PatternSource::Random);
-                    selector.next_load(&mut self.arch, shift_cycles).expect("random never exhausts")
+                    PatternSource::Random
                 }
                 LoadStep::TopUp => {
-                    selector.select(PatternSource::TopUp);
                     top_up_used += 1;
-                    selector.next_load(&mut self.arch, shift_cycles).expect("top-up store sized")
+                    PatternSource::TopUp
                 }
             };
+            selector.select(source);
+            let load_bits = selector
+                .next_load(&mut self.arch, shift_cycles)
+                .expect("random loads never run out and the plan sizes the top-up store");
 
-            self.shift_window(&load_bits, &mut chain_state, &mut total_shifts, &mut controller);
+            self.shift_window(&load_bits, &mut frame, &mut total_shifts);
 
             // ---- capture window: double capture per domain in order.
-            self.write_state_to_frame(&chain_state, &mut frame);
             self.eval(&mut frame, cfg.injected_fault.as_ref());
             for &dom in &order {
                 for _pulse in 0..2 {
                     self.capture_domain(dom, &mut frame);
                     self.eval(&mut frame, cfg.injected_fault.as_ref());
-                    controller.step();
                 }
             }
-            self.read_state_from_frame(&frame, &mut chain_state);
             patterns_applied += 1;
 
             if cfg.snapshot_every > 0 && patterns_applied.is_multiple_of(cfg.snapshot_every) {
@@ -448,7 +433,7 @@ impl<'a> SelfTestSession<'a> {
                         patterns_applied as u64,
                         total_shifts,
                         top_up_used,
-                        &chain_state,
+                        &frame,
                         &self.arch,
                         &snapshots,
                     )
@@ -462,12 +447,9 @@ impl<'a> SelfTestSession<'a> {
         // plan is exhausted), so resuming one must not flush again.
         let already_flushed = start_step == total_patterns as u64 && resumed_from.is_some();
         if status.is_complete() && !already_flushed {
-            // One flush load of zeros pushes the last responses out,
-            // then the compare tick.
-            let flush: Vec<Vec<bool>> =
-                chain_state.iter().map(|_| vec![false; shift_cycles]).collect();
-            self.shift_window(&flush, &mut chain_state, &mut total_shifts, &mut controller);
-            controller.step();
+            // One flush load of zeros pushes the last responses out.
+            let flush = vec![vec![false; shift_cycles]; scan_chains(&self.arch).count()];
+            self.shift_window(&flush, &mut frame, &mut total_shifts);
         }
 
         if let Some(spec) = &control.checkpoint {
@@ -477,7 +459,7 @@ impl<'a> SelfTestSession<'a> {
                 patterns_applied as u64,
                 total_shifts,
                 top_up_used,
-                &chain_state,
+                &frame,
                 &self.arch,
                 &snapshots,
             )
@@ -503,85 +485,31 @@ impl<'a> SelfTestSession<'a> {
     }
 
     /// One shift window: loads a new pattern while unloading the
-    /// previous response through compactors into the MISRs.
-    fn shift_window(
-        &mut self,
-        load_bits: &[Vec<bool>],
-        chain_state: &mut [Vec<bool>],
-        total_shifts: &mut u64,
-        controller: &mut BistController,
-    ) {
+    /// previous response through compactors into the MISRs. Every cycle
+    /// moves each chain's cell words one place toward scan-out; a chain
+    /// with no cells feeds its compactor a 0.
+    fn shift_window(&mut self, load_bits: &[Vec<bool>], frame: &mut [u64], total_shifts: &mut u64) {
         let shift_cycles = self.arch.max_chain_length().max(1);
-        #[allow(clippy::needless_range_loop)] // `s` indexes a per-chain inner dimension
+        let mut tails = Vec::new();
         for s in 0..shift_cycles {
-            let mut chain_idx = 0;
+            let mut loads = load_bits.iter();
             for db in self.arch.domains_mut() {
-                let mut tails = Vec::with_capacity(db.chains.len());
-                for c in 0..db.chains.len() {
-                    let state = &mut chain_state[chain_idx + c];
-                    let out = state.pop().unwrap_or(false);
-                    state.insert(0, load_bits[chain_idx + c][s]);
-                    tails.push(out);
+                tails.clear();
+                for chain in &db.chains {
+                    let cells = &chain.cells;
+                    tails.push(cells.last().is_some_and(|out| frame[out.index()] & 1 == 1));
+                    for i in (1..cells.len()).rev() {
+                        frame[cells[i].index()] = frame[cells[i - 1].index()];
+                    }
+                    let bit = loads.next().expect("one load per chain")[s];
+                    if let Some(first) = cells.first() {
+                        frame[first.index()] = if bit { !0 } else { 0 };
+                    }
                 }
                 let compacted = db.compactor.compact(&tails);
                 db.misr.clock(&compacted);
-                chain_idx += db.chains.len();
             }
             *total_shifts += 1;
-            controller.step();
-        }
-    }
-
-    /// Golden + test convenience: runs fault-free and with `fault`
-    /// injected, and returns (golden, faulty, pass).
-    ///
-    /// The two runs are independent full sessions (each starts from
-    /// [`StumpsArchitecture::reset`]), so they execute **in parallel**
-    /// on the `lbist-exec` pool: the faulty run uses a cached sibling
-    /// session (built once from the same core and STUMPS configuration,
-    /// reused across verdict calls) while the golden run reuses this
-    /// one. Results are bit-identical to running them back to back
-    /// (enforced by test).
-    pub fn run_with_verdict(
-        &mut self,
-        cfg: &SessionConfig,
-        fault: Fault,
-    ) -> (SessionResult, SessionResult, bool) {
-        let mut faulty_cfg = cfg.clone();
-        faulty_cfg.injected_fault = Some(fault);
-        let mut sibling = self
-            .sibling
-            .take()
-            .unwrap_or_else(|| Box::new(SelfTestSession::new(self.core, &self.stumps)));
-        let sibling_ref = &mut *sibling;
-        let (golden, faulty) =
-            lbist_exec::join(|| self.run(cfg), move || sibling_ref.run(&faulty_cfg));
-        self.sibling = Some(sibling);
-        let pass = faulty.matches(&golden);
-        (golden, faulty, pass)
-    }
-
-    fn write_state_to_frame(&self, chain_state: &[Vec<bool>], frame: &mut [u64]) {
-        let mut chain_idx = 0;
-        for db in self.arch.domains() {
-            for chain in &db.chains {
-                for (i, &cell) in chain.cells.iter().enumerate() {
-                    frame[cell.index()] = if chain_state[chain_idx][i] { !0 } else { 0 };
-                }
-                chain_idx += 1;
-            }
-        }
-    }
-
-    fn read_state_from_frame(&self, frame: &[u64], chain_state: &mut [Vec<bool>]) {
-        let mut chain_idx = 0;
-        for db in self.arch.domains() {
-            for chain in &db.chains {
-                for (i, &cell) in chain.cells.iter().enumerate() {
-                    chain_state[chain_idx][i] = frame[cell.index()] & 1 == 1;
-                }
-                chain_idx += 1;
-            }
         }
     }
 
@@ -672,40 +600,14 @@ mod tests {
         let ff = c.netlist.dffs()[0];
         let site = c.netlist.fanins(ff)[0];
         let cfg = SessionConfig { num_patterns: 24, ..Default::default() };
-        let (_golden, _faulty, pass) =
-            s.run_with_verdict(&cfg, Fault::stem(site, FaultKind::StuckAt0));
+        let golden = s.run(&cfg);
+        let faulty = s.run(&SessionConfig {
+            injected_fault: Some(Fault::stem(site, FaultKind::StuckAt0)),
+            ..cfg
+        });
         // A stuck-at on a captured net must corrupt the signature (the
         // chance of aliasing through >=19-bit MISRs is ~2^-19).
-        assert!(!pass, "defective core must fail signature comparison");
-    }
-
-    /// The parallel verdict is bit-identical to running golden and
-    /// faulty sessions back to back on one session object.
-    #[test]
-    fn parallel_verdict_matches_sequential_runs() {
-        let c = core();
-        let cfg = SessionConfig { num_patterns: 10, ..Default::default() };
-        let ff = c.netlist.dffs()[1];
-        let site = c.netlist.fanins(ff)[0];
-        let fault = Fault::stem(site, FaultKind::StuckAt1);
-
-        let mut sequential = SelfTestSession::new(&c, &StumpsConfig::default());
-        let seq_golden = sequential.run(&cfg);
-        let mut faulty_cfg = cfg.clone();
-        faulty_cfg.injected_fault = Some(fault);
-        let seq_faulty = sequential.run(&faulty_cfg);
-
-        let mut joined = SelfTestSession::new(&c, &StumpsConfig::default());
-        let (golden, faulty, pass) = joined.run_with_verdict(&cfg, fault);
-        assert_eq!(golden, seq_golden);
-        assert_eq!(faulty, seq_faulty);
-        assert_eq!(pass, seq_faulty.matches(&seq_golden));
-        // A second verdict reuses the cached sibling session and must
-        // reproduce the same results bit for bit.
-        let (golden2, faulty2, pass2) = joined.run_with_verdict(&cfg, fault);
-        assert_eq!(golden2, seq_golden);
-        assert_eq!(faulty2, seq_faulty);
-        assert_eq!(pass2, pass);
+        assert!(!faulty.matches(&golden), "defective core must fail signature comparison");
     }
 
     #[test]
@@ -924,6 +826,57 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A clock domain with no flip-flops gets one empty scan chain. It
+    /// feeds its MISR zeros, so its signature stays zero, and a session
+    /// killed mid-run resumes to the uninterrupted result.
+    #[test]
+    fn empty_chain_feeds_zeros_and_resumes() {
+        use crate::checkpoint::{CheckpointSpec, RunControl};
+        use lbist_netlist::{GateKind, Netlist};
+        // Flip-flops in domains 0 and 2 only.
+        let mut nl = Netlist::new("gap");
+        let a = nl.add_input("a");
+        let f0 = nl.add_dff_floating(DomainId::new(0));
+        let f1 = nl.add_dff_floating(DomainId::new(0));
+        let f2 = nl.add_dff_floating(DomainId::new(2));
+        let f3 = nl.add_dff_floating(DomainId::new(2));
+        let g0 = nl.add_gate(GateKind::Xor, &[f0, f3]);
+        let g1 = nl.add_gate(GateKind::Nand, &[f1, a]);
+        let g2 = nl.add_gate(GateKind::Or, &[f0, f2]);
+        let g3 = nl.add_gate(GateKind::Xor, &[f1, f3]);
+        for (ff, d) in [(f0, g0), (f1, g1), (f2, g2), (f3, g3)] {
+            nl.set_fanin(ff, 0, d).unwrap();
+        }
+        nl.add_output("y", g3);
+        let c = prepare_core(
+            &nl,
+            &PrepConfig {
+                total_chains: 3,
+                wrap_ios: false,
+                obs_budget: 0,
+                tpi: TpiMethod::None,
+                ..PrepConfig::default()
+            },
+        );
+        let mut session = SelfTestSession::new(&c, &StumpsConfig::default());
+        assert!(session.architecture().domains()[1].chains.iter().all(|ch| ch.cells.is_empty()));
+        let cfg = SessionConfig { num_patterns: 4, ..Default::default() };
+        let want = session.run(&cfg);
+        assert!(want.signatures[1].is_zero(), "empty domain signature {}", bits(&want.signatures));
+        assert!(!want.signatures[0].is_zero() && !want.signatures[2].is_zero());
+
+        let dir = std::env::temp_dir().join(format!("lbist-session-gap-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = CheckpointSpec::new(dir.join("gap.ckpt"), 1);
+        let killed =
+            RunControl { budget: Some(2), checkpoint: Some(spec.clone()), ..Default::default() };
+        session.run_controlled(&cfg, &killed).unwrap();
+        let resume = RunControl { checkpoint: Some(spec), resume: true, ..Default::default() };
+        let resumed = session.run_controlled(&cfg, &resume).unwrap();
+        assert_eq!(resumed.result, want);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// A cancelled session returns a clean partial verdict, and resume
     /// under a different load plan is rejected.
     #[test]
@@ -964,6 +917,97 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, CkptError::Mismatch(_)), "got {err:?}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Each domain's signature bits, `/`-separated in domain order.
+    fn bits(signatures: &[Gf2Vec]) -> String {
+        let domain = |s: &Gf2Vec| s.to_bools().iter().map(|&b| if b { '1' } else { '0' }).collect();
+        signatures.iter().map(domain).collect::<Vec<String>>().join("/")
+    }
+
+    /// The exact signatures of three runs per core, plus an FNV-1a
+    /// digest of the MISR snapshots: a change to the shift, capture or
+    /// unload plumbing that moves any bit fails here.
+    #[test]
+    fn signatures_are_pinned() {
+        let core_y = {
+            let nl = CpuCoreGenerator::new(CoreProfile::core_y().scaled(800), 5).generate();
+            prepare_core(
+                &nl,
+                &PrepConfig {
+                    total_chains: 12,
+                    obs_budget: 4,
+                    tpi: TpiMethod::Cop,
+                    ..PrepConfig::default()
+                },
+            )
+        };
+        // The FNV-1a offset basis: the digest of a run without snapshots.
+        const NO_SNAPSHOTS: u64 = 0xcbf29ce484222325;
+        let pins: [(BistReadyCore, [(&str, u64); 3]); 2] = [
+            (
+                core(),
+                [
+                    ("1100110111000011011/0101101110000111111", 0xba4a409240dfc9cd),
+                    ("1010111011110001010/1101011110100101111", NO_SNAPSHOTS),
+                    ("0011000010000111010/0110111010111100110", NO_SNAPSHOTS),
+                ],
+            ),
+            (
+                core_y,
+                [
+                    (
+                        "0000001001001100110/1001010000100111100/0100110100010110110/\
+                         1011011001000001101/1101100011011111001/1000111000111001100/\
+                         0010011010010011100/0011000111110100101",
+                        0xeb8b9c1c71e96f45,
+                    ),
+                    (
+                        "1111001100100000001/0001001011000001110/1101111000110101100/\
+                         1111101000101111111/0001001001000000111/0101101010110110110/\
+                         0010110110100100101/1001101010111001010",
+                        NO_SNAPSHOTS,
+                    ),
+                    (
+                        "1000101101010011001/0100111001010000001/1001101100111100000/\
+                         1011011101100001100/0000010100110000100/0111000000111101001/\
+                         1001101011001100000/0001001000000110111",
+                        NO_SNAPSHOTS,
+                    ),
+                ],
+            ),
+        ];
+        for (c, want) in &pins {
+            let mut s = SelfTestSession::new(c, &StumpsConfig::default());
+            let arch = s.architecture();
+            assert!(arch.domains().iter().flat_map(|d| &d.chains).all(|ch| !ch.cells.is_empty()));
+            let ffs = c.netlist.dffs();
+            let runs = [
+                SessionConfig { num_patterns: 40, snapshot_every: 8, ..Default::default() },
+                SessionConfig {
+                    num_patterns: 10,
+                    top_up: vec![lbist_atpg::Pattern {
+                        pi_values: vec![],
+                        ff_values: (0..ffs.len()).map(|i| i % 3 == 1).collect(),
+                    }],
+                    ..Default::default()
+                },
+                SessionConfig {
+                    num_patterns: 20,
+                    injected_fault: Some(Fault::stem(ffs[ffs.len() / 2], FaultKind::StuckAt1)),
+                    ..Default::default()
+                },
+            ];
+            for (cfg, &(sigs, digest)) in runs.iter().zip(want) {
+                let r = s.run(cfg);
+                let mut h = Fnv64::new();
+                for snap in &r.snapshots {
+                    h.write(bits(snap).as_bytes());
+                    h.write_usize(snap.len());
+                }
+                assert_eq!((bits(&r.signatures).as_str(), h.finish()), (sigs, digest));
+            }
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Every parallel consumer in the workspace — PPSFP fault grading,
 //! launch-on-capture transition replay, top-up PODEM, test-point
-//! scoring, session verdicts — used to parallelise ad hoc: scoped OS
-//! threads spawned per batch, frames hard-wired to 64 `u64` lanes.
+//! scoring — used to parallelise ad hoc: scoped OS threads spawned per
+//! batch, frames hard-wired to 64 `u64` lanes.
 //! This crate turns those one-off schemes into one subsystem:
 //!
 //! * [`ThreadPool`] — a **persistent pool**: workers are spawned once,

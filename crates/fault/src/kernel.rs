@@ -991,4 +991,46 @@ mod tests {
         assert!(reached.contains(&buf));
         assert!(!reached.contains(&x), "XOR of complementary diffs must cancel");
     }
+
+    /// A flip-flop `Q`-stem fault whose `Q` word already holds the forced
+    /// value on every lane is not excited: the kernel, the reference
+    /// grader and the reach profile all skip it, although its `D` source
+    /// differs from the forced value on 32 lanes. The opposite polarity
+    /// on the same flip-flops is detected on those lanes, so the set-up
+    /// exposes a grader that drops the check.
+    #[test]
+    fn unexcited_flip_flop_q_stem_is_not_detected() {
+        let mut nl = Netlist::new("q");
+        let a = nl.add_input("a");
+        let not_a = nl.add_gate(GateKind::Not, &[a]);
+        let ff0 = nl.add_dff(a, DomainId::new(0));
+        let ff1 = nl.add_dff(not_a, DomainId::new(0));
+        nl.add_output("q0", ff0);
+        nl.add_output("q1", ff1);
+        let cc = CompiledCircuit::compile(&nl).unwrap();
+        let mut frame = cc.new_frame();
+        frame[a.index()] = 0xFFFF_FFFF;
+        frame[ff0.index()] = 0;
+        frame[ff1.index()] = !0;
+        cc.eval2(&mut frame);
+        let faults = [
+            Fault::stem(ff0, FaultKind::StuckAt0),
+            Fault::stem(ff1, FaultKind::StuckAt1),
+            Fault::stem(ff0, FaultKind::StuckAt1),
+            Fault::stem(ff1, FaultKind::StuckAt0),
+        ];
+        let high = 0xFFFF_FFFF_0000_0000;
+
+        let observed = crate::StuckAtSim::observe_all_captures(&cc);
+        let mut sim = crate::StuckAtSim::new(&cc, faults.to_vec(), observed.clone());
+        sim.set_drop_after(u32::MAX);
+        sim.run_batch(&mut frame.clone(), 64);
+        assert_eq!(sim.detections(), &[0, 0, 32, 32]);
+        let words = crate::oracle::stuck_at(&cc, &faults, &observed, &frame, 64);
+        assert_eq!(words, vec![0, 0, high, high]);
+        assert!(reached(&cc, faults[0], &frame).is_empty());
+        assert!(reached(&cc, faults[1], &frame).is_empty());
+        assert_eq!(reached(&cc, faults[2], &frame), vec![(ff0, high)]);
+        assert_eq!(reached(&cc, faults[3], &frame), vec![(ff1, high)]);
+    }
 }
