@@ -12,11 +12,11 @@
 
 use lbist_bench::{arg_positive, cli_thread_budget};
 use lbist_cores::{CoreProfile, CpuCoreGenerator};
-use lbist_dft::{prepare_core, PrepConfig, TpiMethod};
+use lbist_dft::{fill_random_scan_frame, prepare_core, PrepConfig, TpiMethod};
 use lbist_fault::{CaptureWindow, FaultUniverse, TransitionSim};
 use lbist_sim::CompiledCircuit;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 fn main() {
     let scale = arg_positive("--scale").unwrap_or(200);
@@ -50,13 +50,7 @@ fn main() {
     let mut rng = SmallRng::seed_from_u64(4);
     let mut base = cc.new_frame();
     for _ in 0..batches {
-        for &pi in cc.inputs() {
-            base[pi.index()] = rng.gen();
-        }
-        base[core.test_mode().index()] = !0;
-        for &ff in cc.dffs() {
-            base[ff.index()] = rng.gen();
-        }
+        fill_random_scan_frame(&cc, core.test_mode(), &mut rng, &mut base);
         double.run_batch(&base, 64);
     }
     let dc = double.coverage();

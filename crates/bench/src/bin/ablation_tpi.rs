@@ -10,11 +10,11 @@
 
 use lbist_bench::{arg_positive, cli_thread_budget};
 use lbist_cores::{CoreProfile, CpuCoreGenerator};
-use lbist_dft::{prepare_core, PrepConfig, TpiMethod};
+use lbist_dft::{fill_random_scan_frame, prepare_core, PrepConfig, TpiMethod};
 use lbist_fault::{FaultUniverse, StuckAtSim};
 use lbist_sim::CompiledCircuit;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 fn coverage_with(
     netlist: &lbist_netlist::Netlist,
@@ -36,13 +36,7 @@ fn coverage_with(
     let mut rng = SmallRng::seed_from_u64(1);
     let mut frame = cc.new_frame();
     for _ in 0..patterns.div_ceil(64) {
-        for &pi in cc.inputs() {
-            frame[pi.index()] = rng.gen();
-        }
-        frame[core.test_mode().index()] = !0;
-        for &ff in cc.dffs() {
-            frame[ff.index()] = rng.gen();
-        }
+        fill_random_scan_frame(&cc, core.test_mode(), &mut rng, &mut frame);
         sim.run_batch(&mut frame, 64);
     }
     sim.coverage().percent()

@@ -54,100 +54,124 @@ use lbist_bench::{
     arg_positive, arg_value_strict, cli_metrics_out, cli_run_control, cli_thread_budget,
     write_metrics_snapshot, INTERRUPTED_EXIT_CODE,
 };
+use lbist_ckpt::CkptError;
 use lbist_core::{
-    fill_frame_from_prpg, outcome_digest, ControlledGradingOutcome, GradingMetrics, RunControl,
-    RunStatus, StumpsArchitecture, StumpsConfig, WideGradingOutcome, WideGradingSession,
+    fill_frame_from_prpg, ControlledGradingOutcome, GradingMetrics, RunControl, RunStatus,
+    StumpsArchitecture, StumpsConfig, WideGradingOutcome, WideGradingSession,
 };
 use lbist_exec::{CancelReason, LaneWord};
 use lbist_fault::{
-    oracle, CaptureWindow, CoverageReport, Fault, FaultUniverse, StuckAtSim, WideStuckAtSim,
-    WideTransitionSim,
+    oracle, CaptureWindow, Fault, FaultUniverse, StuckAtSim, WideStuckAtSim, WideTransitionSim,
 };
 use lbist_sim::{CompiledCircuit, KernelProgram};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Instant;
 
-struct RunStats {
+/// One timed session run: the verdict and how the run ended, and the
+/// wall time of the run itself (session construction excluded).
+struct Run {
+    outcome: ControlledGradingOutcome,
     seconds: f64,
-    patterns: u64,
-    /// Fault-grading operations: Σ over batches of the active-fault count
-    /// entering the batch (what the engine actually scans — shrinks as
-    /// compaction drops detected faults).
-    faults_graded: u64,
-    coverage: CoverageReport,
-    /// Width-invariant identity material: the undetected-fault set and
-    /// the accumulated per-domain MISR signatures.
-    undetected: Vec<usize>,
-    signatures: Vec<lbist_tpg::Gf2Vec>,
 }
 
-impl RunStats {
-    fn from_outcome(outcome: WideGradingOutcome, seconds: f64) -> Self {
-        RunStats {
-            seconds,
-            patterns: outcome.patterns,
-            faults_graded: outcome.faults_graded,
-            undetected: outcome.undetected_indices(),
-            signatures: outcome.signatures,
-            coverage: outcome.coverage,
-        }
+impl Run {
+    fn verdict(&self) -> &WideGradingOutcome {
+        &self.outcome.outcome
     }
-
     fn patterns_per_sec(&self) -> f64 {
-        self.patterns as f64 / self.seconds.max(1e-9)
+        self.verdict().patterns as f64 / self.seconds.max(1e-9)
     }
+    /// Fault-grading operations per second: Σ over batches of the
+    /// active-fault count entering the batch (what the engine actually
+    /// scans — shrinks as compaction drops detected faults).
     fn faults_graded_per_sec(&self) -> f64 {
-        self.faults_graded as f64 / self.seconds.max(1e-9)
+        self.verdict().faults_graded as f64 / self.seconds.max(1e-9)
     }
 }
 
-fn json_run(stats: &RunStats) -> String {
+fn json_run(run: &Run) -> String {
+    let verdict = run.verdict();
     format!(
         "{{\"seconds\": {:.6}, \"patterns\": {}, \"faults_graded\": {}, \
          \"patterns_per_sec\": {:.1}, \"faults_graded_per_sec\": {:.1}, \
          \"coverage_percent\": {:.4}, \"detected\": {}, \"total\": {}}}",
-        stats.seconds,
-        stats.patterns,
-        stats.faults_graded,
-        stats.patterns_per_sec(),
-        stats.faults_graded_per_sec(),
-        stats.coverage.percent(),
-        stats.coverage.detected,
-        stats.coverage.total,
+        run.seconds,
+        verdict.patterns,
+        verdict.faults_graded,
+        run.patterns_per_sec(),
+        run.faults_graded_per_sec(),
+        verdict.coverage.percent(),
+        verdict.coverage.detected,
+        verdict.coverage.total,
     )
 }
 
-/// One *controlled* stuck-at phase at width `W`: cancellable, budgeted,
-/// checkpointed per the [`RunControl`]. Exits the process on a
-/// checkpoint error (a mismatched resume is a usage problem, not a
-/// panic).
-fn controlled_stuck_run<W: LaneWord>(
+/// The fault model a session run grades, with its fault list.
+#[derive(Clone, Copy)]
+enum Model<'f> {
+    StuckAt(&'f [Fault]),
+    /// Launch-on-capture across every clock domain.
+    Transition(&'f [Fault]),
+}
+
+/// One whole random phase through [`WideGradingSession`] (PRPG fill →
+/// sim → detect → MISR) at `lanes` lanes per pass, over the patterns of
+/// `batches` 64-lane batches, under `control`. One thread also turns
+/// the fill/grade overlap off, so the 1-thread timing is a true serial
+/// baseline; `metered` records the session's phase trace and counters
+/// in the process-global registry. Exits the process on a checkpoint
+/// error (a mismatched resume is a usage problem, not a panic).
+#[allow(clippy::too_many_arguments)]
+fn grade(
+    lanes: usize,
     core: &lbist_dft::BistReadyCore,
     cc: &CompiledCircuit,
-    faults: &[Fault],
-    batches_64: usize,
+    model: Model<'_>,
+    batches: usize,
     threads: usize,
-    control: &RunControl,
     metered: bool,
-) -> ControlledGradingOutcome {
-    let mut session: WideGradingSession<'_, W> =
-        WideGradingSession::new(core, cc, &StumpsConfig::default());
-    session.set_threads(threads);
-    if threads == 1 {
-        session.sequential();
-    }
-    if metered {
-        session.set_metrics(GradingMetrics::from_registry(lbist_obs::global()));
-    }
-    let batches = (batches_64 * 64) / W::LANES;
-    match session.run_stuck_at_controlled(faults.to_vec(), batches, control) {
-        Ok(res) => res,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
+    control: &RunControl,
+) -> Run {
+    fn run<W: LaneWord>(
+        core: &lbist_dft::BistReadyCore,
+        cc: &CompiledCircuit,
+        model: Model<'_>,
+        batches: usize,
+        threads: usize,
+        metered: bool,
+        control: &RunControl,
+    ) -> Result<Run, CkptError> {
+        let mut session: WideGradingSession<'_, W> =
+            WideGradingSession::new(core, cc, &StumpsConfig::default());
+        session.set_threads(threads);
+        if threads == 1 {
+            session.sequential();
         }
+        if metered {
+            session.set_metrics(GradingMetrics::from_registry(lbist_obs::global()));
+        }
+        let batches = batches * 64 / W::LANES;
+        let t0 = Instant::now();
+        let outcome = match model {
+            Model::StuckAt(faults) => {
+                session.run_stuck_at_controlled(faults.to_vec(), batches, control)?
+            }
+            Model::Transition(faults) => {
+                let window = CaptureWindow::all_domains(core.netlist.num_domains().max(1));
+                session.run_transition_controlled(faults.to_vec(), window, batches, control)?
+            }
+        };
+        Ok(Run { outcome, seconds: t0.elapsed().as_secs_f64() })
     }
+    let run = match lanes {
+        64 => run::<u64>(core, cc, model, batches, threads, metered, control),
+        _ => run::<u128>(core, cc, model, batches, threads, metered, control),
+    };
+    run.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
 }
 
 /// The fault-tolerant flow: one controlled stuck-at phase with the
@@ -170,13 +194,8 @@ fn checkpointed_main(
 ) -> ! {
     println!("stuck-at controlled run ({threads} threads, {lanes} lanes)...");
     let metered = metrics_out.is_some();
-    let t0 = Instant::now();
-    let res = match lanes {
-        64 => controlled_stuck_run::<u64>(core, cc, faults, batches, threads, control, metered),
-        _ => controlled_stuck_run::<u128>(core, cc, faults, batches, threads, control, metered),
-    };
-    let seconds = t0.elapsed().as_secs_f64();
-
+    let run = grade(lanes, core, cc, Model::StuckAt(faults), batches, threads, metered, control);
+    let res = &run.outcome;
     if res.status == RunStatus::BudgetExhausted {
         let path =
             control.checkpoint.as_ref().map(|s| s.path.display().to_string()).unwrap_or_default();
@@ -202,8 +221,7 @@ fn checkpointed_main(
     };
     let batches_done = res.batches_done;
     let resumed_from = res.resumed_from.map_or_else(|| "null".to_string(), |b| b.to_string());
-    let stats = RunStats::from_outcome(res.outcome, seconds);
-    let digest = outcome_digest(&stats.undetected, &stats.signatures);
+    let digest = run.verdict().digest();
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
@@ -223,7 +241,7 @@ fn checkpointed_main(
     let _ = writeln!(json, "  \"status\": \"{status}\",");
     let _ = writeln!(json, "  \"batches_done\": {batches_done},");
     let _ = writeln!(json, "  \"resumed_from\": {resumed_from},");
-    let _ = writeln!(json, "  \"stuck_at\": {},", json_run(&stats));
+    let _ = writeln!(json, "  \"stuck_at\": {},", json_run(&run));
     let _ = writeln!(json, "  \"digest\": \"{digest:016x}\"");
     let _ = writeln!(json, "}}");
 
@@ -231,8 +249,8 @@ fn checkpointed_main(
     println!("\n{json}");
     println!(
         "stuck-at ({status}): {:.0} patterns/s, {:.2}% coverage over {} batches",
-        stats.patterns_per_sec(),
-        stats.coverage.percent(),
+        run.patterns_per_sec(),
+        run.verdict().coverage.percent(),
         batches_done,
     );
     println!("wrote {out_path}");
@@ -240,74 +258,6 @@ fn checkpointed_main(
         write_metrics_snapshot(path, &lbist_obs::global().snapshot());
     }
     std::process::exit(0);
-}
-
-/// One whole stuck-at random phase at width `W` through the grading
-/// pipeline (PRPG fill → sim → detection → MISR), timed.
-fn stuck_run<W: LaneWord>(
-    core: &lbist_dft::BistReadyCore,
-    cc: &CompiledCircuit,
-    faults: &[Fault],
-    batches_64: usize,
-    threads: usize,
-) -> RunStats {
-    let mut session: WideGradingSession<'_, W> =
-        WideGradingSession::new(core, cc, &StumpsConfig::default());
-    session.set_threads(threads);
-    if threads == 1 {
-        // A true serial baseline: no fill/grade overlap either, so the
-        // 1-thread timing stays comparable to the pre-pipeline runs.
-        session.sequential();
-    }
-    let batches = (batches_64 * 64) / W::LANES;
-    let t0 = Instant::now();
-    let outcome = session.run_stuck_at(faults.to_vec(), batches);
-    RunStats::from_outcome(outcome, t0.elapsed().as_secs_f64())
-}
-
-/// [`stuck_run`] with full telemetry: the session's phase spans and
-/// counters registered in the process-global metrics registry. The
-/// verdict must be bit-identical to the uninstrumented run — asserted
-/// by the caller, that is the observability layer's core contract.
-fn stuck_run_metered<W: LaneWord>(
-    core: &lbist_dft::BistReadyCore,
-    cc: &CompiledCircuit,
-    faults: &[Fault],
-    batches_64: usize,
-    threads: usize,
-) -> RunStats {
-    let mut session: WideGradingSession<'_, W> =
-        WideGradingSession::new(core, cc, &StumpsConfig::default());
-    session.set_threads(threads);
-    if threads == 1 {
-        session.sequential();
-    }
-    session.set_metrics(GradingMetrics::from_registry(lbist_obs::global()));
-    let batches = (batches_64 * 64) / W::LANES;
-    let t0 = Instant::now();
-    let outcome = session.run_stuck_at(faults.to_vec(), batches);
-    RunStats::from_outcome(outcome, t0.elapsed().as_secs_f64())
-}
-
-/// One whole transition random phase at width `W`, timed.
-fn transition_run<W: LaneWord>(
-    core: &lbist_dft::BistReadyCore,
-    cc: &CompiledCircuit,
-    faults: &[Fault],
-    batches_64: usize,
-    threads: usize,
-) -> RunStats {
-    let mut session: WideGradingSession<'_, W> =
-        WideGradingSession::new(core, cc, &StumpsConfig::default());
-    session.set_threads(threads);
-    if threads == 1 {
-        session.sequential();
-    }
-    let window = CaptureWindow::all_domains(core.netlist.num_domains().max(1));
-    let batches = (batches_64 * 64) / W::LANES;
-    let t0 = Instant::now();
-    let outcome = session.run_transition(faults.to_vec(), window, batches);
-    RunStats::from_outcome(outcome, t0.elapsed().as_secs_f64())
 }
 
 /// Grades the first headline batch (the first PRPG fill at width `W`)
@@ -420,27 +370,21 @@ fn main() {
 
     // Each run builds a fresh (reset) grading session so every
     // configuration grades the identical PRPG pattern stream.
-    let stuck_at = |t: usize| -> RunStats {
-        match lanes {
-            64 => stuck_run::<u64>(&core, &cc, &stuck_faults, batches, t),
-            _ => stuck_run::<u128>(&core, &cc, &stuck_faults, batches, t),
-        }
+    let uncontrolled = RunControl::new();
+    let session = |lanes, model, threads, metered| {
+        grade(lanes, &core, &cc, model, batches, threads, metered, &uncontrolled)
     };
-    let transition = |t: usize| -> RunStats {
-        match lanes {
-            64 => transition_run::<u64>(&core, &cc, &transition_faults, batches, t),
-            _ => transition_run::<u128>(&core, &cc, &transition_faults, batches, t),
-        }
-    };
+    let (stuck, transition) =
+        (Model::StuckAt(&stuck_faults), Model::Transition(&transition_faults));
 
     println!("stuck-at serial ({lanes} lanes)...");
-    let stuck_serial = stuck_at(1);
+    let stuck_serial = session(lanes, stuck, 1, false);
     println!("stuck-at parallel ({parallel_threads} threads, {lanes} lanes)...");
-    let stuck_parallel = stuck_at(parallel_threads);
+    let stuck_parallel = session(lanes, stuck, parallel_threads, false);
     println!("transition serial ({lanes} lanes)...");
-    let tr_serial = transition(1);
+    let tr_serial = session(lanes, transition, 1, false);
     println!("transition parallel ({parallel_threads} threads, {lanes} lanes)...");
-    let tr_parallel = transition(parallel_threads);
+    let tr_parallel = session(lanes, transition, parallel_threads, false);
 
     // Worker-count sweep (stuck-at): how faults-graded/s scales with the
     // shard budget on the persistent pool. Budgets beyond the box's
@@ -459,20 +403,22 @@ fn main() {
              hardware threads)"
         );
     }
-    let sweep: Vec<(usize, RunStats)> = sweep_budgets
+    let sweep: Vec<(usize, Run)> = sweep_budgets
         .into_iter()
         .map(|t| {
             println!("stuck-at sweep ({t} threads)...");
-            (t, stuck_at(t))
+            (t, session(lanes, stuck, t, false))
         })
         .collect();
-    for (t, stats) in &sweep {
+    for (t, run) in &sweep {
         assert_eq!(
-            stats.coverage, stuck_serial.coverage,
+            run.verdict().coverage,
+            stuck_serial.verdict().coverage,
             "{t}-thread sweep coverage must be bit-identical"
         );
         assert_eq!(
-            stats.signatures, stuck_serial.signatures,
+            run.verdict().signatures,
+            stuck_serial.verdict().signatures,
             "{t}-thread sweep signatures must be bit-identical"
         );
     }
@@ -483,23 +429,17 @@ fn main() {
     // widths — asserted here, recorded in the JSON.
     println!("grading-width sweep (64/128 lanes, both models)...");
     let t = parallel_threads;
-    let width_sweep: Vec<(usize, RunStats, RunStats)> = vec![
-        (
-            64,
-            stuck_run::<u64>(&core, &cc, &stuck_faults, batches, t),
-            transition_run::<u64>(&core, &cc, &transition_faults, batches, t),
-        ),
-        (
-            128,
-            stuck_run::<u128>(&core, &cc, &stuck_faults, batches, t),
-            transition_run::<u128>(&core, &cc, &transition_faults, batches, t),
-        ),
-    ];
-    let (_, base_stuck, base_tr) = &width_sweep[0];
+    let width_sweep: Vec<(usize, Run, Run)> = [64, 128]
+        .into_iter()
+        .map(|w| (w, session(w, stuck, t, false), session(w, transition, t, false)))
+        .collect();
+    let (base_stuck, base_tr) = (width_sweep[0].1.verdict(), width_sweep[0].2.verdict());
     for (w, stuck, tr) in &width_sweep {
+        let (stuck, tr) = (stuck.verdict(), tr.verdict());
         assert_eq!(stuck.patterns, base_stuck.patterns, "{w}-lane stuck-at pattern count");
         assert_eq!(
-            stuck.undetected, base_stuck.undetected,
+            stuck.undetected_indices(),
+            base_stuck.undetected_indices(),
             "{w}-lane stuck-at detected set must be width-invariant"
         );
         assert_eq!(
@@ -507,7 +447,8 @@ fn main() {
             "{w}-lane stuck-at signatures must be width-invariant"
         );
         assert_eq!(
-            tr.undetected, base_tr.undetected,
+            tr.undetected_indices(),
+            base_tr.undetected_indices(),
             "{w}-lane transition detected set must be width-invariant"
         );
         assert_eq!(
@@ -572,13 +513,10 @@ fn main() {
     // (digest-identical), and the per-phase trace accounts for ≥ 90% of
     // the measured batch wall time (the spans genuinely cover the work).
     println!("observability: instrumented stuck-at run ({parallel_threads} threads)...");
-    let instrumented = match lanes {
-        64 => stuck_run_metered::<u64>(&core, &cc, &stuck_faults, batches, parallel_threads),
-        _ => stuck_run_metered::<u128>(&core, &cc, &stuck_faults, batches, parallel_threads),
-    };
+    let instrumented = session(lanes, stuck, parallel_threads, true);
     assert_eq!(
-        outcome_digest(&instrumented.undetected, &instrumented.signatures),
-        outcome_digest(&stuck_parallel.undetected, &stuck_parallel.signatures),
+        instrumented.verdict().digest(),
+        stuck_parallel.verdict().digest(),
         "telemetry must not change the verdict"
     );
     let obs_snap = lbist_obs::global().snapshot();
@@ -609,15 +547,17 @@ fn main() {
 
     // The determinism contract, enforced at bench time too.
     assert_eq!(
-        stuck_serial.coverage, stuck_parallel.coverage,
+        stuck_serial.verdict().coverage,
+        stuck_parallel.verdict().coverage,
         "serial and parallel stuck-at coverage must be bit-identical"
     );
     assert_eq!(
-        tr_serial.coverage, tr_parallel.coverage,
+        tr_serial.verdict().coverage,
+        tr_parallel.verdict().coverage,
         "serial and parallel transition coverage must be bit-identical"
     );
-    assert_eq!(stuck_serial.signatures, stuck_parallel.signatures);
-    assert_eq!(tr_serial.signatures, tr_parallel.signatures);
+    assert_eq!(stuck_serial.verdict().signatures, stuck_parallel.verdict().signatures);
+    assert_eq!(tr_serial.verdict().signatures, tr_parallel.verdict().signatures);
 
     let stuck_speedup = stuck_serial.seconds / stuck_parallel.seconds.max(1e-9);
     let tr_speedup = tr_serial.seconds / tr_parallel.seconds.max(1e-9);
@@ -638,11 +578,7 @@ fn main() {
     let _ = writeln!(json, "  \"available_parallelism\": {available_parallelism},");
     let _ = writeln!(json, "  \"batches\": {batches},");
     let _ = writeln!(json, "  \"lanes\": {lanes},");
-    let _ = writeln!(
-        json,
-        "  \"digest\": \"{:016x}\",",
-        outcome_digest(&stuck_serial.undetected, &stuck_serial.signatures)
-    );
+    let _ = writeln!(json, "  \"digest\": \"{:016x}\",", stuck_serial.verdict().digest());
     let _ = writeln!(json, "  \"stuck_at\": {{");
     let _ = writeln!(json, "    \"serial\": {},", json_run(&stuck_serial));
     let _ = writeln!(json, "    \"parallel\": {},", json_run(&stuck_parallel));
@@ -656,10 +592,9 @@ fn main() {
     let _ = writeln!(json, "    \"coverage_identical\": true");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"threads_sweep\": [");
-    for (i, (t, stats)) in sweep.iter().enumerate() {
+    for (i, (t, run)) in sweep.iter().enumerate() {
         let comma = if i + 1 < sweep.len() { "," } else { "" };
-        let _ =
-            writeln!(json, "    {{\"threads\": {t}, \"stuck_at\": {}}}{comma}", json_run(stats));
+        let _ = writeln!(json, "    {{\"threads\": {t}, \"stuck_at\": {}}}{comma}", json_run(run));
     }
     let _ = writeln!(json, "  ],");
     let skipped_list = sweep_skipped.iter().map(usize::to_string).collect::<Vec<_>>().join(", ");

@@ -41,12 +41,11 @@ use lbist_atpg::{Pattern, TopUpAtpg, TopUpReport};
 use lbist_bench::{
     arg_positive, arg_value_strict, cli_metrics_out, cli_thread_budget, write_metrics_snapshot,
 };
-use lbist_core::{
-    fill_frame_from_prpg, fill_lane_from_prpg, outcome_digest, StumpsArchitecture, StumpsConfig,
-};
+use lbist_core::{fill_lane_from_prpg, outcome_digest, StumpsConfig, WideGradingSession};
 use lbist_cores::{CoreProfile, CpuCoreGenerator};
 use lbist_dft::{prepare_core, BistReadyCore, PrepConfig, TpiMethod};
-use lbist_fault::{CoverageReport, StuckAtSim};
+use lbist_fault::{CoverageReport, Fault, StuckAtSim};
+use lbist_netlist::NodeId;
 use lbist_reseed::{
     DomainChannel, PackStrategy, ReseedPlan, ReseedPlanner, ScanLinearMap, SeedWindow,
 };
@@ -89,41 +88,40 @@ struct FlowResult {
 fn run_flow(
     core: &BistReadyCore,
     cc: &CompiledCircuit,
-    faults: &[lbist_fault::Fault],
+    faults: &[Fault],
     cfg: &FlowConfig,
 ) -> FlowResult {
-    let observed = StuckAtSim::observe_all_captures(cc);
-    let probe_observed = observed.clone();
-    let mut sim_base = StuckAtSim::new(cc, faults.to_vec(), observed.clone());
-    let mut sim_seed = StuckAtSim::new(cc, faults.to_vec(), observed.clone());
+    // The shared random phase, graded once through the session; both
+    // tails start from its detections.
+    let stumps = StumpsConfig {
+        prpg_length: cfg.prpg_length,
+        use_expander: cfg.use_expander,
+        ..StumpsConfig::default()
+    };
+    let mut session = WideGradingSession::<u64>::new(core, cc, &stumps);
     if let Some(threads) = cfg.threads {
-        sim_base.set_threads(threads);
-        sim_seed.set_threads(threads);
+        session.set_threads(threads);
     }
-
-    let mut arch = StumpsArchitecture::build(
-        core,
-        &StumpsConfig {
-            prpg_length: cfg.prpg_length,
-            use_expander: cfg.use_expander,
-            ..StumpsConfig::default()
-        },
-    );
-    let mut frame = cc.new_frame();
-    for _ in 0..cfg.random_patterns / 64 {
-        fill_frame_from_prpg(&mut arch, core, &mut frame);
-        sim_base.run_batch(&mut frame, 64);
-        sim_seed.run_batch(&mut frame, 64);
-    }
-    let fc1 = sim_base.coverage();
-    assert_eq!(fc1, sim_seed.coverage(), "shared random phase must grade identically");
-    let survivors = sim_base.undetected();
+    let random = session.run_stuck_at(faults.to_vec(), cfg.random_patterns / 64);
+    let observed = StuckAtSim::observe_all_captures(cc);
+    let tail = || {
+        let mut sim = StuckAtSim::new(cc, faults.to_vec(), observed.clone());
+        if let Some(threads) = cfg.threads {
+            sim.set_threads(threads);
+        }
+        sim.restore(&random.detections, random.patterns);
+        sim
+    };
+    let (mut sim_base, mut sim_seed) = (tail(), tail());
+    let survivors: Vec<Fault> =
+        random.undetected_indices().into_iter().map(|i| faults[i]).collect();
 
     // Top-up ATPG: the cubes drive both tails. A generous backtrack
     // budget keeps the aborted tail small — aborted faults are the one
     // place the two tails' incidental detections could diverge.
-    let mut atpg = TopUpAtpg::new(cc, observed);
-    atpg.pin(core.test_mode(), true).set_backtrack_limit(cfg.backtrack);
+    let tm = core.test_mode();
+    let mut atpg = TopUpAtpg::new(cc, observed.clone());
+    atpg.pin(tm, true).set_backtrack_limit(cfg.backtrack);
     let report = atpg.run(&survivors, cfg.gen_seed ^ 0xA7B6);
     record_podem_stats(&report);
 
@@ -133,21 +131,19 @@ fn run_flow(
     let held_pattern = |p: &Pattern| -> Pattern {
         let mut held = p.clone();
         for (i, &pi) in cc.inputs().iter().enumerate() {
-            held.pi_values[i] = pi == core.test_mode();
+            held.pi_values[i] = pi == tm;
         }
         held
     };
-    for chunk in report.patterns.chunks(64) {
-        let mut frame = cc.new_frame();
-        frame[core.test_mode().index()] = !0;
-        for (lane, p) in chunk.iter().enumerate() {
-            held_pattern(p).load_into_lane(cc, &mut frame, lane);
-        }
-        sim_base.run_batch(&mut frame, chunk.len());
-    }
+    let load_pattern = |p: &Pattern, frame: &mut [u64], lane| p.load_into_lane(cc, frame, lane);
+    grade_loads(&mut sim_base, cc, tm, &report.patterns, |p, frame, lane| {
+        held_pattern(p).load_into_lane(cc, frame, lane)
+    });
     let fc2_base = sim_base.coverage();
 
-    // ---- Hybrid tail: pack the same cubes into seeds.
+    // ---- Hybrid tail: pack the same cubes into seeds, continuing the
+    // PRPGs from where the random phase left them.
+    let mut arch = session.architecture().clone();
     let shift_cycles = arch.max_chain_length().max(1);
     let (plan, first_fit_seeds, first_fit_seed_bits) = {
         let channels: Vec<DomainChannel<'_>> = arch
@@ -163,7 +159,7 @@ fn run_flow(
         let map = ScanLinearMap::build(&channels, shift_cycles);
         let mut planner = ReseedPlanner::new(&map);
         for &pi in cc.inputs() {
-            planner.hold(pi, pi == core.test_mode());
+            planner.hold(pi, pi == tm);
         }
         // Stored fallbacks reuse the baseline's filled patterns verbatim,
         // so the two tails differ only where cubes became seeds.
@@ -188,27 +184,15 @@ fn run_flow(
             SeedWindow::Random { .. } => None,
         })
         .collect();
-    for chunk in seed_windows.chunks(64) {
-        let mut frame = cc.new_frame();
-        frame[core.test_mode().index()] = !0;
-        for (lane, seeds) in chunk.iter().enumerate() {
-            for (db, seed) in arch.domains_mut().iter_mut().zip(seeds.iter()) {
-                if let Some(s) = seed {
-                    db.prpg.lfsr_mut().set_state(s.clone());
-                }
+    grade_loads(&mut sim_seed, cc, tm, &seed_windows, |seeds, frame, lane| {
+        for (db, seed) in arch.domains_mut().iter_mut().zip(seeds.iter()) {
+            if let Some(s) = seed {
+                db.prpg.lfsr_mut().set_state(s.clone());
             }
-            fill_lane_from_prpg(&mut arch, &mut frame, lane);
         }
-        sim_seed.run_batch(&mut frame, chunk.len());
-    }
-    for chunk in plan.stored.chunks(64) {
-        let mut frame = cc.new_frame();
-        frame[core.test_mode().index()] = !0;
-        for (lane, p) in chunk.iter().enumerate() {
-            p.load_into_lane(cc, &mut frame, lane);
-        }
-        sim_seed.run_batch(&mut frame, chunk.len());
-    }
+        fill_lane_from_prpg(&mut arch, frame, lane);
+    });
+    grade_loads(&mut sim_seed, cc, tm, &plan.stored, load_pattern);
 
     // Patch-up: hybrid flows are fault-sim-driven. The baseline's
     // random-filled patterns can detect *incidental* faults (usually
@@ -217,27 +201,24 @@ fn run_flow(
     // kept as an extra stored residual, so the hybrid store never trades
     // coverage for bits.
     let mut plan = plan;
-    let missing: Vec<lbist_fault::Fault> = (0..faults.len())
-        .filter(|&i| sim_base.detections()[i] > 0 && sim_seed.detections()[i] == 0)
+    let missing: Vec<Fault> = sim_seed
+        .undetected_indices()
+        .into_iter()
+        .filter(|&i| sim_base.detections()[i] > 0)
         .map(|i| faults[i])
         .collect();
     if !missing.is_empty() {
-        let mut probe = StuckAtSim::new(cc, missing, probe_observed);
+        let mut probe = StuckAtSim::new(cc, missing, observed);
         for p in &report.patterns {
             if probe.active_faults() == 0 {
                 break;
             }
             let held = held_pattern(p);
-            let mut frame = cc.new_frame();
-            frame[core.test_mode().index()] = !0;
-            held.load_into_lane(cc, &mut frame, 0);
-            if probe.run_batch(&mut frame, 1) > 0 {
+            let one = std::slice::from_ref(&held);
+            if grade_loads(&mut probe, cc, tm, one, load_pattern) > 0 {
                 // This pattern recovers at least one missing fault: store
                 // it and credit the hybrid grader with it.
-                let mut frame = cc.new_frame();
-                frame[core.test_mode().index()] = !0;
-                held.load_into_lane(cc, &mut frame, 0);
-                sim_seed.run_batch(&mut frame, 1);
+                grade_loads(&mut sim_seed, cc, tm, one, load_pattern);
                 plan.stored.push(held);
                 plan.storage.stored_patterns += 1;
                 plan.storage.stored_pattern_bits += plan.storage.bits_per_pattern;
@@ -245,13 +226,9 @@ fn run_flow(
         }
     }
     let fc2_seed = sim_seed.coverage();
-    let undetected_base: Vec<usize> =
-        (0..faults.len()).filter(|&i| sim_base.detections()[i] == 0).collect();
-    let undetected_seed: Vec<usize> =
-        (0..faults.len()).filter(|&i| sim_seed.detections()[i] == 0).collect();
 
     FlowResult {
-        fc1,
+        fc1: random.coverage,
         survivors: survivors.len(),
         cubes: report.cubes.len(),
         untestable: report.untestable,
@@ -262,9 +239,31 @@ fn run_flow(
         plan,
         first_fit_seeds,
         first_fit_seed_bits,
-        undetected_base,
-        undetected_seed,
+        undetected_base: sim_base.undetected_indices(),
+        undetected_seed: sim_seed.undetected_indices(),
     }
+}
+
+/// Grades `loads` on `sim`, 64 to a frame: every source word starts at
+/// zero with `test_mode` held high, then `load` writes each load into
+/// its lane. Returns the faults newly dropped.
+fn grade_loads<T>(
+    sim: &mut StuckAtSim<'_>,
+    cc: &CompiledCircuit,
+    test_mode: NodeId,
+    loads: &[T],
+    mut load: impl FnMut(&T, &mut [u64], usize),
+) -> usize {
+    let mut dropped = 0;
+    for chunk in loads.chunks(64) {
+        let mut frame = cc.new_frame();
+        frame[test_mode.index()] = !0;
+        for (lane, item) in chunk.iter().enumerate() {
+            load(item, &mut frame, lane);
+        }
+        dropped += sim.run_batch(&mut frame, chunk.len());
+    }
+    dropped
 }
 
 /// Adds a top-up run's PODEM statistics to the process-global registry.

@@ -8,6 +8,7 @@
 
 use lbist_core::{
     BistController, BistPhase, ControllerConfig, SelfTestSession, SessionConfig, StumpsConfig,
+    PHASE_SEPARATION,
 };
 use lbist_cores::{CoreProfile, CpuCoreGenerator};
 use lbist_dft::{prepare_core, PrepConfig, TpiMethod};
@@ -37,7 +38,7 @@ fn main() {
             db.domain.index(),
             db.prpg.lfsr().len(),
             db.prpg.num_chains().min(db.chains.len()),
-            session.architecture().config().phase_separation,
+            PHASE_SEPARATION,
             db.compactor.num_chains(),
             db.chains.len(),
             db.chains.len(),

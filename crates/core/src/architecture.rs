@@ -4,13 +4,18 @@ use lbist_dft::{BistReadyCore, ScanChain};
 use lbist_netlist::DomainId;
 use lbist_tpg::{Gf2Vec, Lfsr, LfsrPoly, Misr, PhaseShifter, Prpg, SpaceCompactor, SpaceExpander};
 
+/// Phase-shifter channel separation in LFSR cycles.
+pub const PHASE_SEPARATION: u64 = 64;
+
+/// Minimum MISR length (19 in Table 1; domains with few chains still
+/// get at least this much signature state).
+const MISR_MIN_LENGTH: usize = 19;
+
 /// Architecture-level configuration (the knobs Table 1 reports).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StumpsConfig {
     /// PRPG length per domain (the paper uses 19 everywhere).
     pub prpg_length: usize,
-    /// Phase-shifter channel separation in LFSR cycles.
-    pub phase_separation: u64,
     /// Use a synthesized phase shifter (`false` taps raw LFSR stages — the
     /// A4 ablation's baseline, which leaves adjacent chains correlated).
     pub use_phase_shifter: bool,
@@ -27,9 +32,6 @@ pub struct StumpsConfig {
     /// straight to a chain-count-wide MISR (`false`, the paper's choice —
     /// §3 note 3 — to keep setup-risk logic off the scan-out path).
     pub use_compactor: bool,
-    /// Minimum MISR length (19 in Table 1; domains with few chains still
-    /// get at least this much signature state).
-    pub misr_min_length: usize,
     /// Seed material for the PRPGs (mixed with the domain index).
     pub seed: u64,
 }
@@ -38,11 +40,9 @@ impl Default for StumpsConfig {
     fn default() -> Self {
         StumpsConfig {
             prpg_length: 19,
-            phase_separation: 64,
             use_phase_shifter: true,
             use_expander: true,
             use_compactor: false,
-            misr_min_length: 19,
             seed: 0xB157,
         }
     }
@@ -118,7 +118,7 @@ impl StumpsArchitecture {
                 n_chains.min(poly.degree())
             };
             let shifter = if config.use_phase_shifter {
-                PhaseShifter::synthesize(&poly, channels, config.phase_separation)
+                PhaseShifter::synthesize(&poly, channels, PHASE_SEPARATION)
             } else {
                 PhaseShifter::identity(&poly, channels)
             };
@@ -131,13 +131,13 @@ impl StumpsArchitecture {
             };
 
             let (compactor, misr_width) = if config.use_compactor {
-                let outs = config.misr_min_length.min(n_chains);
-                (SpaceCompactor::balanced(n_chains, outs), config.misr_min_length)
+                let outs = MISR_MIN_LENGTH.min(n_chains);
+                (SpaceCompactor::balanced(n_chains, outs), MISR_MIN_LENGTH)
             } else {
                 // Paper configuration: no compactor; the MISR must absorb
                 // every chain in parallel, hence the long MISRs of Table 1
                 // (99-bit for Core X's main domain, 80-bit for Core Y's).
-                (SpaceCompactor::passthrough(n_chains), n_chains.max(config.misr_min_length))
+                (SpaceCompactor::passthrough(n_chains), n_chains.max(MISR_MIN_LENGTH))
             };
             let misr_poly = LfsrPoly::nearest_maximal(misr_width);
             let misr = Misr::new(misr_poly, compactor.num_outputs());
@@ -149,11 +149,6 @@ impl StumpsArchitecture {
             "a BIST architecture needs at least one scan chain"
         );
         StumpsArchitecture { config: config.clone(), domains }
-    }
-
-    /// The configuration this architecture was built from.
-    pub fn config(&self) -> &StumpsConfig {
-        &self.config
     }
 
     /// Per-domain hardware, in domain order.

@@ -46,7 +46,7 @@ mod selector;
 mod session;
 mod tap;
 
-pub use architecture::{DomainBist, StumpsArchitecture, StumpsConfig};
+pub use architecture::{DomainBist, StumpsArchitecture, StumpsConfig, PHASE_SEPARATION};
 pub use checkpoint::{
     faults_fingerprint, CheckpointSpec, GradingCheckpoint, ModelTag, RunControl, RunStatus,
     SessionCheckpoint, KIND_GRADING, KIND_SESSION,

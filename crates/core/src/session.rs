@@ -56,7 +56,8 @@ impl Default for SessionConfig {
 pub struct SessionResult {
     /// Final signature of each domain's MISR, in domain order.
     pub signatures: Vec<Gf2Vec>,
-    /// Patterns applied (random + top-up).
+    /// Load steps applied (random, reseed and top-up), counted across
+    /// resume boundaries.
     pub patterns_applied: usize,
     /// Total shift cycles spent.
     pub shift_cycles: u64,
@@ -84,8 +85,6 @@ pub struct ControlledSessionOutcome {
     pub result: SessionResult,
     /// How the run ended.
     pub status: RunStatus,
-    /// Load steps fully applied (across resume boundaries).
-    pub steps_done: u64,
     /// `Some(steps)` when the run resumed a checkpoint taken at that
     /// step count.
     pub resumed_from: Option<u64>,
@@ -479,7 +478,6 @@ impl<'a> SelfTestSession<'a> {
                 snapshots,
             },
             status,
-            steps_done: patterns_applied as u64,
             resumed_from,
         })
     }
@@ -809,7 +807,7 @@ mod tests {
                     },
                 )
                 .unwrap();
-            assert_eq!(killed.steps_done, kill_after);
+            assert_eq!(killed.result.patterns_applied as u64, kill_after);
             if kill_after < total_steps {
                 assert_eq!(killed.status, RunStatus::BudgetExhausted);
             }
@@ -893,7 +891,7 @@ mod tests {
         token.cancel();
         let out = session.run_controlled(&cfg, &RunControl::with_cancel(token)).unwrap();
         assert_eq!(out.status, RunStatus::Cancelled(CancelReason::Requested));
-        assert_eq!(out.steps_done, 0);
+        assert_eq!(out.result.patterns_applied, 0);
 
         let path = dir.join("plan.ckpt");
         let spec = CheckpointSpec::new(&path, 1);

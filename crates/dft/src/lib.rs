@@ -38,7 +38,7 @@ mod xbound;
 
 pub use cop::CopMeasures;
 pub use overhead::DftOverhead;
-pub use prep::{prepare_core, BistReadyCore, PrepConfig, TpiMethod};
+pub use prep::{fill_random_scan_frame, prepare_core, BistReadyCore, PrepConfig, TpiMethod};
 pub use scan::{ScanChain, ScanChains};
 pub use tpi::{insert_observation_points, TestPointInsertion};
 pub use wrap::{wrap_ios, IoWrapReport};

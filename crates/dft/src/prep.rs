@@ -138,16 +138,7 @@ pub fn prepare_core(netlist: &Netlist, config: &PrepConfig) -> BistReadyCore {
             let batches = patterns.div_ceil(64).max(1);
             let mut frame = cc.new_frame();
             for _ in 0..batches {
-                for &pi in cc.inputs() {
-                    frame[pi.index()] = rng.gen();
-                }
-                frame[xbound.test_mode.index()] = !0;
-                for &ff in cc.dffs() {
-                    frame[ff.index()] = rng.gen();
-                }
-                for &x in cc.xsources() {
-                    frame[x.index()] = 0;
-                }
+                fill_random_scan_frame(&cc, xbound.test_mode, &mut rng, &mut frame);
                 sim.run_batch(&mut frame, 64);
             }
             let survivors = sim.undetected();
@@ -183,6 +174,28 @@ pub fn prepare_core(netlist: &Netlist, config: &PrepConfig) -> BistReadyCore {
         io_report,
         xbound,
         overhead,
+    }
+}
+
+/// Fills the source words of `frame` with 64 random full-scan patterns,
+/// the stimulus of the grading pass behind observation-point selection:
+/// a random word on every primary input, then on every flip-flop, in
+/// that draw order, with `test_mode` held high and every X-source at 0.
+pub fn fill_random_scan_frame(
+    cc: &CompiledCircuit,
+    test_mode: NodeId,
+    rng: &mut impl Rng,
+    frame: &mut [u64],
+) {
+    for &pi in cc.inputs() {
+        frame[pi.index()] = rng.gen();
+    }
+    frame[test_mode.index()] = !0;
+    for &ff in cc.dffs() {
+        frame[ff.index()] = rng.gen();
+    }
+    for &x in cc.xsources() {
+        frame[x.index()] = 0;
     }
 }
 

@@ -5,9 +5,9 @@
 //!
 //! A [`Registry`] owns named metrics of three kinds:
 //!
-//! * [`Counter`] — a monotonic `u64`, **sharded** across cache-padded
-//!   atomics so concurrent writers (pool workers, grading shards) never
-//!   contend on one cache line;
+//! * [`Counter`] — a monotonic `u64` in one relaxed atomic (grading
+//!   workers count in their own scratch and flush once per batch, so no
+//!   hot path has two threads adding to one counter);
 //! * [`Gauge`] — a point-in-time `i64` (queue depths, in-flight jobs);
 //! * [`Histogram`] — log2-bucketed `u64` distribution (65 buckets:
 //!   `{0}` plus one per power of two), with a wrapping sum. Every `u64`

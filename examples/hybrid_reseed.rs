@@ -7,7 +7,7 @@
 //! ```
 
 use lbist::atpg::TopUpAtpg;
-use lbist::core::{SelfTestSession, SessionConfig, StumpsArchitecture, StumpsConfig};
+use lbist::core::{SelfTestSession, SessionConfig, StumpsConfig, WideGradingSession};
 use lbist::cores::{CoreProfile, CpuCoreGenerator};
 use lbist::dft::{prepare_core, PrepConfig, TpiMethod};
 use lbist::fault::{FaultUniverse, StuckAtSim};
@@ -32,20 +32,14 @@ fn main() {
     let cc = CompiledCircuit::compile(&core.netlist).unwrap();
 
     // 2. Random phase: find the random-resistant tail.
-    let mut arch = StumpsArchitecture::build(&core, &stumps);
-    let universe = FaultUniverse::stuck_at(&core.netlist);
-    let mut sim =
-        StuckAtSim::new(&cc, universe.representatives(), StuckAtSim::observe_all_captures(&cc));
-    let mut frame = cc.new_frame();
-    for _ in 0..8 {
-        lbist::core::fill_frame_from_prpg(&mut arch, &core, &mut frame);
-        sim.run_batch(&mut frame, 64);
-    }
-    let fc1 = sim.coverage();
-    let survivors = sim.undetected();
+    let faults = FaultUniverse::stuck_at(&core.netlist).representatives();
+    let mut grading = WideGradingSession::<u64>::new(&core, &cc, &stumps);
+    let random = grading.run_stuck_at(faults.clone(), 8);
+    let survivors: Vec<_> = random.undetected_indices().into_iter().map(|i| faults[i]).collect();
     println!(
-        "FC1 = {:.2}% after 512 random patterns, {} survivors",
-        fc1.percent(),
+        "FC1 = {:.2}% after {} random patterns, {} survivors",
+        random.coverage.percent(),
+        random.patterns,
         survivors.len()
     );
 
@@ -57,6 +51,7 @@ fn main() {
 
     // 4. Solve the cubes into PRPG seeds over the architecture's linear
     //    map, packing compatible cubes into shared seeds.
+    let arch = grading.architecture();
     let shift_cycles = arch.max_chain_length().max(1);
     let channels: Vec<DomainChannel<'_>> = arch
         .domains()

@@ -12,11 +12,11 @@
 use lbist::atpg::TopUpAtpg;
 use lbist::core::{SelfTestSession, SessionConfig, StumpsConfig};
 use lbist::cores::{CoreProfile, CpuCoreGenerator};
-use lbist::dft::{prepare_core, PrepConfig, TpiMethod};
+use lbist::dft::{fill_random_scan_frame, prepare_core, PrepConfig, TpiMethod};
 use lbist::fault::{FaultUniverse, StuckAtSim};
 use lbist::sim::CompiledCircuit;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::time::Instant;
 
 fn main() {
@@ -57,13 +57,7 @@ fn main() {
     let mut rng = SmallRng::seed_from_u64(11);
     let mut frame = cc.new_frame();
     for _ in 0..(2048 / 64) {
-        for &pi in cc.inputs() {
-            frame[pi.index()] = rng.gen();
-        }
-        frame[core.test_mode().index()] = !0;
-        for &ff in cc.dffs() {
-            frame[ff.index()] = rng.gen();
-        }
+        fill_random_scan_frame(&cc, core.test_mode(), &mut rng, &mut frame);
         sim.run_batch(&mut frame, 64);
     }
     let fc1 = sim.coverage();

@@ -7,12 +7,12 @@
 
 use lbist::clock::{CaptureTimingPlan, ClockGatingBlock, DomainTimingPlan, SkewModel};
 use lbist::cores::{CoreProfile, CpuCoreGenerator};
-use lbist::dft::{prepare_core, PrepConfig, TpiMethod};
+use lbist::dft::{fill_random_scan_frame, prepare_core, PrepConfig, TpiMethod};
 use lbist::fault::{CaptureWindow, FaultUniverse, TransitionSim};
 use lbist::netlist::DomainId;
 use lbist::sim::CompiledCircuit;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 fn main() {
     // --- Fig. 2: the clock gating block's waveforms -----------------------
@@ -57,13 +57,7 @@ fn main() {
     let mut rng = SmallRng::seed_from_u64(77);
     let mut base = cc.new_frame();
     for batch in 0..16 {
-        for &pi in cc.inputs() {
-            base[pi.index()] = rng.gen();
-        }
-        base[core.test_mode().index()] = !0;
-        for &ff in cc.dffs() {
-            base[ff.index()] = rng.gen();
-        }
+        fill_random_scan_frame(&cc, core.test_mode(), &mut rng, &mut base);
         sim.run_batch(&base, 64);
         if (batch + 1) % 4 == 0 {
             let cov = sim.coverage();

@@ -27,7 +27,7 @@
 //! | [`cores`] | synthetic CPU-like IP cores matching Table 1's profiles |
 //! | [`ckpt`] | versioned, checksummed checkpoint serialization + atomic file I/O |
 //! | [`serve`] | multi-tenant job control plane: admission, fair scheduling, preemption |
-//! | [`obs`] | engine-wide metrics: sharded registry, phase spans, JSON/Prometheus export |
+//! | [`obs`] | engine-wide metrics: counter/gauge/histogram registry, phase spans, JSON/Prometheus export |
 //!
 //! # Quickstart
 //!

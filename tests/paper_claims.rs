@@ -6,12 +6,12 @@ use lbist::clock::{
     SkewModel,
 };
 use lbist::cores::{CoreProfile, CpuCoreGenerator};
-use lbist::dft::{prepare_core, PrepConfig, TpiMethod};
+use lbist::dft::{fill_random_scan_frame, prepare_core, PrepConfig, TpiMethod};
 use lbist::fault::{CaptureWindow, FaultUniverse, TransitionSim};
 use lbist::netlist::DomainId;
 use lbist::sim::CompiledCircuit;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Claim 1 (§2.2): "real at-speed testing is guaranteed since no test
 /// clock frequency manipulation is conducted" — every capture pulse pair
@@ -123,13 +123,7 @@ fn double_capture_detects_transition_faults_across_domains() {
     let mut base = cc.new_frame();
     let mut checkpoints = Vec::new();
     for b in 0..8 {
-        for &pi in cc.inputs() {
-            base[pi.index()] = rng.gen();
-        }
-        base[core.test_mode().index()] = !0;
-        for &ff in cc.dffs() {
-            base[ff.index()] = rng.gen();
-        }
+        fill_random_scan_frame(&cc, core.test_mode(), &mut rng, &mut base);
         sim.run_batch(&base, 64);
         if b == 0 || b == 7 {
             checkpoints.push(sim.coverage().detected);
